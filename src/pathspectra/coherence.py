@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegeneracyError, IndeterminateError, InputError
-from .exactgeom import (FLOAT, RATIONAL, DirectedGraph, Float, Polytope, dot,
-                        lp_maximize, orient, _highs, _primitive_int_vector,
-                        _steered_feasible)
+from .exactgeom import (RATIONAL, DirectedGraph, Polytope, dot, lp_maximize,
+                        orient, _highs, _primitive_int_vector, _steered_feasible)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
 
@@ -104,27 +103,14 @@ def _strict_interior_steered(rows, d):
     the cone is degenerate).
     """
     frows = [[float(x) for x in row] for row in rows]
-    omega_float = None
-    handle = _highs()
-    if handle:
-        linprog, np = handle
-        a_ub = [[-x for x in row] + [1.0] for row in frows]
-        res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
-                      b_ub=np.zeros(len(a_ub)),
-                      bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
-        if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
-            return None
-        omega_float = res.x[:d]
-    else:
-        constraints = [(tuple(row) + (-1.0,), ">=", 0.0) for row in frows]
-        box = [(-1.0, 1.0)] * d + [(0.0, 1.0)]
-        try:
-            res = lp_maximize([0.0] * d + [1.0], constraints, box, backend=FLOAT)
-        except IndeterminateError:
-            return None
-        if res.status != "optimal" or res.objective <= 1e-9:
-            return None
-        omega_float = res.solution[:d]
+    linprog, np = _highs()
+    a_ub = [[-x for x in row] + [1.0] for row in frows]
+    res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
+                  b_ub=np.zeros(len(a_ub)),
+                  bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
+    if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
+        return None
+    omega_float = res.x[:d]
     for denominator in (10**4, 10**8, 10**12):
         omega = tuple(Fraction(x).limit_denominator(denominator)
                       for x in omega_float)

@@ -4,16 +4,34 @@ oriented edge graphs, and planar projection with upper-chain extraction.
 Everything here is deterministic and immutable after construction.  The rational
 backend decides every predicate exactly; the float backend treats |a - b| <= tol
 as a tie.  Float arithmetic is also used internally to *steer* exact searches
-(propose a basis or a support), but verdicts on the rational backend are always
-certified in exact arithmetic.
+(propose a basis, a support or a facet list), but verdicts on the rational
+backend are always certified in exact arithmetic.
+
+Vertices and edges on the rational backend come from one facet incidence per
+polytope.  The points are projected, exactly, onto coordinates of their affine
+hull; Qhull (`scipy.spatial.ConvexHull`) proposes a triangulated boundary; and
+`_certify_facets` checks it in integer arithmetic: each simplex lies in a
+supporting plane of the hull, the non-degenerate ones are oriented outward, and
+every ridge is shared by exactly two simplices with opposite orientations.
+Those simplices then form a cycle that covers the boundary with the same
+positive degree everywhere, so the certified facets are all the facets.  A pair
+spans an edge iff the facets containing both meet in those two points alone,
+and a point is a vertex iff the facets containing it meet in that point alone.
+When Qhull fails, a coordinate overflows a float, or any check fails, the
+polytope falls back to one steered LP per point and per pair.  The float
+backend always uses the LP tests.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from math import gcd, lcm
+from typing import Optional, Sequence
+
+import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegeneracyError, GenericityError, IndeterminateError,
                      InputError)
@@ -255,15 +273,11 @@ _highs_handle = None
 
 
 def _highs():
-    """Cached (linprog, numpy) pair, or False when scipy is unavailable."""
+    """Cached (linprog, numpy) pair; every HiGHS call goes through it."""
     global _highs_handle
     if _highs_handle is None:
-        try:
-            import numpy
-            from scipy.optimize import linprog
-            _highs_handle = (linprog, numpy)
-        except Exception:
-            _highs_handle = False
+        from scipy.optimize import linprog
+        _highs_handle = (linprog, np)
     return _highs_handle
 
 
@@ -312,16 +326,12 @@ def _steered_feasible(columns, target):
         ftarget = [float(x) for x in target]
     except OverflowError:
         return None
-    lam_f = None
-    handle = _highs()
-    if handle:
-        linprog, np = handle
-        res = linprog(np.zeros(len(fcols)), A_eq=np.array(fcols).T,
-                      b_eq=np.array(ftarget), bounds=(0, None), method="highs")
-        if res.status == 0 and res.x is not None:
-            lam_f = res.x
-        elif res.status == 2:
-            return None
+    linprog = _highs()[0]
+    res = linprog(np.zeros(len(fcols)), A_eq=np.array(fcols).T,
+                  b_eq=np.array(ftarget), bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    lam_f = res.x if res.status == 0 else None
     if lam_f is None:
         try:
             lam_f = _feasible_nonneg(fcols, ftarget, _STEER)
@@ -360,29 +370,15 @@ def _strict_separation(columns, target):
         ftarget = [float(x) for x in target]
     except OverflowError:
         return None
-    y_float = None
-    handle = _highs()
-    if handle:
-        linprog, np = handle
-        a_ub = [row + [1.0] for row in frows]
-        a_ub.append([-x for x in ftarget] + [1.0])
-        res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
-                      b_ub=np.zeros(len(a_ub)),
-                      bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
-        if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
-            return None
-        y_float = res.x[:d]
-    else:
-        constraints = [(tuple(row) + (1.0,), "<=", 0.0) for row in frows]
-        constraints.append((tuple(-x for x in ftarget) + (1.0,), "<=", 0.0))
-        try:
-            lp = lp_maximize([0.0] * d + [1.0], constraints,
-                             box=[(-1, 1)] * d + [(0, 1)], backend=_STEER)
-        except IndeterminateError:
-            return None
-        if lp.status != "optimal" or lp.objective <= 1e-9:
-            return None
-        y_float = lp.solution[:d]
+    linprog = _highs()[0]
+    a_ub = [row + [1.0] for row in frows]
+    a_ub.append([-x for x in ftarget] + [1.0])
+    res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
+                  b_ub=np.zeros(len(a_ub)),
+                  bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
+    if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
+        return None
+    y_float = res.x[:d]
     for denominator in (10**4, 10**8, 10**12):
         y = _rationalize(y_float, denominator)
         if all(dot(y, col) < 0 for col in columns) and dot(y, target) > 0:
@@ -390,19 +386,19 @@ def _strict_separation(columns, target):
     return None
 
 
-def nonneg_combination(columns, target, backend=RATIONAL):
-    """lam >= 0 with sum lam_k columns[k] = target, or None.
+def _escapes_cone(gens, target, backend):
+    """Whether target lies outside the cone spanned by gens.
 
-    Rational backend: a float phase-1 proposes a support, exact elimination
-    certifies it; the exact simplex is the fallback and the only authority for
-    "infeasible".
+    Rational backend: a steered combination proves "inside", a steered strict
+    separation proves "outside", and the exact simplex settles the rest.
     """
     if backend.name != "rational":
-        return _feasible_nonneg(columns, target, backend)
-    lam = _steered_feasible(columns, target)
-    if lam is not None:
-        return lam
-    return _feasible_nonneg(columns, target, backend)
+        return _feasible_nonneg(gens, target, backend) is None
+    if _steered_feasible(gens, target) is not None:
+        return False
+    if _strict_separation(gens, target) is not None:
+        return True
+    return _feasible_nonneg(gens, target, backend) is None
 
 
 def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
@@ -479,7 +475,6 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
             if rel == ">=":
                 full[scol] = -one
                 scol += 1
-            acol = scol if rel == "==" else scol
             # place the artificial in the next free column
             acol = width - len(rows) + len(art_cols)
             full[acol] = one
@@ -530,12 +525,234 @@ def _primitive_int_vector(vec: Sequence[Fraction]):
     return tuple(ints)
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _det(rows):
+    """Determinant of a square integer matrix (fraction-free Bareiss elimination)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if p is None:
+                return 0
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _affine_coordinates(points):
+    """Integer coordinates of the points in r = dim aff(points) pivot coordinates.
+
+    Exact row reduction of the differences v_k - v_0 picks r coordinates on
+    which the affine hull projects injectively; the projection therefore maps
+    faces to faces, and clearing denominators afterwards keeps that so.
+    """
+    scale = lcm(*(x.denominator for p in points for x in p))
+    ints = [[x.numerator * (scale // x.denominator) for x in p] for p in points]
+    rows = [[a - b for a, b in zip(p, ints[0])] for p in ints[1:]]
+    pivots = []
+    for c in range(len(ints[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [a * top[c] - f * b for a, b in zip(rows[i], top)]
+        pivots.append(c)
+    return [tuple(p[c] for c in pivots) for p in ints]
+
+
+def _ridges(simplex):
+    """(sorted ridge, sign of the orientation the oriented simplex induces on it)."""
+    inversions = sum(a > b for a, b in combinations(simplex, 2))
+    ordered = sorted(simplex)
+    for m in range(len(ordered)):
+        yield tuple(ordered[:m] + ordered[m + 1:]), -1 if (inversions + m) % 2 else 1
+
+
+def _propose_simplices(coords):
+    """Qhull's boundary simplices of conv(coords), oriented coherently and outward.
+
+    Qhull lists the vertices of each simplex in no particular order.
+    Orientations spread across shared ridges so that neighbours induce
+    opposite signs; each connected piece is then turned to agree with Qhull's
+    outward normals.  Floats only steer here: `_certify_facets` checks
+    whatever this returns.
+    """
+    pts = np.array(coords, dtype=float)
+    # Qhull's precision is relative to the coordinate range; rescaling each
+    # axis onto [0, 1] changes no face and, with positive scales, no orientation
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pts = (pts - lo) / (hi - lo)
+    hull = ConvexHull(pts)
+    tri = hull.simplices
+    volumes = np.linalg.det(np.concatenate(
+        [pts[tri[:, 1:]] - pts[tri[:, :1]], hull.equations[:, None, :-1]], axis=1))
+    simplices = [tuple(int(k) for k in s) for s in tri]
+    ridges = [list(_ridges(s)) for s in simplices]
+    sides = {}
+    for t, pairs in enumerate(ridges):
+        for ridge, sign in pairs:
+            sides.setdefault(ridge, []).append((t, sign))
+    flip = [0] * len(simplices)
+    for root in range(len(simplices)):
+        if flip[root]:
+            continue
+        flip[root] = 1
+        piece, stack = [root], [root]
+        while stack:
+            t = stack.pop()
+            for ridge, sign in ridges[t]:
+                for u, usign in sides[ridge]:
+                    if not flip[u]:
+                        flip[u] = -flip[t] * sign * usign
+                        piece.append(u)
+                        stack.append(u)
+        if sum(flip[t] * volumes[t] for t in piece) < 0:
+            for t in piece:
+                flip[t] = -flip[t]
+    return [s if f > 0 else (s[1], s[0]) + s[2:] for s, f in zip(simplices, flip)]
+
+
+def _certify_facets(coords, simplices):
+    """Tight sets (bitmasks over coords) of all facets of conv(coords), or None.
+
+    `coords` are integer points spanning R^r; `simplices` are oriented
+    (r-1)-simplices proposed as a triangulation of the boundary.  Certified in
+    integer arithmetic:
+    - each non-degenerate simplex q1..qr lies in a plane a.x = b with
+      a.x <= b at every point and det[q2-q1, ..., qr-q1, a] > 0: the plane
+      supports the hull, holds an (r-1)-simplex (so it is a facet), and the
+      simplex is oriented outward.  A new plane takes the simplex's cofactor
+      normal, whose determinant is |a|^2; later simplices in the same tight
+      set reuse it;
+    - every degenerate simplex lies inside some certified tight set;
+    - every ridge lies in exactly two simplices, with opposite induced signs.
+    The last check makes the simplices a cycle mapped into the boundary
+    sphere.  Its degree is the same at every generic point, and there it
+    counts the outward, non-degenerate simplices covering the point, so it is
+    at least one: the simplices cover the boundary, and a facet missing from
+    the list would contain a generic point that no certified facet holds.
+    None means the proposal failed a check, not that the hull is special.
+    """
+    r = len(coords[0])
+    normals, tights = [], []
+    through = [0] * len(coords)  # bitmask of the certified facets at each point
+    degenerate = []
+    ridges = {}
+    for s in simplices:
+        if len(s) != r or len(set(s)) != r:
+            return None
+        for ridge, sign in _ridges(s):
+            count, total = ridges.get(ridge, (0, 0))
+            ridges[ridge] = (count + 1, total + sign)
+        base = coords[s[0]]
+        rows = [[a - b for a, b in zip(coords[k], base)] for k in s[1:]]
+        mask = sum(1 << k for k in s)
+        home = next((f for f in _bits(through[s[0]]) if tights[f] & mask == mask), None)
+        if home is not None:
+            if _det(rows + [normals[home]]) < 0:
+                return None
+            continue
+        normal = [(-1) ** (r + j + 1) * _det([row[:j] + row[j + 1:] for row in rows])
+                  for j in range(r)]
+        if not any(normal):
+            degenerate.append(mask)
+            continue
+        offset = dot(normal, base)
+        tight = 0
+        for k, q in enumerate(coords):
+            value = dot(normal, q)
+            if value > offset:
+                return None
+            if value == offset:
+                tight |= 1 << k
+        for k in _bits(tight):
+            through[k] |= 1 << len(tights)
+        normals.append(normal)
+        tights.append(tight)
+    if not tights or any(count != 2 or total for count, total in ridges.values()):
+        return None
+    if any(all(m & t != m for t in tights) for m in degenerate):
+        return None
+    return tights
+
+
+def _facet_incidence(points):
+    """Certified tight sets (bitmasks over `points`) of every facet of their hull.
+
+    Qhull proposes the facets in affine-hull coordinates and `_certify_facets`
+    decides them exactly.  None when Qhull fails, a coordinate does not fit a
+    float, or the certificate does not hold: the caller then uses the LP tests.
+    """
+    coords = _affine_coordinates(points)
+    r = len(coords[0])
+    if r == 0:
+        return None
+    if r == 1:
+        xs = [q[0] for q in coords]
+        return [sum(1 << k for k, x in enumerate(xs) if x == end) for end in (min(xs), max(xs))]
+    try:
+        simplices = _propose_simplices(coords)
+    except (QhullError, OverflowError, ValueError):
+        return None
+    return _certify_facets(coords, simplices)
+
+
+def _vertex_flags(facets, n):
+    """Point k is a vertex iff the tight sets containing it meet in {k} alone."""
+    meet = [-1] * n
+    for tight in facets:
+        for k in _bits(tight):
+            meet[k] &= tight
+    return [meet[k] == 1 << k for k in range(n)]
+
+
+def _facet_edges(facets, n):
+    """Pairs (i, j), i < j, whose tight sets in common meet in {i, j} alone.
+
+    That meet is the point set of the smallest face holding both points, so
+    with every point a vertex the pair spans an edge exactly then.
+    """
+    at = [0] * n
+    for f, tight in enumerate(facets):
+        for k in _bits(tight):
+            at[k] |= 1 << f
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            meet = (1 << n) - 1
+            for f in _bits(at[i] & at[j]):
+                meet &= facets[f]
+            if meet == (1 << i) | (1 << j):
+                found.append((i, j))
+    return found
+
+
 class Polytope:
     """A polytope given by its vertex list.
 
     Construction checks that no two vertices coincide and that every listed
-    point really is a vertex of the convex hull (an LP per point); offending
-    points are rejected or stripped according to `on_nonvertex`.
+    point really is a vertex of the convex hull; offending points are rejected
+    or stripped according to `on_nonvertex`.  On the rational backend both the
+    vertex check and the edge graph read one certified facet incidence, with
+    per-point and per-pair LPs as the fallback.
     """
 
     def __init__(self, points, label="", backend=RATIONAL, on_nonvertex="reject",
@@ -551,6 +768,7 @@ class Polytope:
         self.backend = backend
         self.dim = d
         self.label = label
+        self._facets = None  # certified facet tight sets over the vertices, if known
         if validate:
             pts = self._validated(pts, on_nonvertex)
         self.vertices = tuple(pts)
@@ -568,24 +786,21 @@ class Polytope:
             kept.append(p)
         if len(kept) == 1:
             return kept
-        vertices = []
-        for i, p in enumerate(kept):
-            others = [q for j, q in enumerate(kept) if j != i]
-            cols = [tuple(q) + (be.coerce(1),) for q in others]
-            target = tuple(p) + (be.coerce(1),)
-            if be.name == "rational":
-                if _steered_feasible(cols, target) is not None:
-                    is_vertex = False
-                elif _strict_separation(cols, target) is not None:
-                    is_vertex = True
-                else:
-                    is_vertex = _feasible_nonneg(cols, target, be) is None
-            else:
-                is_vertex = _feasible_nonneg(cols, target, be) is None
+        facets = _facet_incidence(kept) if be.name == "rational" else None
+        if facets is None:
+            flags = (_is_vertex_lp(kept, i, be) for i in range(len(kept)))
+        else:
+            flags = _vertex_flags(facets, len(kept))
+        vertices, index = [], []
+        for k, (p, is_vertex) in enumerate(zip(kept, flags)):
             if is_vertex:
                 vertices.append(p)
+                index.append(k)
             elif on_nonvertex == "reject":
                 raise InputError(f"point {p} is not a vertex of the hull")
+        if facets is not None:
+            self._facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
+                            for tight in facets]
         return vertices
 
     def __len__(self):
@@ -624,30 +839,33 @@ class Polytope:
     # -- edge graph
 
     def edges(self):
-        """Sorted list of index pairs (i, j), i < j, that span edges of the polytope."""
+        """Sorted list of index pairs (i, j), i < j, that span edges of the polytope.
+
+        Read from the certified facet incidence on the rational backend; an
+        LP per pair (`_is_edge_pair`) when there is none, or when an
+        unvalidated vertex list holds a point that is not a vertex.
+        """
         if self._edges is None:
-            found = []
             n = len(self.vertices)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if self._is_edge_pair(i, j):
-                        found.append((i, j))
-            self._edges = tuple(found)
+            facets = self._facets
+            if facets is None and self.backend.name == "rational" and n > 1:
+                facets = _facet_incidence(self.vertices)
+                if facets is not None and not all(_vertex_flags(facets, n)):
+                    facets = None
+            if facets is not None:
+                self._edges = tuple(_facet_edges(facets, n))
+            else:
+                self._edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                    if self._is_edge_pair(i, j))
         return list(self._edges)
 
     def _is_edge_pair(self, i, j):
-        be = self.backend
+        """LP edge test: v_j - v_i escapes the cone of the other directions at v_i."""
         u, v = self.vertices[i], self.vertices[j]
         gens = [tuple(w[t] - u[t] for t in range(self.dim))
                 for k, w in enumerate(self.vertices) if k != i and k != j]
         target = tuple(v[t] - u[t] for t in range(self.dim))
-        if be.name != "rational":
-            return _feasible_nonneg(gens, target, be) is None
-        if _steered_feasible(gens, target) is not None:
-            return False
-        if _strict_separation(gens, target) is not None:
-            return True
-        return _feasible_nonneg(gens, target, be) is None
+        return _escapes_cone(gens, target, self.backend)
 
     def neighbors(self, i):
         adj = []
@@ -660,21 +878,20 @@ class Polytope:
 
 
 def is_edge(P: Polytope, i: int, j: int) -> bool:
-    """Whether segment [v_i, v_j] is a 1-face of P.
-
-    Decided by whether v_j - v_i spans an extreme ray of the tangent cone at
-    v_i, i.e. whether it escapes the cone of the other vertex directions; this
-    is the Farkas dual of the supporting-hyperplane test and is decided exactly
-    on the rational backend.
-    """
+    """Whether segment [v_i, v_j] is a 1-face of P, read from `P.edges()`."""
     n = len(P.vertices)
     if i == j:
         raise InputError("is_edge needs two distinct vertex indices")
     if not (0 <= i < n and 0 <= j < n):
         raise InputError("vertex index out of range")
-    if P._edges is not None:
-        return (min(i, j), max(i, j)) in P._edges
-    return P._is_edge_pair(min(i, j), max(i, j))
+    return (min(i, j), max(i, j)) in P.edges()
+
+
+def _is_vertex_lp(points, i, backend):
+    """LP vertex test: points[i] is no convex combination of the other points."""
+    one = backend.coerce(1)
+    cols = [tuple(q) + (one,) for k, q in enumerate(points) if k != i]
+    return _escapes_cone(cols, tuple(points[i]) + (one,), backend)
 
 
 def edge_graph(P: Polytope):

@@ -1,13 +1,21 @@
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathspectra import (FLOAT, RATIONAL, DegeneracyError, GenericityError,
                          InputError, Polytope, edge_graph, is_edge, is_generic,
                          lower_path, orient, project2d, supporting_margin,
                          upper_path)
-from pathspectra import zoo
+from pathspectra import exactgeom, zoo
+
+# edge graphs of the rational fixtures, recorded with the per-pair LP test
+RECORDED_EDGES = json.loads(
+    (Path(__file__).parent / "data" / "fixture_edges.json").read_text())
 
 
 def test_nonvertex_point_rejected_or_stripped():
@@ -77,12 +85,105 @@ def test_edge_test_symmetry():
 
 
 @pytest.mark.parametrize("builder", [lambda: zoo.cube(3), lambda: zoo.cross_polytope(3),
-                                     lambda: zoo.simplex(3)])
+                                     lambda: zoo.simplex(3), lambda: zoo.lopsided_cube(3)])
 def test_edge_test_agrees_with_supporting_hyperplane_margin(builder):
     P = builder()
     for i, j in combinations(range(len(P.vertices)), 2):
         margin = supporting_margin(P, i, j)
         assert is_edge(P, i, j) == (margin > 0)
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _point_sets(draw):
+    """Rational points in d = 2..5, some sets on a hyperplane, some with
+    midpoints or the barycenter of other points added."""
+    d = draw(st.integers(2, 5))
+    flat = draw(st.booleans())
+    k = d - 1 if flat else d
+    n = draw(st.integers(k + 1, k + 5))
+    points = draw(st.lists(st.tuples(*[_COORD] * k), min_size=n, max_size=n))
+    if flat:
+        w = draw(st.tuples(*[st.integers(-2, 2)] * k))
+        points = [p + (sum(a * x for a, x in zip(w, p)) + 1,) for p in points]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(pairs, max_size=3)):
+        points.append(tuple((a + b) / 2 for a, b in zip(points[i], points[j])))
+    if draw(st.booleans()):
+        points.append(tuple(sum(c) / len(points) for c in zip(*points)))
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets())
+def test_facet_incidence_matches_lp_oracle(points):
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    assert len(kept) == 1 or exactgeom._facet_incidence(kept) is not None
+    P = Polytope(points, on_nonvertex="strip")
+    lp_vertices = [p for i, p in enumerate(kept)
+                   if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i, RATIONAL)]
+    assert list(P.vertices) == lp_vertices
+    n = len(P.vertices)
+    lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
+    assert P.edges() == lp_edges
+    assert Polytope(P.vertices, validate=False).edges() == lp_edges
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_EDGES))
+def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("LP fallback used")
+    monkeypatch.setattr(exactgeom, "_escapes_cone", no_lp)
+    P = zoo.fixture(name).polytope
+    assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
+
+
+# square base a, b, c, d, apex e, base centre m and interior point o
+_PYRAMID = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 2), (1, 1, 0), (1, 1, 1)]
+# the four triangles abc, abd, acd, bcd cover the base twice; oriented as the
+# boundary of the flat tetrahedron abcd, every ridge cancels
+_SQUARE_TWICE = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
+# the outward boundary of the tetrahedron abce, whose face ace cuts the pyramid
+_INNER_TETRAHEDRON = [(1, 2, 4), (2, 0, 4), (0, 1, 4), (1, 0, 2)]
+# a zero-area triangle m-o-e through the interior, twice with opposite signs
+_INTERIOR_SLIVER = [(5, 6, 4), (6, 5, 4)]
+
+
+def _flip(s):
+    return (s[1], s[0]) + s[2:]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda honest: honest[1:],
+    lambda honest: [_flip(honest[0])] + honest[1:],
+    lambda honest: _SQUARE_TWICE,
+    lambda honest: _INNER_TETRAHEDRON,
+    lambda honest: honest + _INTERIOR_SLIVER,
+], ids=["dropped", "reoriented", "square-twice", "inner-tetrahedron", "interior-sliver"])
+def test_tampered_proposal_is_rejected_and_falls_back(tamper, monkeypatch):
+    honest = exactgeom._propose_simplices(_PYRAMID)
+    assert exactgeom._certify_facets(_PYRAMID, honest) is not None
+    assert exactgeom._certify_facets(_PYRAMID, tamper(honest)) is None
+    expected = Polytope(_PYRAMID, on_nonvertex="strip").edges()
+    # the stripped vertex list that edges() certifies gets an empty proposal
+    monkeypatch.setattr(exactgeom, "_propose_simplices",
+                        lambda coords: tamper(honest) if len(coords) == len(_PYRAMID) else [])
+    P = Polytope(_PYRAMID, on_nonvertex="strip")
+    assert P._facets is None
+    assert len(P.vertices) == 5
+    assert P.edges() == expected
+
+
+def test_square_covered_twice_fails_only_the_orientation_check():
+    total = {}
+    for s in _SQUARE_TWICE:
+        for ridge, sign in exactgeom._ridges(s):
+            total[ridge] = total.get(ridge, ()) + (sign,)
+    assert all(len(signs) == 2 and sum(signs) == 0 for signs in total.values())
+    assert exactgeom._certify_facets(_PYRAMID, _SQUARE_TWICE) is None
+    assert exactgeom._certify_facets(_PYRAMID, [_flip(s) for s in _SQUARE_TWICE]) is None
 
 
 def test_backend_agreement_on_integer_fixtures():
