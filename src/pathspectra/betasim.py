@@ -138,20 +138,14 @@ def _throwaway_filter(xy: np.ndarray) -> np.ndarray:
     return xy[keep]
 
 
-def chain_counts(xy) -> tuple:
-    """(f0, f1_up, f1_low) of the convex hull of the points.
+def _hull_chains(xy: np.ndarray):
+    """Lower and upper hull chains (Andrew's monotone chain) of the points.
 
-    The hull cycle is split at its lexicographic minimum and maximum, so the
-    two chain edge counts always add up to the vertex count; collinear points
-    interior to a hull edge are not counted as vertices.
+    Both run between the lexicographic minimum and maximum of the distinct
+    points, the lower one from the minimum, the upper one from the maximum;
+    points on a hull edge but not at its ends are left out.
     """
-    xy = np.asarray(xy, dtype=float)
-    if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:
-        raise InputError("need at least two planar points")
-    pts = _throwaway_filter(xy)
-    pts = sorted(set(map(tuple, pts)))
-    if len(pts) == 1:
-        return 1, 0, 0
+    pts = sorted(set(map(tuple, _throwaway_filter(xy))))
 
     def half(points):
         out = []
@@ -163,8 +157,22 @@ def chain_counts(xy) -> tuple:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    return half(pts), half(pts[::-1])
+
+
+def chain_counts(xy) -> tuple:
+    """(f0, f1_up, f1_low) of the convex hull of the points.
+
+    The hull cycle is split at its lexicographic minimum and maximum, so the
+    two chain edge counts always add up to the vertex count; collinear points
+    interior to a hull edge are not counted as vertices.
+    """
+    xy = np.asarray(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:
+        raise InputError("need at least two planar points")
+    lower, upper = _hull_chains(xy)
+    if len(lower) == 1:
+        return 1, 0, 0
     f1_low = len(lower) - 1
     f1_up = len(upper) - 1
     return f1_low + f1_up, f1_up, f1_low
@@ -318,25 +326,11 @@ def floating_containment_rate(config: SimConfig, c0: float) -> ContainmentReport
                              contained=tuple(flags))
 
 
-def _disk_in_hull(xy, radius: float) -> bool:
-    pts = _throwaway_filter(np.asarray(xy, dtype=float))
-    pts = sorted(set(map(tuple, pts)))
-    if len(pts) < 3:
-        return False
-
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2 and (
-                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
+def _disk_in_hull(xy: np.ndarray, radius: float) -> bool:
+    lower, upper = _hull_chains(xy)
     cycle = lower[:-1] + upper[:-1]  # counterclockwise
+    if len(cycle) < 3:
+        return False
     for p, q in zip(cycle, cycle[1:] + cycle[:1]):
         length = math.hypot(q[0] - p[0], q[1] - p[1])
         signed = p[0] * q[1] - p[1] * q[0]  # > 0 iff origin is left of pq

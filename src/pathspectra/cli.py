@@ -14,9 +14,12 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+
+import numpy
+import scipy
 
 from . import __version__
 from .betasim import (SimConfig, clt_check, estimate_growth_exponent,
@@ -40,21 +43,10 @@ class RunManifest:
     timestamp: str
     input_digests: dict
 
-    def to_dict(self):
-        return {"command": self.command, "seed": self.seed, "backend": self.backend,
-                "versions": self.versions, "timestamp": self.timestamp,
-                "input_digests": self.input_digests}
-
 
 def _manifest(args, inputs=()):
-    versions = {"pathspectra": __version__}
-    try:
-        import numpy
-        import scipy
-        versions["numpy"] = numpy.__version__
-        versions["scipy"] = scipy.__version__
-    except Exception:
-        pass
+    versions = {"pathspectra": __version__, "numpy": numpy.__version__,
+                "scipy": scipy.__version__}
     digests = {}
     for path in inputs:
         h = hashlib.sha256()
@@ -70,7 +62,7 @@ def _manifest(args, inputs=()):
 def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
     """Write CSV (rows + comment manifest/summary) or a single JSON document."""
     if args.format == "json":
-        doc = {"manifest": manifest.to_dict(),
+        doc = {"manifest": asdict(manifest),
                "rows": [dict(zip(header, r)) for r in rows]}
         if summary is not None:
             doc["summary"] = summary
@@ -82,7 +74,7 @@ def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        lines = [f"# manifest: {json.dumps(manifest.to_dict())}"]
+        lines = [f"# manifest: {json.dumps(asdict(manifest))}"]
         lines.append(buf.getvalue().rstrip("\n"))
         lines += list(extra_comments)
         if summary is not None:
@@ -174,7 +166,7 @@ def cmd_coherent(args):
     cert_path = args.certificates or (args.out + ".certs.json" if args.out else None)
     if cert_path:
         with open(cert_path, "w") as fh:
-            json.dump({"manifest": manifest.to_dict(), "certificates": certs}, fh, indent=2)
+            json.dump({"manifest": asdict(manifest), "certificates": certs}, fh, indent=2)
     _emit(args, manifest, spec.to_csv_rows(), ("length", "count"), summary=summary)
     return 0
 

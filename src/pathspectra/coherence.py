@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegeneracyError, IndeterminateError, InputError
-from .exactgeom import (RATIONAL, DirectedGraph, Polytope, dot, lp_maximize,
-                        orient, _highs, _primitive_int_vector, _steered_feasible)
+from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
+                        _primitive_int_vector, _steered_feasible, _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
 
@@ -71,52 +71,39 @@ def _arc_rows(P: Polytope, G: DirectedGraph, u: int, v: int):
     return tuple(rows)
 
 
+def _path_rows(P: Polytope, G: DirectedGraph, seq, blocks):
+    """Slope rows of the path `seq`, step by step, each distinct row once.
+
+    `blocks` caches the rows of each arc across calls.
+    """
+    rows = []
+    seen = set()
+    for arc in zip(seq, seq[1:]):
+        block = blocks.get(arc)
+        if block is None:
+            block = blocks[arc] = _arc_rows(P, G, *arc)
+        for row in block:
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+    return rows
+
+
 def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) -> SlopeCone:
     """Cone of capture vectors for the path: one row per (step, rival neighbor)."""
     G = graph if graph is not None else orient(P, c)
     seq = _validate_path(G, path)
-    rows = []
-    seen = set()
-    for u, v in zip(seq, seq[1:]):
-        for row in _arc_rows(P, G, u, v):
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-    return SlopeCone(rows=tuple(rows))
+    return SlopeCone(rows=tuple(_path_rows(P, G, seq, {})))
 
 
-def _strict_interior_exact(rows, d):
-    """Exact omega with all row products positive, or None; rational rows only."""
-    objective = [0] * d + [1]
-    constraints = [(row + (-1,), ">=", 0) for row in rows]
-    box = [(-1, 1)] * d + [(None, None)]
-    res = lp_maximize(objective, constraints, box, backend=RATIONAL)
-    if res.status != "optimal" or res.objective <= 0:
-        return None
-    return tuple(res.solution[:d])
-
-
-def _strict_interior_steered(rows, d):
-    """Float LP proposes omega; exact arithmetic confirms strict positivity.
-
-    Returns None when no certified omega was found (which does not yet prove
-    the cone is degenerate).
-    """
-    frows = [[float(x) for x in row] for row in rows]
-    linprog, np = _highs()
-    a_ub = [[-x for x in row] + [1.0] for row in frows]
-    res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
-                  b_ub=np.zeros(len(a_ub)),
-                  bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
-    if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
-        return None
-    omega_float = res.x[:d]
-    for denominator in (10**4, 10**8, 10**12):
-        omega = tuple(Fraction(x).limit_denominator(denominator)
-                      for x in omega_float)
-        if all(dot(row, omega) > 0 for row in rows):
-            return omega
-    return None
+def _max_min_slack(rows, d, backend):
+    """(omega, t) maximizing t subject to row . omega >= t for every row and
+    omega in [-1, 1]^d, solved by the simplex of `backend`."""
+    res = lp_maximize([0] * d + [1], [(tuple(row) + (-1,), ">=", 0) for row in rows],
+                      [(-1, 1)] * d + [(None, None)], backend=backend)
+    if res.status != "optimal":
+        raise IndeterminateError(f"slack LP came back {res.status}")
+    return res.solution[:d], res.objective
 
 
 def _remove_c_component(omega, c):
@@ -141,25 +128,7 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
     IndeterminateError.
     """
     G = graph if graph is not None else orient(P, c)
-    cone = slope_cone(P, c, path, graph=G)
-    return _decide_rows(P, G, list(cone.rows))
-
-
-def _is_coherent_float(cone: SlopeCone, G, d, be):
-    if not cone.rows:
-        return CoherenceCertificate(omega=(0.0,) * d, margin=1.0)
-    objective = [0.0] * d + [1.0]
-    constraints = [(tuple(row) + (-1.0,), ">=", 0.0) for row in cone.rows]
-    box = [(-1.0, 1.0)] * d + [(None, None)]
-    res = lp_maximize(objective, constraints, box, backend=be)
-    if res.status != "optimal":
-        raise IndeterminateError(f"slack LP came back {res.status}")
-    if res.objective <= be.tolerance:
-        raise IndeterminateError(
-            f"float margin {res.objective} below tolerance; retry on the rational backend")
-    omega = _remove_c_component(res.solution[:d], G.c)
-    margin = min(dot(row, omega) for row in cone.rows)
-    return CoherenceCertificate(omega=omega, margin=margin)
+    return _decide_rows(P, G, list(slope_cone(P, c, path, graph=G).rows))
 
 
 def shadow_path(P: Polytope, c, omega) -> MonotonePath:
@@ -205,21 +174,9 @@ def _shadow_walk(P: Polytope, G: DirectedGraph, omega) -> MonotonePath:
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     """Yield (path, certificate) for every coherent monotone path, in path order."""
     G = graph if graph is not None else orient(P, c)
-    block_cache = {}
+    blocks = {}
     for path in enumerate_paths(G):
-        rows = []
-        seen = set()
-        seq = path.vertex_indices
-        for u, v in zip(seq, seq[1:]):
-            block = block_cache.get((u, v))
-            if block is None:
-                block = _arc_rows(P, G, u, v)
-                block_cache[(u, v)] = block
-            for row in block:
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-        cert = _decide_rows(P, G, rows)
+        cert = _decide_rows(P, G, _path_rows(P, G, path.vertex_indices, blocks))
         if cert is not None:
             yield path, cert
 
@@ -227,20 +184,22 @@ def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
 def _decide_rows(P: Polytope, G: DirectedGraph, rows):
     d = P.dim
     be = P.backend
-    if be.name != "rational":
-        return _is_coherent_float(SlopeCone(rows=tuple(rows)), G, d, be)
     if not rows:
-        return CoherenceCertificate(omega=(Fraction(0),) * d, margin=Fraction(1))
-    omega = _strict_interior_steered(rows, d)
-    if omega is None:
+        return CoherenceCertificate(omega=(be.coerce(0),) * d, margin=be.coerce(1))
+    omega = None
+    if be.name == "rational":
+        omega = _strict_interior(rows)
         # Gordan witness: y >= 0, sum y = 1, sum y_r row_r = 0 proves degeneracy
-        columns = [tuple(row) + (1,) for row in rows]
-        target = (0,) * d + (1,)
-        if _steered_feasible(columns, target) is not None:
+        if omega is None and _steered_feasible([tuple(row) + (1,) for row in rows],
+                                               (0,) * d + (1,)) is not None:
             return None
-        omega = _strict_interior_exact(rows, d)
-        if omega is None:
-            return None
+    if omega is None:
+        omega, slack = _max_min_slack(rows, d, be)
+        if not be.pos(slack):
+            if be.name == "rational":
+                return None
+            raise IndeterminateError(
+                f"float margin {slack} below tolerance; retry on the rational backend")
     omega = _remove_c_component(omega, G.c)
     margin = min(dot(row, omega) for row in rows)
     if margin <= 0:

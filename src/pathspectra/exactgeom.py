@@ -41,6 +41,14 @@ from .errors import (DegeneracyError, GenericityError, IndeterminateError,
 # Scalar backends
 # ---------------------------------------------------------------------------
 
+def _parse_number(text: str) -> Fraction:
+    """An integer, decimal or "p/q" string as an exact Fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad number {text!r}: {exc}") from exc
+
+
 class ExactRational:
     """All values are Fractions; comparisons are exact."""
 
@@ -53,7 +61,7 @@ class ExactRational:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _parse_number(x)
         if isinstance(x, float):
             # floats carry an exact binary value; callers wanting 1/3 must say so
             return Fraction(x)
@@ -86,7 +94,7 @@ class Float:
         self.tolerance = tolerance
 
     def coerce(self, x):
-        return float(x)
+        return float(_parse_number(x) if isinstance(x, str) else x)
 
     def pos(self, x):
         return x > self.tolerance
@@ -106,10 +114,6 @@ class Float:
 
 RATIONAL = ExactRational()
 FLOAT = Float()
-
-# Backend used when float arithmetic merely proposes a solution that exact
-# arithmetic will certify.
-_STEER = Float(1e-9)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -153,12 +157,11 @@ class _Simplex:
                 r.append(self._zero)
             r.append(rhs)
 
-    def solve(self, cost, nx, zero):
+    def solve(self, cost, zero):
         """Maximize cost over the current rows; return (status, objective_delta).
 
-        `cost` has one entry per column (padded with zeros).  `nx` is the number
-        of decision columns, kept only for callers to slice solutions.  Exact
-        backends terminate by Bland's rule; float backends additionally get an
+        `cost` has one entry per column (padded with zeros).  Exact backends
+        terminate by Bland's rule; float backends additionally get an
         iteration cap so tolerance jitter cannot stall, reporting "stalled".
         """
         self._zero = zero
@@ -231,42 +234,16 @@ class _Simplex:
 
 
 def _feasible_nonneg(columns, target, backend):
-    """Solve sum_k lam_k columns[k] = target with lam >= 0 (phase-1 simplex).
+    """Some lam >= 0 with sum_k lam_k columns[k] = target, or None when infeasible.
 
-    Returns the lam list, or None when the system is infeasible.  On the
-    rational backend infeasibility is an exact certificate; a stalled float run
-    raises IndeterminateError instead of guessing.
+    On the rational backend infeasibility is an exact certificate; a stalled
+    float run raises IndeterminateError instead of guessing.
     """
-    m = len(target)
     n = len(columns)
-    be = backend
-    zero = be.coerce(0)
-    one = be.coerce(1)
-    sp = _Simplex(be)
-    sp.ncols = n + m
-    for i in range(m):
-        row = [be.coerce(columns[k][i]) for k in range(n)]
-        b = be.coerce(target[i])
-        if be.neg(b):
-            row = [-x for x in row]
-            b = -b
-        art = [zero] * m
-        art[i] = one
-        sp.add_row(row + art, b)
-        sp.basis.append(n + i)
-        sp.banned.add(n + i)
-    # maximize -(sum of artificials)
-    cost = [zero] * n + [-one] * m
-    status, obj = sp.solve(cost, n, zero)
-    if status == "stalled":
-        raise IndeterminateError("float phase-1 stalled")
-    if status != "optimal" or be.neg(obj):
-        return None
-    lam = [zero] * n
-    for i, b in enumerate(sp.basis):
-        if b < n:
-            lam[b] = sp.rows[i][sp.ncols]
-    return lam
+    res = lp_maximize([0] * n, [([col[i] for col in columns], "==", t)
+                                for i, t in enumerate(target)],
+                      [(0, None)] * n, backend=backend)
+    return res.solution if res.status == "optimal" else None
 
 
 _highs_handle = None
@@ -316,8 +293,8 @@ def _solve_on_support(columns, support, target):
 def _steered_feasible(columns, target):
     """Exactly certified lam >= 0 with sum lam_k columns[k] = target, or None.
 
-    A float phase-1 proposes a support, exact elimination certifies it; None
-    means "no certificate found", not "infeasible".
+    HiGHS proposes a support, exact elimination certifies it; None means "no
+    certificate found", not "infeasible".
     """
     if not columns:
         return [] if all(Fraction(t) == 0 for t in target) else None
@@ -329,17 +306,9 @@ def _steered_feasible(columns, target):
     linprog = _highs()[0]
     res = linprog(np.zeros(len(fcols)), A_eq=np.array(fcols).T,
                   b_eq=np.array(ftarget), bounds=(0, None), method="highs")
-    if res.status == 2:
+    if res.status != 0:
         return None
-    lam_f = res.x if res.status == 0 else None
-    if lam_f is None:
-        try:
-            lam_f = _feasible_nonneg(fcols, ftarget, _STEER)
-        except IndeterminateError:
-            return None
-        if lam_f is None:
-            return None
-    support = [k for k, v in enumerate(lam_f) if v > 1e-9]
+    support = [k for k, v in enumerate(res.x) if v > 1e-9]
     lam_s = _solve_on_support(columns, support, target)
     if lam_s is None or any(x < 0 for x in lam_s):
         return None
@@ -352,36 +321,28 @@ def _steered_feasible(columns, target):
     return lam
 
 
-def _rationalize(values, denominator):
-    return tuple(Fraction(v).limit_denominator(denominator) for v in values)
+def _strict_interior(rows):
+    """Exactly checked y with row . y > 0 for every row, or None.
 
-
-def _strict_separation(columns, target):
-    """Exactly certified y with <y, col> < 0 for every column and <y, target> > 0.
-
-    Such a y exists whenever target escapes the (pointed) cone of the columns,
-    so for edge tests the two certificate hunts cover both outcomes.  Found by
-    a float max-min-slack LP and verified in exact arithmetic; None means no
-    certificate found.
+    HiGHS maximizes the least slack t over y in [-1, 1]^d, t in [0, 1]; the
+    proposed y, rounded to ever finer denominators, is checked row by row in
+    exact arithmetic.  None means no certificate was found, not that none
+    exists.
     """
-    d = len(target)
+    d = len(rows[0])
     try:
-        frows = [[float(x) for x in col] for col in columns]
-        ftarget = [float(x) for x in target]
+        a_ub = [[-float(x) for x in row] + [1.0] for row in rows]
     except OverflowError:
         return None
     linprog = _highs()[0]
-    a_ub = [row + [1.0] for row in frows]
-    a_ub.append([-x for x in ftarget] + [1.0])
     res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
                   b_ub=np.zeros(len(a_ub)),
                   bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
     if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
         return None
-    y_float = res.x[:d]
     for denominator in (10**4, 10**8, 10**12):
-        y = _rationalize(y_float, denominator)
-        if all(dot(y, col) < 0 for col in columns) and dot(y, target) > 0:
+        y = tuple(Fraction(v).limit_denominator(denominator) for v in res.x[:d])
+        if all(dot(row, y) > 0 for row in rows):
             return y
     return None
 
@@ -389,14 +350,15 @@ def _strict_separation(columns, target):
 def _escapes_cone(gens, target, backend):
     """Whether target lies outside the cone spanned by gens.
 
-    Rational backend: a steered combination proves "inside", a steered strict
-    separation proves "outside", and the exact simplex settles the rest.
+    Rational backend: a steered combination proves "inside", a steered y with
+    <y, g> < 0 < <y, target> for every generator g proves "outside", and the
+    exact simplex settles the rest.
     """
     if backend.name != "rational":
         return _feasible_nonneg(gens, target, backend) is None
     if _steered_feasible(gens, target) is not None:
         return False
-    if _strict_separation(gens, target) is not None:
+    if _strict_interior([[-x for x in g] for g in gens] + [target]) is not None:
         return True
     return _feasible_nonneg(gens, target, backend) is None
 
@@ -487,7 +449,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
         cost1 = [zero] * width
         for a in art_cols:
             cost1[a] = -one
-        status, obj1 = sp.solve(cost1, ny, zero)
+        status, obj1 = sp.solve(cost1, zero)
         if status == "stalled":
             raise IndeterminateError("float simplex stalled; retry on the rational backend")
         if status != "optimal" or be.neg(obj1):
@@ -495,7 +457,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
     cost2 = [zero] * width
     for k, (j, s) in enumerate(colmap):
         cost2[k] = obj[j] * s
-    status, value = sp.solve(cost2, ny, zero)
+    status, value = sp.solve(cost2, zero)
     if status == "stalled":
         raise IndeterminateError("float simplex stalled; retry on the rational backend")
     if status == "unbounded":
@@ -512,14 +474,9 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
 
 def _primitive_int_vector(vec: Sequence[Fraction]):
     """Clear denominators and divide by the gcd; returns a tuple of ints."""
-    denoms = [x.denominator for x in vec]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)
@@ -1059,12 +1016,10 @@ def upper_path(points, backend=None):
     lower = chain(order, keep_side=+1)
     upper = chain(list(reversed(order)), keep_side=+1)
     hull = set(lower) | set(upper)
-    hull_pts = {}
     for k in hull:
         for other in range(len(pts)):
             if other != k and be.eq(pts[other][0], pts[k][0]) and be.eq(pts[other][1], pts[k][1]):
                 raise DegeneracyError(f"point {other} coincides with hull vertex {k}")
-        hull_pts[k] = pts[k]
     xs = sorted(hull, key=lambda k: pts[k][0])
     for a, b in zip(xs, xs[1:]):
         if be.eq(pts[a][0], pts[b][0]):
@@ -1075,6 +1030,4 @@ def upper_path(points, backend=None):
 
 def lower_path(points, backend=None):
     """Companion of `upper_path` for the lower chain (same contracts)."""
-    flipped = [(p[0], -p[1] if not isinstance(p[1], float) else -float(p[1]))
-               for p in points]
-    return upper_path(flipped, backend=backend)
+    return upper_path([(p[0], -p[1]) for p in points], backend=backend)

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from pathspectra import count_paths_by_length, orient
+from pathspectra import count_paths_by_length, exactgeom, orient
 from pathspectra import zoo
 from pathspectra.coherence import coherent_paths
 from pathspectra.pathcount import LengthSpectrum
@@ -33,3 +36,20 @@ def ass6_pack():
         counts[path.length] = counts.get(path.length, 0) + 1
     return {"P": P, "c": c, "G": G, "monotone": mono,
             "coherent": LengthSpectrum(counts), "pairs": pairs}
+
+
+@pytest.fixture
+def highs_fails(monkeypatch):
+    """Make every HiGHS call fail (status 4, no solution); returns the call log.
+
+    Every float proposal is then missing, so each verdict falls through to
+    the exact simplex.
+    """
+    calls = []
+
+    def linprog(*args, **kwargs):
+        calls.append(kwargs)
+        return SimpleNamespace(status=4, x=None)
+
+    monkeypatch.setattr(exactgeom, "_highs_handle", (linprog, np))
+    return calls

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,27 @@ def test_count_bad_file_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_float_backend_reads_fraction_strings(tmp_path, capsys):
+    path = write_poly(tmp_path, zoo.lopsided_cube(3))
+    assert "/" in Path(path).read_text()  # the file holds "p/q" strings
+    tables = []
+    for backend in ("rational", "float"):
+        code, out, _ = run(capsys, "--backend", backend, "count", path, "--direction", "1,1,1")
+        assert code == 0
+        tables.append(parse_csv(out)[0])
+    assert tables[0] == tables[1] == ["length,count", "2,2", "4,4"]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("number", ["abc", "1/0"])
+def test_bad_number_string_exits_1(number, backend, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, number]]}))
+    code, _, err = run(capsys, "--backend", backend, "count", str(bad), "--direction", "1,2")
+    assert code == 1
+    assert err.startswith("input error:")
+
+
 def test_count_dimension_mismatch_exits_1(tmp_path, capsys):
     path = write_poly(tmp_path, zoo.cube(3))
     code, _, _ = run(capsys, "count", path, "--direction", "1,1")
@@ -84,6 +106,23 @@ def test_coherent_cross3_with_sampling(tmp_path, capsys):
     data = json.loads(certs.read_text())
     assert len(data["certificates"]) == 8
     assert all("omega" in c and "margin" in c for c in data["certificates"])
+
+
+@pytest.mark.parametrize("name, P, direction", [
+    ("lopsided3", zoo.lopsided_cube(3), "1,1,1"),
+    ("cyclic4-8", zoo.cyclic(4, range(1, 9)), "1,0,0,0"),
+])
+def test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_path, capsys):
+    data = Path(__file__).parent / "data"
+    certs = tmp_path / "certs.json"
+    code, out, _ = run(capsys, "coherent", write_poly(tmp_path, P), "--direction", direction,
+                       "--certificates", str(certs))
+    assert code == 0
+    table = "".join(line + "\n" for line in out.splitlines()
+                    if not line.startswith("# manifest:"))
+    assert table == (data / f"coherent_{name}.csv").read_text()
+    recorded = json.dumps(json.loads(certs.read_text())["certificates"], indent=2) + "\n"
+    assert recorded == (data / f"coherent_{name}.certs.json").read_text()
 
 
 def test_coherent_complex_x4(tmp_path, capsys):

@@ -185,3 +185,23 @@ def test_float_backend_certifies_clear_cones():
     for p in enumerate_paths(G):
         cert = is_coherent(P, c, p, graph=G)
         assert cert is not None and cert.margin > 1e-6
+
+
+@pytest.mark.parametrize("P, c", [
+    (zoo.cross_polytope(4), (1, 2, 3, 4)),
+    (zoo.lopsided_cube(3), (1, 1, 1)),
+    (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
+], ids=["cross4", "lopsided3", "cyclic4-8"])
+def test_exact_simplex_alone_decides_like_the_steered_chain(P, c, request):
+    steered = coherent_spectrum(P, c)
+    calls = request.getfixturevalue("highs_fails")
+    pairs = list(coherent_paths(P, c))
+    assert calls
+    counts = {}
+    for path, cert in pairs:
+        counts[path.length] = counts.get(path.length, 0) + 1
+        products = [dot(row, cert.omega) for row in slope_cone(P, c, path).rows]
+        assert all(isinstance(x, Fraction) for x in cert.omega)
+        assert all(x > 0 for x in products)
+        assert cert.margin == min(products)
+    assert counts == steered.counts

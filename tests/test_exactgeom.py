@@ -314,3 +314,12 @@ def test_upper_and_lower_chains_cover_hull():
 def test_collinear_points_are_not_chain_vertices():
     pts = [(0, 0), (1, 1), (2, 2), (3, 0)]
     assert upper_path(pts) == [0, 2, 3]
+
+
+def test_exact_simplex_alone_decides_vertices_and_edges(highs_fails):
+    P = zoo.lopsided_cube(3)
+    n = len(P.vertices)
+    assert all(exactgeom._is_vertex_lp(P.vertices, i, RATIONAL) for i in range(n))
+    lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
+    assert highs_fails
+    assert lp_edges == P.edges()
