@@ -94,7 +94,7 @@ def beta_density(beta: float, x) -> float:
     r2 = float(x[0]) ** 2 + float(x[1]) ** 2
     if r2 > 1.0:
         return 0.0
-    c = math.gamma(beta + 2) / (math.pi * math.gamma(beta + 1))
+    c = _density_constant(beta)
     if r2 == 1.0:
         return 0.0 if beta > 0 else (c if beta == 0 else math.inf)
     return c * (1.0 - r2) ** beta

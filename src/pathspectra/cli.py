@@ -80,6 +80,11 @@ def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
         if summary is not None:
             lines.append(f"# summary: {json.dumps(summary, default=str)}")
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write text to --out, or to stdout when it is not given."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -178,17 +183,19 @@ def cmd_zoo(args):
                     "cyclic --d D --n N", "shyp --d D --s S1,S2,...",
                     "hyp2 --d D", "lopsided --d D", "ass --n N",
                     "prod --counts M1,M2", "complex --n N --facets F1,F2,..."]
-        sys.stdout.write("fixtures:\n" + "\n".join(f"  {n}" for n in names) + "\n")
-        sys.stdout.write("families:\n" + "\n".join(f"  {f}" for f in families) + "\n")
-        return 0
-    P = _zoo_build(args)
-    text = P.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args, "fixtures:\n" + "\n".join(f"  {n}" for n in names) + "\n"
+               + "families:\n" + "\n".join(f"  {f}" for f in families) + "\n")
     else:
-        sys.stdout.write(text + "\n")
+        _write(args, _zoo_build(args).to_json() + "\n")
     return 0
+
+
+def _parts(text, what, parse=int):
+    """The comma-separated parts of a zoo option, each read by `parse`."""
+    try:
+        return [parse(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --{what} {text!r}: {exc}") from exc
 
 
 def _zoo_build(args):
@@ -206,8 +213,7 @@ def _zoo_build(args):
     if name == "cyclic":
         return zoo.cyclic(need(args.d, "d"), range(1, need(args.n, "n") + 1))
     if name == "shyp":
-        S = [int(x) for x in need(args.s, "s").split(",")]
-        return zoo.s_hypersimplex(need(args.d, "d"), S)
+        return zoo.s_hypersimplex(need(args.d, "d"), _parts(need(args.s, "s"), "s"))
     if name == "hyp2":
         return zoo.second_hypersimplex(need(args.d, "d"))
     if name == "lopsided":
@@ -215,10 +221,9 @@ def _zoo_build(args):
     if name == "ass":
         return zoo.loday_associahedron(need(args.n, "n"))
     if name == "prod":
-        counts = [int(x) for x in need(args.counts, "counts").split(",")]
-        return zoo.product_of_simplices(counts)
+        return zoo.product_of_simplices(_parts(need(args.counts, "counts"), "counts"))
     if name == "complex":
-        facets = [tuple(int(ch) for ch in f) for f in need(args.facets, "facets").split(",")]
+        facets = _parts(need(args.facets, "facets"), "facets", lambda f: tuple(map(int, f)))
         return zoo.zero_one_from_complex(need(args.n, "n"), facets)
     raise InputError(f"unknown zoo name {name!r}")
 
@@ -319,15 +324,20 @@ def _add_global_options(parser, suppress):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="pathspectra",
+    # no abbreviations: a prefix such as zoo emit's --s would otherwise be
+    # matched against --seed and --stamp-time before the subcommand sees it
+    p = argparse.ArgumentParser(prog="pathspectra", allow_abbrev=False,
                                 description="Monotone and coherent path spectra of polytopes")
     _add_global_options(p, suppress=False)
-    # the same options are accepted after the subcommand; SUPPRESS keeps the
-    # top-level values when they are not repeated there
+    # the same options are accepted after every subcommand; SUPPRESS keeps
+    # the top-level values when they are not repeated there
     common = argparse.ArgumentParser(add_help=False)
     _add_global_options(common, suppress=True)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=lambda **kw:
-                           argparse.ArgumentParser(parents=[common], **kw))
+
+    def subparser(**kw):
+        return argparse.ArgumentParser(parents=[common], allow_abbrev=False, **kw)
+
+    sub = p.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     c = sub.add_parser("count", help="monotone path counts by length")
     c.add_argument("polytope")
@@ -346,7 +356,7 @@ def build_parser():
     c.set_defaults(func=cmd_coherent)
 
     c = sub.add_parser("zoo", help="construct polytopes")
-    zsub = c.add_subparsers(dest="zoo_command", required=True)
+    zsub = c.add_subparsers(dest="zoo_command", required=True, parser_class=subparser)
     zlist = zsub.add_parser("list")
     zlist.set_defaults(func=cmd_zoo)
     zemit = zsub.add_parser("emit")

@@ -18,7 +18,9 @@ class DegeneracyError(RuntimeError):
 
 
 class IndeterminateError(RuntimeError):
-    """A float-backend margin fell below tolerance; retry on the rational backend."""
+    """No verdict could be reached: a float-backend margin fell below tolerance,
+    a float simplex stalled, or a slack LP came back other than optimal.
+    Retry on the rational backend."""
 
 
 class VerificationMismatch(RuntimeError):

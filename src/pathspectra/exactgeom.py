@@ -7,8 +7,9 @@ as a tie.  Float arithmetic is also used internally to *steer* exact searches
 (propose a basis, a support or a facet list), but verdicts on the rational
 backend are always certified in exact arithmetic.
 
-Vertices and edges on the rational backend come from one facet incidence per
-polytope.  The points are projected, exactly, onto coordinates of their affine
+Every polytope is validated when it is built.  On the rational backend that
+computes the one facet incidence from which its vertices and its edges are
+read.  The points are projected, exactly, onto coordinates of their affine
 hull; Qhull (`scipy.spatial.ConvexHull`) proposes a triangulated boundary; and
 `_certify_facets` checks it in integer arithmetic: each simplex lies in a
 supporting plane of the hull, the non-degenerate ones are oriented outward, and
@@ -19,7 +20,8 @@ spans an edge iff the facets containing both meet in those two points alone,
 and a point is a vertex iff the facets containing it meet in that point alone.
 When Qhull fails, a coordinate overflows a float, or any check fails, the
 polytope falls back to one steered LP per point and per pair.  The float
-backend always uses the LP tests.
+backend always uses the LP tests.  A `DirectedGraph` checks at construction
+that its source and sink are the only ones.
 """
 from __future__ import annotations
 
@@ -146,36 +148,24 @@ class _Simplex:
         self.ncols = 0
         self.banned = set()  # artificial columns may never re-enter
 
-    def add_row(self, coeffs, rhs):
-        self.rows.append(list(coeffs) + [rhs])
-        self.ncols = max(self.ncols, len(coeffs))
-
-    def _pad(self):
-        for r in self.rows:
-            rhs = r.pop()
-            while len(r) < self.ncols:
-                r.append(self._zero)
-            r.append(rhs)
-
     def solve(self, cost, zero):
         """Maximize cost over the current rows; return (status, objective_delta).
 
-        `cost` has one entry per column (padded with zeros).  Exact backends
-        terminate by Bland's rule; float backends additionally get an
-        iteration cap so tolerance jitter cannot stall, reporting "stalled".
+        `cost` has one entry per column.  Exact backends terminate by Bland's
+        rule; float backends additionally get an iteration cap so tolerance
+        jitter cannot stall, reporting "stalled".
         """
         self._zero = zero
-        self._pad()
         be = self.be
         rows, basis = self.rows, self.basis
         m = len(rows)
         exact = be.name == "rational"
         cap = None if exact else 60 * (m + self.ncols) + 2000
         # reduced cost row: c_j - c_B . B^-1 A_j
-        cr = list(cost) + [zero] * (self.ncols - len(cost))
+        cr = list(cost)
         obj = zero
         for i in range(m):
-            cb = cr[basis[i]] if basis[i] < len(cr) else zero
+            cb = cr[basis[i]]
             if not be.zero(cb):
                 row = rows[i]
                 for j in range(self.ncols):
@@ -430,7 +420,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
             full[j] = v
         if rel == "<=":
             full[scol] = one
-            sp.add_row(full, b)
+            sp.rows.append(full + [b])
             sp.basis.append(scol)
             scol += 1
         else:
@@ -440,7 +430,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
             # place the artificial in the next free column
             acol = width - len(rows) + len(art_cols)
             full[acol] = one
-            sp.add_row(full, b)
+            sp.rows.append(full + [b])
             sp.basis.append(acol)
             art_cols.append(acol)
             sp.banned.add(acol)
@@ -705,15 +695,14 @@ def _facet_edges(facets, n):
 class Polytope:
     """A polytope given by its vertex list.
 
-    Construction checks that no two vertices coincide and that every listed
-    point really is a vertex of the convex hull; offending points are rejected
-    or stripped according to `on_nonvertex`.  On the rational backend both the
-    vertex check and the edge graph read one certified facet incidence, with
-    per-point and per-pair LPs as the fallback.
+    Every construction checks that no two vertices coincide and that every
+    listed point really is a vertex of the convex hull; offending points are
+    rejected or stripped according to `on_nonvertex`.  On the rational backend
+    that check computes the one certified facet incidence the edge graph then
+    reads, with per-point and per-pair LPs as the fallback.
     """
 
-    def __init__(self, points, label="", backend=RATIONAL, on_nonvertex="reject",
-                 validate=True):
+    def __init__(self, points, label="", backend=RATIONAL, on_nonvertex="reject"):
         if on_nonvertex not in ("reject", "strip"):
             raise InputError("on_nonvertex must be 'reject' or 'strip'")
         pts = [tuple(backend.coerce(x) for x in p) for p in points]
@@ -726,9 +715,7 @@ class Polytope:
         self.dim = d
         self.label = label
         self._facets = None  # certified facet tight sets over the vertices, if known
-        if validate:
-            pts = self._validated(pts, on_nonvertex)
-        self.vertices = tuple(pts)
+        self.vertices = tuple(self._validated(pts, on_nonvertex))
         self._edges = None
 
     def _validated(self, pts, on_nonvertex):
@@ -799,18 +786,12 @@ class Polytope:
         """Sorted list of index pairs (i, j), i < j, that span edges of the polytope.
 
         Read from the certified facet incidence on the rational backend; an
-        LP per pair (`_is_edge_pair`) when there is none, or when an
-        unvalidated vertex list holds a point that is not a vertex.
+        LP per pair (`_is_edge_pair`) when there is none.
         """
         if self._edges is None:
             n = len(self.vertices)
-            facets = self._facets
-            if facets is None and self.backend.name == "rational" and n > 1:
-                facets = _facet_incidence(self.vertices)
-                if facets is not None and not all(_vertex_flags(facets, n)):
-                    facets = None
-            if facets is not None:
-                self._edges = tuple(_facet_edges(facets, n))
+            if self._facets is not None:
+                self._edges = tuple(_facet_edges(self._facets, n))
             else:
                 self._edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                                     if self._is_edge_pair(i, j))
@@ -888,7 +869,8 @@ class DirectedGraph:
 
     `order` lists vertex indices by ascending c-value (ties between non-adjacent
     vertices broken by index); `arcs[u]` are the improving neighbors of u sorted
-    by that order.  Acyclic by construction.
+    by that order.  Acyclic by construction.  `source` must be the only vertex
+    without incoming arcs and `sink` the only one without outgoing arcs.
     """
 
     order: tuple
@@ -897,6 +879,17 @@ class DirectedGraph:
     source: int
     sink: int
 
+    def __post_init__(self):
+        indegree = [0] * len(self.order)
+        for heads in self.arcs:
+            for v in heads:
+                indegree[v] += 1
+        sources = [u for u, k in enumerate(indegree) if k == 0]
+        sinks = [u for u, heads in enumerate(self.arcs) if not heads]
+        if sources != [self.source] or sinks != [self.sink]:
+            raise GenericityError(
+                f"orientation needs a unique source and sink, got {sources} / {sinks}")
+
     @property
     def n(self):
         return len(self.order)
@@ -904,14 +897,11 @@ class DirectedGraph:
 
 def is_generic(P: Polytope, c) -> bool:
     """True when no edge of P is level for c (endpoints share the c-value)."""
-    be = P.backend
-    cv = [be.coerce(x) for x in c]
-    if len(cv) != P.dim:
-        raise InputError("direction has wrong dimension")
-    if all(be.zero(x) for x in cv):
-        raise InputError("direction must be nonzero")
-    vals = [dot(v, cv) for v in P.vertices]
-    return all(not be.eq(vals[i], vals[j]) for i, j in P.edges())
+    try:
+        orient(P, c)
+    except GenericityError:
+        return False
+    return True
 
 
 def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
@@ -931,7 +921,6 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
     vals = [dot(v, cv) for v in P.vertices]
     n = len(P.vertices)
     succ = [[] for _ in range(n)]
-    pred_count = [0] * n
     for i, j in P.edges():
         if be.eq(vals[i], vals[j]):
             if drop_level_ties:
@@ -940,17 +929,13 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
                 f"direction {c} is level on edge {(i, j)}", edge=(i, j))
         lo, hi = (i, j) if vals[i] < vals[j] else (j, i)
         succ[lo].append(hi)
-        pred_count[hi] += 1
     order = sorted(range(n), key=lambda k: (vals[k], k))
     rank = {v: r for r, v in enumerate(order)}
     arcs = tuple(tuple(sorted(s, key=rank.__getitem__)) for s in succ)
-    sources = [u for u in range(n) if pred_count[u] == 0]
-    sinks = [u for u in range(n) if not arcs[u]]
-    if len(sources) != 1 or len(sinks) != 1:
-        raise GenericityError(
-            f"orientation needs a unique source and sink, got {sources} / {sinks}")
+    # every arc climbs in c, so order[0] has no incoming arc and order[-1] no
+    # outgoing one: a unique source or sink can only be these two
     return DirectedGraph(order=tuple(order), arcs=arcs, c=cv,
-                         source=sources[0], sink=sinks[0])
+                         source=order[0], sink=order[-1])
 
 
 # ---------------------------------------------------------------------------

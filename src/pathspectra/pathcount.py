@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import GenericityError, InputError
+from .errors import InputError
 from .exactgeom import DirectedGraph
 
 
@@ -89,22 +89,8 @@ class LengthSpectrum:
         return cls({int(k): int(v) for k, v in data.items()})
 
 
-def _check_single_source_sink(G: DirectedGraph):
-    n = G.n
-    indeg = [0] * n
-    for u in range(n):
-        for v in G.arcs[u]:
-            indeg[v] += 1
-    sources = [u for u in range(n) if indeg[u] == 0]
-    sinks = [u for u in range(n) if not G.arcs[u]]
-    if sources != [G.source] or sinks != [G.sink]:
-        raise GenericityError(
-            f"graph must have the unique source/sink pair, got {sources} / {sinks}")
-
-
 def count_paths_by_length(G: DirectedGraph) -> LengthSpectrum:
     """Number of source-to-sink paths per edge count, by dynamic programming."""
-    _check_single_source_sink(G)
     dp = [{} for _ in range(G.n)]
     dp[G.source][0] = 1
     for u in G.order:
@@ -120,7 +106,6 @@ def count_paths_by_length(G: DirectedGraph) -> LengthSpectrum:
 
 def enumerate_paths(G: DirectedGraph) -> Iterator[MonotonePath]:
     """Every monotone path exactly once, lexicographic in the c-sorted order."""
-    _check_single_source_sink(G)
     path = [G.source]
 
     def walk(u):

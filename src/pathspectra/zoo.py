@@ -17,8 +17,8 @@ from itertools import combinations, product
 from typing import Optional
 
 from .coherence import coherent_spectrum
-from .errors import InputError, VerificationMismatch
-from .exactgeom import FLOAT, RATIONAL, Polytope, orient
+from .errors import InputError
+from .exactgeom import FLOAT, Polytope, orient
 from .pathcount import LengthSpectrum, count_paths_by_length
 
 def _binom(n: int, k: int) -> int:
@@ -37,13 +37,13 @@ def simplex(d: int) -> Polytope:
         raise InputError("simplex needs d >= 1")
     verts = [tuple(0 for _ in range(d))]
     verts += [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]
-    return Polytope(verts, label=f"simplex-{d}", validate=False)
+    return Polytope(verts, label=f"simplex-{d}")
 
 
 def cube(d: int) -> Polytope:
     if d < 1:
         raise InputError("cube needs d >= 1")
-    return Polytope(list(product((0, 1), repeat=d)), label=f"cube-{d}", validate=False)
+    return Polytope(list(product((0, 1), repeat=d)), label=f"cube-{d}")
 
 
 def cross_polytope(d: int) -> Polytope:
@@ -51,7 +51,7 @@ def cross_polytope(d: int) -> Polytope:
         raise InputError("cross-polytope needs d >= 1")
     verts = [tuple(s if k == i else 0 for k in range(d))
              for i in range(d) for s in (1, -1)]
-    return Polytope(verts, label=f"cross-{d}", validate=False)
+    return Polytope(verts, label=f"cross-{d}")
 
 
 def cyclic(d: int, t) -> Polytope:
@@ -62,7 +62,7 @@ def cyclic(d: int, t) -> Polytope:
     if any(not a < b for a, b in zip(t, t[1:])):
         raise InputError("cyclic parameters must be strictly increasing")
     verts = [tuple(Fraction(x) ** k for k in range(1, d + 1)) for x in t]
-    return Polytope(verts, label=f"cyclic-{d}-{len(t)}", validate=False)
+    return Polytope(verts, label=f"cyclic-{d}-{len(t)}")
 
 
 def s_hypersimplex(d: int, S) -> Polytope:
@@ -80,7 +80,7 @@ def s_hypersimplex(d: int, S) -> Polytope:
     levels = {0, *S}
     verts = [v for v in product((0, 1), repeat=d) if sum(v) in levels]
     slug = "".join(str(s) for s in S)
-    return Polytope(verts, label=f"shyp-{d}-{slug}", validate=False)
+    return Polytope(verts, label=f"shyp-{d}-{slug}")
 
 
 def second_hypersimplex(d: int) -> Polytope:
@@ -92,7 +92,7 @@ def second_hypersimplex(d: int) -> Polytope:
         v = [0] * d
         v[i] = v[j] = 1
         verts.append(tuple(v))
-    return Polytope(verts, label=f"hyp2-{d}", validate=False)
+    return Polytope(verts, label=f"hyp2-{d}")
 
 
 _LOP3 = (
@@ -117,12 +117,12 @@ def lopsided_cube(d: int, prism_first: bool = False) -> Polytope:
     if d < 3:
         raise InputError("lopsided cube needs d >= 3")
     if d == 3:
-        return Polytope(_LOP3, label="lopsided-3", validate=False)
+        return Polytope(_LOP3, label="lopsided-3")
     verts = []
     for base in _LOP3:
         for bits in product((0, 1), repeat=d - 3):
             verts.append(bits + base if prism_first else base + bits)
-    return Polytope(verts, label=f"lopsided-{d}", validate=False)
+    return Polytope(verts, label=f"lopsided-{d}")
 
 
 def truncate_vertex(P: Polytope, normal, bound) -> Polytope:
@@ -181,7 +181,7 @@ def p10() -> Polytope:
     """Ten-vertex simplicial 3-polytope with non-unimodal counts along e1."""
     verts = [(0, 0, 0), (1, -5, -5), (2, 0, -5), (3, -5, 0), (4, -6, 0),
              (5, -3, 5), (6, 5, 5), (7, 0, 5), (8, 5, 2), (9, 0, 0)]
-    return Polytope(verts, label="p10", validate=False)
+    return Polytope(verts, label="p10")
 
 
 def p10_spherical() -> Polytope:
@@ -193,7 +193,7 @@ def p10_spherical() -> Polytope:
         w = [float(v[k] - bary[k]) for k in range(3)]
         norm = math.sqrt(sum(x * x for x in w))
         verts.append(tuple(x / norm for x in w))
-    return Polytope(verts, label="p10-sphere", backend=FLOAT, validate=False)
+    return Polytope(verts, label="p10-sphere", backend=FLOAT)
 
 
 def _binary_trees(n: int):
@@ -229,7 +229,7 @@ def loday_associahedron(n: int) -> Polytope:
 
         leaves(tree)
         verts.append(tuple(coords[i] for i in range(1, n + 1)))
-    return Polytope(verts, label=f"ass-{n}", validate=False)
+    return Polytope(verts, label=f"ass-{n}")
 
 
 def zero_one_polytope(n: int, sets, label: str = "") -> Polytope:
@@ -264,7 +264,7 @@ def product_of_simplices(vertex_counts) -> Polytope:
         factors.append(block)
     verts = [sum(choice, ()) for choice in product(*factors)]
     slug = "x".join(map(str, counts))
-    return Polytope(verts, label=f"prod-{slug}", validate=False)
+    return Polytope(verts, label=f"prod-{slug}")
 
 
 def c_lex(n: int):
@@ -503,11 +503,3 @@ def verify_fixture(F: Fixture) -> FixtureReport:
     return FixtureReport(name=F.name, passed=not diffs, diffs=diffs,
                          computed_monotone=mono, computed_coherent=coh,
                          source=F.source)
-
-
-def verify_all(names=None, include_slow=False):
-    """Verify the named fixtures (default: all fast ones); raises on mismatch only
-    if the caller asks, so reports carry every diff."""
-    if names is None:
-        names = fixture_names(include_slow=include_slow)
-    return [verify_fixture(fixture(n)) for n in names]

@@ -274,10 +274,8 @@ def test_translation_and_scaling_invariance():
     for P, c, shift, scale in cases:
         mono = dp(P, c)
         coh = coherent_spectrum(P, c)
-        moved = Polytope([tuple(x + s for x, s in zip(v, shift)) for v in P.vertices],
-                         validate=False)
-        scaled = Polytope([tuple(scale * x for x in v) for v in P.vertices],
-                          validate=False)
+        moved = Polytope([tuple(x + s for x, s in zip(v, shift)) for v in P.vertices])
+        scaled = Polytope([tuple(scale * x for x in v) for v in P.vertices])
         for Q in (moved, scaled):
             assert dp(Q, c) == mono, P.label
             assert coherent_spectrum(Q, c) == coh, P.label

@@ -170,6 +170,41 @@ def test_zoo_list_and_emit(tmp_path, capsys):
     assert code == 1  # missing parameters
 
 
+def test_zoo_list_writes_to_out(tmp_path, capsys):
+    listing = tmp_path / "zoo.txt"
+    code, out, _ = run(capsys, "zoo", "list", "--out", str(listing))
+    assert code == 0 and out == ""
+    assert listing.read_text().startswith("fixtures:\n")
+
+
+def test_zoo_emit_shyp(capsys):
+    code, out, _ = run(capsys, "zoo", "emit", "shyp", "--d", "4", "--s", "2,4")
+    assert code == 0
+    assert out == zoo.s_hypersimplex(4, [2, 4]).to_json() + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["prod", "--counts", "3,x"],
+    ["complex", "--n", "4", "--facets", "12,3x"],
+    ["shyp", "--d", "4", "--s", "2,x"],
+], ids=["counts", "facets", "s"])
+def test_malformed_integer_list_exits_1(argv, capsys):
+    code, _, err = run(capsys, "zoo", "emit", *argv)
+    assert code == 1
+    assert err.startswith("input error:")
+
+
+def test_readme_exact_engine_lines(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for line in ("zoo list",
+                 "zoo emit lopsided --d 3 --out lop3.json",
+                 "count lop3.json --direction 1,1,1",
+                 "coherent lop3.json --direction 1,1,1 --sample 1000 --certificates certs.json"):
+        code, _, err = run(capsys, *line.split())
+        assert code == 0, (line, err)
+    assert len(json.loads((tmp_path / "certs.json").read_text())["certificates"]) == 6
+
+
 def test_emitted_fixture_round_trips_through_count(tmp_path, capsys):
     code, out, _ = run(capsys, "zoo", "emit", "lopsided", "--d", "3")
     poly = tmp_path / "lop3.json"

@@ -149,8 +149,8 @@ def test_translation_and_scaling_invariance():
     c = (1, 2, 3)
     reference = coherent_spectrum(base, c)
     shifted = Polytope([tuple(x + s for x, s in zip(v, (7, -2, 5)))
-                        for v in base.vertices], validate=False)
-    scaled = Polytope([tuple(3 * x for x in v) for v in base.vertices], validate=False)
+                        for v in base.vertices])
+    scaled = Polytope([tuple(3 * x for x in v) for v in base.vertices])
     assert coherent_spectrum(shifted, c) == reference
     assert coherent_spectrum(scaled, c) == reference
     assert count_paths_by_length(orient(shifted, c)) == count_paths_by_length(orient(base, c))
@@ -167,7 +167,7 @@ def test_certificate_scale_invariance():
 def test_float_backend_raises_indeterminate_on_degenerate_cone():
     exact = zoo.cross_polytope(3)
     P = Polytope([tuple(map(float, v)) for v in exact.vertices],
-                 backend=FLOAT, validate=False)
+                 backend=FLOAT)
     c = (1, 2, 3)
     G = orient(P, c)
     long_paths = [p for p in enumerate_paths(G) if p.length == 4]
@@ -179,7 +179,7 @@ def test_float_backend_raises_indeterminate_on_degenerate_cone():
 def test_float_backend_certifies_clear_cones():
     exact = zoo.cube(3)
     P = Polytope([tuple(map(float, v)) for v in exact.vertices],
-                 backend=FLOAT, validate=False)
+                 backend=FLOAT)
     c = (1, 1, 1)
     G = orient(P, c)
     for p in enumerate_paths(G):

@@ -128,16 +128,32 @@ def test_facet_incidence_matches_lp_oracle(points):
     n = len(P.vertices)
     lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
     assert P.edges() == lp_edges
-    assert Polytope(P.vertices, validate=False).edges() == lp_edges
+    assert Polytope(P.vertices).edges() == lp_edges
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_EDGES))
 def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
     def no_lp(*args):
         raise AssertionError("LP fallback used")
+    built, incidences = [], []
+    real_init, real_incidence = Polytope.__init__, exactgeom._facet_incidence
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def incidence(points):
+        incidences.append(points)
+        return real_incidence(points)
     monkeypatch.setattr(exactgeom, "_escapes_cone", no_lp)
+    monkeypatch.setattr(Polytope, "__init__", init)
+    monkeypatch.setattr(exactgeom, "_facet_incidence", incidence)
     P = zoo.fixture(name).polytope
+    # construction certifies one facet incidence per polytope built ...
+    assert len(incidences) == len(built)
     assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
+    # ... and the edge graph reads it instead of computing another
+    assert len(incidences) == len(built)
 
 
 # square base a, b, c, d, apex e, base centre m and interior point o
@@ -190,11 +206,11 @@ def test_backend_agreement_on_integer_fixtures():
     for builder in (zoo.cube, zoo.cross_polytope):
         exact = builder(3)
         approx = Polytope([tuple(map(float, v)) for v in exact.vertices],
-                          backend=FLOAT, validate=False)
+                          backend=FLOAT)
         assert edge_graph(exact) == edge_graph(approx)
     exact = zoo.p10()
     approx = Polytope([tuple(map(float, v)) for v in exact.vertices],
-                      backend=FLOAT, validate=False)
+                      backend=FLOAT)
     assert edge_graph(exact) == edge_graph(approx)
 
 

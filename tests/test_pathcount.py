@@ -75,10 +75,9 @@ def test_lopsided_3_has_six_paths():
 
 def test_count_requires_unique_source_and_sink():
     from pathspectra.exactgeom import DirectedGraph
-    bad = DirectedGraph(order=(0, 1, 2, 3), arcs=((1,), (), (3,), ()),
-                        c=(1,), source=0, sink=1)
     with pytest.raises(GenericityError):
-        count_paths_by_length(bad)
+        DirectedGraph(order=(0, 1, 2, 3), arcs=((1,), (), (3,), ()),
+                      c=(1,), source=0, sink=1)
 
 
 def test_prism_spectrum_identity_and_table():
