@@ -6,7 +6,13 @@ homogeneous cone in omega: at every step the taken arc must beat every other
 improving neighbor on slope.  The path is coherent iff that cone is
 full-dimensional, i.e. iff some omega satisfies every row strictly; by Gordan's
 alternative this fails exactly when a nonzero nonnegative combination of the
-rows vanishes.  Both certificates are checked in exact arithmetic.
+rows vanishes.  One HiGHS LP per path (the max-least-slack LP) proposes either
+certificate: its solution a strictly interior omega, its duals the vanishing
+combination.  Both are checked in exact arithmetic, and the exact simplex
+decides what they leave open.
+
+The shadow walk runs on integers: each arc's step is a primitive integer
+vector and its rise in c an integer, so slopes compare by cross-multiplying.
 """
 from __future__ import annotations
 
@@ -17,7 +23,8 @@ from typing import NamedTuple, Optional
 
 from .errors import DegeneracyError, IndeterminateError, InputError
 from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
-                        _primitive_int_vector, _steered_feasible, _strict_interior)
+                        _over_common_denominator, _primitive_int_vector,
+                        _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
 
@@ -51,27 +58,50 @@ def _validate_path(G: DirectedGraph, path: MonotonePath):
     return seq
 
 
-def _arc_rows(P: Polytope, G: DirectedGraph, u: int, v: int):
-    """Rows demanding that the arc u -> v beats u's other improving neighbors."""
-    be = P.backend
+def _arc_table(P: Polytope, G: DirectedGraph, tails=None):
+    """For each vertex u in `tails` (default: all), one (v, step, run) per arc
+    u -> v, in arc order.
+
+    The slope of omega along the arc is proportional to omega . step / run,
+    with run > 0 and one factor for all arcs.  Rational backend: step is the
+    primitive integer vector along v - u and run is c . step with c scaled to
+    integers.  Float backend: step = v - u and run = c . step.
+    """
     c = G.c
-    vu = P.vertices[u]
-    step = [P.vertices[v][t] - vu[t] for t in range(P.dim)]
-    c_step = dot(c, step)
+    exact = P.backend.name == "rational"
+    if exact:
+        c, _ = _over_common_denominator(c)
+    table = {}
+    for u in range(len(G.arcs)) if tails is None else tails:
+        vu = P.vertices[u]
+        arcs = table[u] = []
+        for v in G.arcs[u]:
+            step = [a - b for a, b in zip(P.vertices[v], vu)]
+            if exact:
+                step = _primitive_int_vector(step)
+            arcs.append((v, step, dot(c, step)))
+    return table
+
+
+def _arc_rows(table, u: int, v: int, exact: bool):
+    """Rows demanding that the arc u -> v beats u's other improving neighbors.
+
+    On integer steps and runs each row is a positive multiple of the row on
+    the raw differences, so its primitive vector is the same.
+    """
+    step, run = next((s, r) for w, s, r in table[u] if w == v)
     rows = []
-    for w in G.arcs[u]:
+    for w, rival, c_rival in table[u]:
         if w == v:
             continue
-        rival = [P.vertices[w][t] - vu[t] for t in range(P.dim)]
-        c_rival = dot(c, rival)
-        row = tuple(c_rival * step[t] - c_step * rival[t] for t in range(P.dim))
-        if be.name == "rational":
+        row = tuple(c_rival * a - run * b for a, b in zip(step, rival))
+        if exact:
             row = _primitive_int_vector(row)
         rows.append(row)
     return tuple(rows)
 
 
-def _path_rows(P: Polytope, G: DirectedGraph, seq, blocks):
+def _path_rows(table, seq, blocks, exact: bool):
     """Slope rows of the path `seq`, step by step, each distinct row once.
 
     `blocks` caches the rows of each arc across calls.
@@ -81,7 +111,7 @@ def _path_rows(P: Polytope, G: DirectedGraph, seq, blocks):
     for arc in zip(seq, seq[1:]):
         block = blocks.get(arc)
         if block is None:
-            block = blocks[arc] = _arc_rows(P, G, *arc)
+            block = blocks[arc] = _arc_rows(table, *arc, exact)
         for row in block:
             if row not in seen:
                 seen.add(row)
@@ -93,7 +123,8 @@ def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) 
     """Cone of capture vectors for the path: one row per (step, rival neighbor)."""
     G = graph if graph is not None else orient(P, c)
     seq = _validate_path(G, path)
-    return SlopeCone(rows=tuple(_path_rows(P, G, seq, {})))
+    table = _arc_table(P, G, tails=seq[:-1])
+    return SlopeCone(rows=tuple(_path_rows(table, seq, {}, P.backend.name == "rational")))
 
 
 def _max_min_slack(rows, d, backend):
@@ -120,12 +151,12 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
                 graph: DirectedGraph = None) -> Optional[CoherenceCertificate]:
     """Certificate iff the slope cone is full-dimensional, decided exactly.
 
-    Rational backend: either a strictly interior omega (coherent) or a nonzero
-    nonnegative vanishing combination of the rows (incoherent, by Gordan's
-    alternative) is produced, steered by float LPs and certified in exact
-    arithmetic; the exact max-min-slack LP settles the rare leftovers.  Float
-    backend: decided by the max-min-slack LP; a margin below tolerance raises
-    IndeterminateError.
+    Rational backend: one HiGHS max-least-slack LP proposes either a strictly
+    interior omega (coherent) or, from its duals, a nonzero nonnegative
+    vanishing combination of the rows (incoherent, by Gordan's alternative);
+    the proposal is certified in exact arithmetic, and the exact
+    max-min-slack LP settles the rare leftovers.  Float backend: decided by
+    the max-min-slack LP; a margin below tolerance raises IndeterminateError.
     """
     G = graph if graph is not None else orient(P, c)
     return _decide_rows(P, G, list(slope_cone(P, c, path, graph=G).rows))
@@ -138,30 +169,37 @@ def shadow_path(P: Polytope, c, omega) -> MonotonePath:
     A slope tie means omega is not generic for this walk: DegeneracyError.
     """
     G = orient(P, c)
-    return _shadow_walk(P, G, omega)
-
-
-def _shadow_walk(P: Polytope, G: DirectedGraph, omega) -> MonotonePath:
     be = P.backend
-    om = [be.coerce(x) for x in omega] if be.name != "rational" else list(omega)
+    om = [be.coerce(x) for x in omega]
     if len(om) != P.dim:
         raise InputError("omega has wrong dimension")
-    c = G.c
+    if be.name == "rational":
+        om, _ = _over_common_denominator(om)  # a positive multiple walks the same
+    return _shadow_walk(be, G, _arc_table(P, G), om)
+
+
+def _shadow_walk(be, G: DirectedGraph, table, omega) -> MonotonePath:
+    """Walk `table` (from `_arc_table`) along the steepest omega-slope.
+
+    Rational backend: omega is integer and slopes compare exactly, by
+    cross-multiplying rise and run.  Float backend: slopes within the
+    backend's tolerance tie.
+    """
+    exact = be.name == "rational"
     u = G.source
     seq = [u]
     while u != G.sink:
-        best_v = None
-        best_slope = None
+        best_v = best_rise = best_run = None
         tie = False
-        vu = P.vertices[u]
-        for v in G.arcs[u]:
-            diff = [P.vertices[v][t] - vu[t] for t in range(P.dim)]
-            rise = dot(om, diff)
-            run = dot(c, diff)
-            slope = Fraction(rise, run) if be.name == "rational" else rise / run
-            if best_slope is None or slope > best_slope:
-                best_slope, best_v, tie = slope, v, False
-            elif be.eq(slope, best_slope):
+        for v, step, run in table[u]:
+            rise = dot(omega, step)
+            if best_v is not None:
+                # sign of slope(v) - slope(best_v); every run is positive
+                gap = (rise * best_run - best_rise * run if exact
+                       else rise / run - best_rise / best_run)
+            if best_v is None or gap > 0:
+                best_v, best_rise, best_run, tie = v, rise, run, False
+            elif be.zero(gap):
                 tie = True
         if tie:
             raise DegeneracyError(
@@ -174,9 +212,11 @@ def _shadow_walk(P: Polytope, G: DirectedGraph, omega) -> MonotonePath:
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     """Yield (path, certificate) for every coherent monotone path, in path order."""
     G = graph if graph is not None else orient(P, c)
+    table = _arc_table(P, G)
+    exact = P.backend.name == "rational"
     blocks = {}
     for path in enumerate_paths(G):
-        cert = _decide_rows(P, G, _path_rows(P, G, path.vertex_indices, blocks))
+        cert = _decide_rows(P, G, _path_rows(table, path.vertex_indices, blocks, exact))
         if cert is not None:
             yield path, cert
 
@@ -188,10 +228,10 @@ def _decide_rows(P: Polytope, G: DirectedGraph, rows):
         return CoherenceCertificate(omega=(be.coerce(0),) * d, margin=be.coerce(1))
     omega = None
     if be.name == "rational":
-        omega = _strict_interior(rows)
-        # Gordan witness: y >= 0, sum y = 1, sum y_r row_r = 0 proves degeneracy
-        if omega is None and _steered_feasible([tuple(row) + (1,) for row in rows],
-                                               (0,) * d + (1,)) is not None:
+        # a Gordan witness lam >= 0, sum lam = 1, sum lam_r row_r = 0 proves
+        # the cone has no interior
+        omega, witness = _strict_interior(rows)
+        if witness is not None:
             return None
     if omega is None:
         omega, slack = _max_min_slack(rows, d, be)
@@ -201,7 +241,11 @@ def _decide_rows(P: Polytope, G: DirectedGraph, rows):
             raise IndeterminateError(
                 f"float margin {slack} below tolerance; retry on the rational backend")
     omega = _remove_c_component(omega, G.c)
-    margin = min(dot(row, omega) for row in rows)
+    if be.name == "rational":
+        num, den = _over_common_denominator(omega)
+        margin = Fraction(min(dot(row, num) for row in rows), den)
+    else:
+        margin = min(dot(row, omega) for row in rows)
     if margin <= 0:
         raise AssertionError("normalized certificate lost its margin")
     return CoherenceCertificate(omega=omega, margin=margin)
@@ -224,13 +268,16 @@ def sample_coherent(P: Polytope, c, samples: int, seed: int) -> SampleDraw:
     if samples < 1:
         raise InputError("need at least one sample")
     G = orient(P, c)
+    table = _arc_table(P, G)
     rng = random.Random(seed)
     found = set()
     degenerate = 0
     for _ in range(samples):
-        omega = tuple(Fraction(rng.randint(-999983, 999983)) for _ in range(P.dim))
+        # ints walk unchanged on both backends: a float backend multiplies
+        # them exactly as it would their float values
+        omega = [rng.randint(-999983, 999983) for _ in range(P.dim)]
         try:
-            found.add(_shadow_walk(P, G, omega))
+            found.add(_shadow_walk(P.backend, G, table, omega))
         except DegeneracyError:
             degenerate += 1
     return SampleDraw(paths=frozenset(found), degenerate=degenerate)

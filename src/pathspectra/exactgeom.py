@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,7 +120,7 @@ FLOAT = Float()
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +249,24 @@ def _highs():
     return _highs_handle
 
 
+def _over_common_denominator(y):
+    """(numerators, den): y = numerators / den with den > 0 the lcm of y's
+    denominators, so signs and minima of row . y can be taken on integers."""
+    den = lcm(*(x.denominator for x in y))
+    return [x.numerator * (den // x.denominator) for x in y], den
+
+
 def _solve_on_support(columns, support, target):
-    """Exact particular solution of the subsystem restricted to `support`, or None."""
+    """Exact particular solution of the subsystem restricted to `support`, or None.
+
+    Gauss-Jordan elimination on integers: each equation is scaled to integer
+    coefficients and every combined row divided by its gcd, so the pivots and
+    the solution (free variables zero) are those of the rational elimination.
+    """
     m = len(target)
     s = len(support)
-    aug = [[Fraction(columns[k][i]) for k in support] + [Fraction(target[i])]
-           for i in range(m)]
+    aug = [_over_common_denominator([Fraction(columns[k][i]) for k in support]
+                                   + [Fraction(target[i])])[0] for i in range(m)]
     piv_cols = []
     r = 0
     for c in range(s):
@@ -261,12 +274,13 @@ def _solve_on_support(columns, support, target):
         if p is None:
             continue
         aug[r], aug[p] = aug[p], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
+        pivot_row = aug[r]
         for i in range(m):
             if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+                f, g = aug[i][c], pivot_row[c]
+                row = [g * a - f * b for a, b in zip(aug[i], pivot_row)]
+                k = gcd(*row)
+                aug[i] = [x // k for x in row] if k > 1 else row
         piv_cols.append(c)
         r += 1
         if r == m:
@@ -276,7 +290,23 @@ def _solve_on_support(columns, support, target):
             return None
     lam = [Fraction(0)] * s
     for row_i, c in enumerate(piv_cols):
-        lam[c] = aug[row_i][s]
+        lam[c] = Fraction(aug[row_i][s], aug[row_i][c])
+    return lam
+
+
+def _certify_support(columns, support, target):
+    """Exactly checked lam >= 0 with sum lam_k columns[k] = target and lam zero
+    off `support`, or None."""
+    lam_s = _solve_on_support(columns, support, target)
+    if lam_s is None or any(x < 0 for x in lam_s):
+        return None
+    num, den = _over_common_denominator(lam_s)
+    for i, t in enumerate(target):
+        if sum(n * columns[k][i] for k, n in zip(support, num)) != den * t:
+            return None
+    lam = [Fraction(0)] * len(columns)
+    for k, v in zip(support, lam_s):
+        lam[k] = v
     return lam
 
 
@@ -298,43 +328,43 @@ def _steered_feasible(columns, target):
                   b_eq=np.array(ftarget), bounds=(0, None), method="highs")
     if res.status != 0:
         return None
-    support = [k for k, v in enumerate(res.x) if v > 1e-9]
-    lam_s = _solve_on_support(columns, support, target)
-    if lam_s is None or any(x < 0 for x in lam_s):
-        return None
-    lam = [Fraction(0)] * len(columns)
-    for k, v in zip(support, lam_s):
-        lam[k] = v
-    for i in range(len(target)):
-        if sum(lam[k] * Fraction(columns[k][i]) for k in support) != Fraction(target[i]):
-            return None
-    return lam
+    return _certify_support(columns, [k for k, v in enumerate(res.x) if v > 1e-9], target)
 
 
 def _strict_interior(rows):
-    """Exactly checked y with row . y > 0 for every row, or None.
+    """One HiGHS LP and an exact certificate for the cone {y : row . y > 0}.
 
-    HiGHS maximizes the least slack t over y in [-1, 1]^d, t in [0, 1]; the
-    proposed y, rounded to ever finer denominators, is checked row by row in
-    exact arithmetic.  None means no certificate was found, not that none
-    exists.
+    HiGHS maximizes the least slack t of row . y >= t over y in [-1, 1]^d,
+    t in [0, 1].  Returns (y, lam), at most one of them set:
+    - t > 0: y is the proposal rounded to ever finer denominators until every
+      row . y > 0 holds in exact arithmetic;
+    - t = 0: by LP duality the multipliers lam_r = -marginal_r of the rows
+      satisfy lam >= 0, sum lam >= 1 and sum lam_r row_r = 0, Gordan's
+      alternative to a strict y.  Their support is solved exactly for
+      lam >= 0 with sum lam_r (row_r, 1) = (0, ..., 0, 1).
+    (None, None) means no certificate was found, not that none exists.
     """
     d = len(rows[0])
     try:
         a_ub = [[-float(x) for x in row] + [1.0] for row in rows]
     except OverflowError:
-        return None
+        return None, None
     linprog = _highs()[0]
     res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
                   b_ub=np.zeros(len(a_ub)),
                   bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
-    if res.status != 0 or res.x is None or res.x[d] <= 1e-9:
-        return None
-    for denominator in (10**4, 10**8, 10**12):
-        y = tuple(Fraction(v).limit_denominator(denominator) for v in res.x[:d])
-        if all(dot(row, y) > 0 for row in rows):
-            return y
-    return None
+    if res.status != 0 or res.x is None:
+        return None, None
+    if res.x[d] > 1e-9:
+        for denominator in (10**4, 10**8, 10**12):
+            y = tuple(Fraction(v).limit_denominator(denominator) for v in res.x[:d])
+            num, _ = _over_common_denominator(y)
+            if all(dot(row, num) > 0 for row in rows):
+                return y, None
+        return None, None
+    support = [r for r, m in enumerate(res.ineqlin.marginals) if -m > 1e-9]
+    return None, _certify_support([tuple(row) + (1,) for row in rows], support,
+                                  (0,) * d + (1,))
 
 
 def _escapes_cone(gens, target, backend):
@@ -348,7 +378,8 @@ def _escapes_cone(gens, target, backend):
         return _feasible_nonneg(gens, target, backend) is None
     if _steered_feasible(gens, target) is not None:
         return False
-    if _strict_interior([[-x for x in g] for g in gens] + [target]) is not None:
+    y, _ = _strict_interior([[-x for x in g] for g in gens] + [target])
+    if y is not None:
         return True
     return _feasible_nonneg(gens, target, backend) is None
 
@@ -464,8 +495,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
 
 def _primitive_int_vector(vec: Sequence[Fraction]):
     """Clear denominators and divide by the gcd; returns a tuple of ints."""
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
+    ints, _ = _over_common_denominator(vec)
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -925,8 +955,9 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
         if be.eq(vals[i], vals[j]):
             if drop_level_ties:
                 continue
+            shown = ", ".join(str(x) for x in c)
             raise GenericityError(
-                f"direction {c} is level on edge {(i, j)}", edge=(i, j))
+                f"direction ({shown}) is level on edge {(i, j)}", edge=(i, j))
         lo, hi = (i, j) if vals[i] < vals[j] else (j, i)
         succ[lo].append(hi)
     order = sorted(range(n), key=lambda k: (vals[k], k))

@@ -53,3 +53,18 @@ def highs_fails(monkeypatch):
 
     monkeypatch.setattr(exactgeom, "_highs_handle", (linprog, np))
     return calls
+
+
+@pytest.fixture
+def highs_without_duals(monkeypatch):
+    """Run HiGHS as usual but zero every row dual (`ineqlin.marginals`), so no
+    Gordan witness can be read off them."""
+    linprog, _ = exactgeom._highs()
+
+    def zeroed(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        if res.status == 0:
+            res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
+        return res
+
+    monkeypatch.setattr(exactgeom, "_highs_handle", (zeroed, np))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from pathspectra import zoo
+from pathspectra import Polytope, zoo
 from pathspectra.cli import main
 from pathspectra.pathcount import LengthSpectrum
 
@@ -53,6 +53,14 @@ def test_count_level_direction_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "count", path, "--direction", "1,1,0")
     assert code == 2
     assert "level" in err
+
+
+def test_level_direction_message_prints_plain_numbers(tmp_path, capsys):
+    path = write_poly(tmp_path, Polytope([(0, 0), (1, 0)]))
+    code, _, err = run(capsys, "count", path, "--direction", "0,1")
+    assert code == 2
+    assert "Fraction(" not in err
+    assert "direction (0, 1) is level on edge (0, 1)" in err
 
 
 def test_count_bad_file_exits_1(tmp_path, capsys):

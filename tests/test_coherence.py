@@ -1,13 +1,18 @@
+import json
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pathspectra import (FLOAT, IndeterminateError, InputError,
-                         MonotonePath, Polytope, coherent_paths,
-                         coherent_spectrum, count_paths_by_length,
+from pathspectra import (FLOAT, DegeneracyError, GenericityError,
+                         IndeterminateError, InputError, MonotonePath, Polytope,
+                         coherent_paths, coherent_spectrum, count_paths_by_length,
                          enumerate_paths, is_coherent, orient, sample_coherent,
                          shadow_path, slope_cone)
-from pathspectra import zoo
+from pathspectra import coherence, exactgeom, zoo
 from pathspectra.exactgeom import dot
 
 
@@ -205,3 +210,172 @@ def test_exact_simplex_alone_decides_like_the_steered_chain(P, c, request):
         assert all(x > 0 for x in products)
         assert cert.margin == min(products)
     assert counts == steered.counts
+
+
+_SAMPLED = {
+    "cross4": (lambda: zoo.cross_polytope(4), (1, 2, 3, 4)),
+    "lopsided3": (lambda: zoo.lopsided_cube(3), (1, 1, 1)),
+    "cyclic4-8": (lambda: zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
+    "prod3x4": (lambda: zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 8388608])
+@pytest.mark.parametrize("name", sorted(_SAMPLED))
+def test_sample_coherent_matches_recorded_draws(name, seed):
+    """300 draws per input, recorded with the walk on `Fraction` slopes."""
+    recorded = json.loads((Path(__file__).parent / "data" / "sampled_paths.json").read_text())
+    build, c = _SAMPLED[name]
+    draw = sample_coherent(build(), c, 300, seed)
+    assert sorted(list(p.vertex_indices) for p in draw.paths) == recorded[f"{name}@{seed}"]["paths"]
+    assert draw.degenerate == recorded[f"{name}@{seed}"]["degenerate"]
+
+
+def _fraction_walk(P, G, omega):
+    """The shadow walk on `Fraction(rise, run)` slopes (float slopes on the
+    float backend), kept as the oracle of the integer walk."""
+    be = P.backend
+    om = [be.coerce(x) for x in omega] if be.name != "rational" else list(omega)
+    c = G.c
+    u = G.source
+    seq = [u]
+    while u != G.sink:
+        best_v = None
+        best_slope = None
+        tie = False
+        vu = P.vertices[u]
+        for v in G.arcs[u]:
+            diff = [P.vertices[v][t] - vu[t] for t in range(P.dim)]
+            rise = dot(om, diff)
+            run = dot(c, diff)
+            slope = Fraction(rise, run) if be.name == "rational" else rise / run
+            if best_slope is None or slope > best_slope:
+                best_slope, best_v, tie = slope, v, False
+            elif be.eq(slope, best_slope):
+                tie = True
+        if tie:
+            raise DegeneracyError(
+                f"slope tie at vertex {u}; omega does not capture a unique path")
+        u = best_v
+        seq.append(u)
+    return MonotonePath(tuple(seq))
+
+
+def _walk_outcome(walk, *args):
+    try:
+        return walk(*args)
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_walk_matches_fraction_walk(data):
+    d = data.draw(st.integers(2, 4))
+    points = data.draw(st.lists(st.tuples(*[_COORD] * d), min_size=d + 1,
+                                max_size=d + 5, unique=True))
+    c = data.draw(st.tuples(*[_COORD] * d))
+    omega = data.draw(st.tuples(*[_COORD] * d))
+    P = Polytope(points, on_nonvertex="strip")
+    try:
+        G = orient(P, c)
+    except (GenericityError, InputError):
+        assume(False)
+    forks = [u for u in range(len(P.vertices)) if len(G.arcs[u]) > 1]
+    if forks and data.draw(st.booleans()):
+        # put omega on the wall where two arcs of one vertex (the source when
+        # it forks) have equal slopes, so that the walk may meet a tie there
+        u = data.draw(st.sampled_from(forks[:1] + forks if G.source in forks else forks))
+        v, w = data.draw(st.permutations(G.arcs[u]))[:2]
+        dv, dw = ([a - b for a, b in zip(P.vertices[x], P.vertices[u])] for x in (v, w))
+        row = [dot(c, dw) * a - dot(c, dv) * b for a, b in zip(dv, dw)]
+        k = dot(omega, row) / dot(row, row)
+        omega = tuple(x - k * r for x, r in zip(omega, row))
+        assert dot(omega, row) == 0
+    want = _walk_outcome(_fraction_walk, P, G, omega)
+    assert _walk_outcome(shadow_path, P, c, omega) == want
+    # the sampler's path: integer omega (a positive multiple), one arc table
+    scale = 7 * lcm(*(x.denominator for x in omega))
+    ints = [int(x * scale) for x in omega]
+    walk = coherence._shadow_walk
+    assert _walk_outcome(walk, P.backend, G, coherence._arc_table(P, G), ints) == want
+
+    F = Polytope([tuple(map(float, v)) for v in P.vertices], backend=FLOAT,
+                 on_nonvertex="strip")
+    try:
+        GF = orient(F, c)
+    except GenericityError:
+        return
+    omega_f = tuple(map(float, omega))
+    assert (_walk_outcome(shadow_path, F, c, omega_f)
+            == _walk_outcome(_fraction_walk, F, GF, omega_f))
+
+
+_DUAL_CASES = [
+    pytest.param(zoo.cross_polytope(4), (1, 2, 3, 4), id="cross4"),
+    pytest.param(zoo.cross_polytope(5), (1, 2, 3, 4, 5), id="cross5"),
+    pytest.param(zoo.second_hypersimplex(5), (1, 2, 4, 8, 16), id="hyp2-5"),
+    pytest.param(zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0), id="cyclic4-8"),
+    pytest.param(zoo.lopsided_cube(3), (1, 1, 1), id="lopsided3"),
+]
+
+
+def _log_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that logs each call's result."""
+    real = getattr(owner, name)
+    log = []
+
+    def logged(*args, **kwargs):
+        log.append((args, real(*args, **kwargs)))
+        return log[-1][1]
+    monkeypatch.setattr(owner, name, logged)
+    return log
+
+
+@pytest.mark.parametrize("P, c", _DUAL_CASES)
+def test_one_highs_lp_per_path(P, c, monkeypatch):
+    G = orient(P, c)
+    with_rows = sum(1 for p in enumerate_paths(G) if slope_cone(P, c, p, graph=G).rows)
+    linprog, np = exactgeom._highs()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(exactgeom, "_highs_handle", (counted, np))
+    exact = _log_calls(monkeypatch, coherence, "lp_maximize")
+    coherent_spectrum(P, c, graph=G)
+    assert len(calls) == with_rows
+    assert exact == []
+
+
+@pytest.mark.parametrize("P, c", _DUAL_CASES)
+def test_dual_witnesses_recheck_in_fractions(P, c, monkeypatch):
+    G = orient(P, c)
+    proposals = _log_calls(monkeypatch, coherence, "_strict_interior")
+    coherent = {p for p, _ in coherent_paths(P, c, graph=G)}
+    witnesses = [(rows, lam) for (rows,), (_y, lam) in proposals if lam is not None]
+    incoherent = sum(1 for p in enumerate_paths(G) if p not in coherent)
+    assert len(witnesses) == incoherent
+    for rows, lam in witnesses:
+        assert all(isinstance(x, Fraction) and x >= 0 for x in lam)
+        d = len(rows[0])
+        total = [sum(x * Fraction(row[i]) for x, row in zip(lam, rows)) for i in range(d)]
+        assert total == [0] * d
+        assert sum(lam) == 1
+
+
+@pytest.mark.parametrize("P, c", [
+    (zoo.cross_polytope(4), (1, 2, 3, 4)),
+    (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
+], ids=["cross4", "cyclic4-8"])
+def test_without_duals_the_exact_simplex_decides_the_same(P, c, request, monkeypatch):
+    G = orient(P, c)
+    expected = list(coherent_paths(P, c, graph=G))
+    request.getfixturevalue("highs_without_duals")
+    exact = _log_calls(monkeypatch, coherence, "lp_maximize")
+    assert list(coherent_paths(P, c, graph=G)) == expected
+    assert len(exact) == sum(1 for _ in enumerate_paths(G)) - len(expected) > 0

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathspectra import FLOAT, RATIONAL, InputError, lp_maximize
+from pathspectra import FLOAT, RATIONAL, InputError, exactgeom, lp_maximize
 
 
 def test_single_binding_constraint():
@@ -90,3 +92,59 @@ def test_optimal_solution_is_feasible_exactly():
         for row, b in zip(rows, rhs):
             assert sum(r * v for r, v in zip(row, res.solution)) <= b
         assert all(0 <= v <= 10 for v in res.solution)
+
+
+def _fraction_solve_on_support(columns, support, target):
+    """Gauss-Jordan elimination on `Fraction`s, kept as the oracle of the
+    integer elimination in `exactgeom._solve_on_support`."""
+    m = len(target)
+    s = len(support)
+    aug = [[Fraction(columns[k][i]) for k in support] + [Fraction(target[i])]
+           for i in range(m)]
+    piv_cols = []
+    r = 0
+    for c in range(s):
+        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][s] != 0:
+            return None
+    lam = [Fraction(0)] * s
+    for row_i, c in enumerate(piv_cols):
+        lam[c] = aug[row_i][s]
+    return lam
+
+
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_elimination_matches_fraction_elimination(data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 7))
+    columns = data.draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m),
+                                 min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # a dependent column and a consistent target exercise free variables
+        a, b = data.draw(_ENTRY), data.draw(_ENTRY)
+        columns.append([a * x + b * y for x, y in zip(columns[0], columns[-1])])
+        lam = data.draw(st.lists(_ENTRY, min_size=len(columns), max_size=len(columns)))
+        target = [sum(l * col[i] for l, col in zip(lam, columns)) for i in range(m)]
+    else:
+        target = data.draw(st.lists(_ENTRY, min_size=m, max_size=m))
+    support = data.draw(st.lists(st.integers(0, len(columns) - 1), unique=True))
+    assert (exactgeom._solve_on_support(columns, support, target)
+            == _fraction_solve_on_support(columns, support, target))
