@@ -26,11 +26,13 @@ that its source and sink are the only ones.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,6 +40,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegeneracyError, GenericityError, IndeterminateError,
                      InputError)
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +245,101 @@ _highs_handle = None
 
 
 def _highs():
-    """Cached (linprog, numpy) pair; every HiGHS call goes through it."""
+    """Cached (linprog-shaped solver, numpy) pair; every HiGHS call goes
+    through it.
+
+    The solver is `_direct_highs` over one `_core._Highs` reused for the
+    whole process: it takes `linprog(method="highs")`'s arguments and returns
+    its `status`, `x` and `ineqlin.marginals`, from the same model and the
+    same options, without `linprog`'s per-call input checks and option
+    handling.  When scipy's private `_core` module cannot be imported it is
+    `scipy.optimize.linprog` itself.  The route taken is logged once at DEBUG.
+    """
     global _highs_handle
     if _highs_handle is None:
-        from scipy.optimize import linprog
-        _highs_handle = (linprog, np)
+        try:
+            import scipy.optimize._highspy._core as core
+        except ImportError:
+            from scipy.optimize import linprog
+            _log.debug("HiGHS route: scipy.optimize.linprog fallback")
+            _highs_handle = (linprog, np)
+        else:
+            _log.debug("HiGHS route: direct scipy.optimize._highspy._core._Highs")
+            _highs_handle = (_direct_highs(core), np)
     return _highs_handle
+
+
+def _direct_highs(core):
+    """A `linprog(method="highs")` stand-in that solves on one reused `_Highs`.
+
+    Its options are the ones `linprog` sets, passed once.  Each call builds
+    the model as `linprog` does (A_ub rows then A_eq rows, column-wise,
+    nonzeros only; infinite bounds as `kHighsInf`) and passes it whole, so no
+    state carries from one call to the next.  Status codes follow `linprog`,
+    including its demotion of an "optimal" point that violates the
+    constraints by more than 10 * sqrt(1e-9) to status 4.
+    """
+    highs = core._Highs()
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs.passOptions(options)
+    model_status = core.HighsModelStatus
+    codes = {model_status.kOptimal: 0, model_status.kTimeLimit: 1,
+             model_status.kIterationLimit: 1, model_status.kInfeasible: 2,
+             model_status.kModelError: 2, model_status.kUnbounded: 3}
+    inf = core.kHighsInf
+    tol = np.sqrt(1e-9) * 10
+
+    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
+              method="highs"):
+        c = np.asarray(c, dtype=float)
+        n = len(c)
+        a_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
+        a_eq = np.empty((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
+        m_ub = len(a_ub)
+        eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        upper = np.concatenate((np.empty(0) if b_ub is None
+                                else np.asarray(b_ub, dtype=float), eq))
+        lower = np.concatenate((np.full(m_ub, -inf), eq))
+        box = np.broadcast_to(np.array(bounds, dtype=float), (n, 2))  # None -> nan
+        lb = np.where(np.isnan(box[:, 0]), -inf, box[:, 0])
+        ub = np.where(np.isnan(box[:, 1]), inf, box[:, 1])
+        cols = np.vstack((a_ub, a_eq)).T
+        nonzero = cols != 0
+        lp = core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+        lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+        lp.a_matrix_.value_ = cols[nonzero]
+        lp.col_cost_ = c
+        lp.col_lower_ = lb
+        lp.col_upper_ = ub
+        lp.row_lower_ = lower
+        lp.row_upper_ = upper
+        if highs.passModel(lp) == core.HighsStatus.kError:
+            status = codes[model_status.kModelError]
+        else:
+            highs.run()
+            status = codes.get(highs.getModelStatus(), 4)
+        if status != 0:
+            return SimpleNamespace(status=status, x=None, ineqlin=SimpleNamespace(marginals=None))
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        row = np.array(solution.row_value)
+        if not (np.all((x >= lb - tol) & (x <= ub + tol))
+                and np.all(upper[:m_ub] - row[:m_ub] >= -tol)
+                and np.all(np.abs(eq - row[m_ub:]) <= tol)):
+            status = 4
+        return SimpleNamespace(status=status, x=x, ineqlin=SimpleNamespace(
+            marginals=np.array(solution.row_dual[:m_ub])))
+
+    return solve
 
 
 def _over_common_denominator(y):
@@ -310,16 +403,30 @@ def _certify_support(columns, support, target):
     return lam
 
 
+def _float_row(row):
+    """`row` as floats for HiGHS.  A row whose largest |entry| is at least 2^50
+    is first divided exactly by 2^k, k the bit length of that entry, so the
+    entry lies in [1/2, 1) and no float overflows; smaller rows are only
+    converted.  Scaling a row or a column by a positive factor keeps every
+    sign, support and certificate that is read off the LP."""
+    big = int(max(map(abs, row), default=0))
+    if big < 2**50:
+        return [float(x) for x in row]
+    scale = 1 << big.bit_length()
+    return [float(x / scale) for x in row]
+
+
 def _steered_feasible(columns, target):
     """Exactly certified lam >= 0 with sum lam_k columns[k] = target, or None.
 
-    HiGHS proposes a support, exact elimination certifies it; None means "no
+    HiGHS proposes a support on the columns as `_float_row` scales them,
+    exact elimination on the unscaled columns certifies it; None means "no
     certificate found", not "infeasible".
     """
     if not columns:
         return [] if all(Fraction(t) == 0 for t in target) else None
     try:
-        fcols = [[float(x) for x in col] for col in columns]
+        fcols = [_float_row(col) for col in columns]
         ftarget = [float(x) for x in target]
     except OverflowError:
         return None
@@ -335,7 +442,8 @@ def _strict_interior(rows):
     """One HiGHS LP and an exact certificate for the cone {y : row . y > 0}.
 
     HiGHS maximizes the least slack t of row . y >= t over y in [-1, 1]^d,
-    t in [0, 1].  Returns (y, lam), at most one of them set:
+    t in [0, 1], each row as `_float_row` scales it; the exact checks use
+    the unscaled rows.  Returns (y, lam), at most one of them set:
     - t > 0: y is the proposal rounded to ever finer denominators until every
       row . y > 0 holds in exact arithmetic;
     - t = 0: by LP duality the multipliers lam_r = -marginal_r of the rows
@@ -345,10 +453,7 @@ def _strict_interior(rows):
     (None, None) means no certificate was found, not that none exists.
     """
     d = len(rows[0])
-    try:
-        a_ub = [[-float(x) for x in row] + [1.0] for row in rows]
-    except OverflowError:
-        return None, None
+    a_ub = [[-x for x in _float_row(row)] + [1.0] for row in rows]
     linprog = _highs()[0]
     res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
                   b_ub=np.zeros(len(a_ub)),

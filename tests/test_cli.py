@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from scipy.optimize import linprog
 
-from pathspectra import Polytope, zoo
+from pathspectra import Polytope, exactgeom, zoo
 from pathspectra.cli import main
 from pathspectra.pathcount import LengthSpectrum
 
@@ -131,6 +133,20 @@ def test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_p
     assert table == (data / f"coherent_{name}.csv").read_text()
     recorded = json.dumps(json.loads(certs.read_text())["certificates"], indent=2) + "\n"
     assert recorded == (data / f"coherent_{name}.certs.json").read_text()
+
+
+@pytest.mark.parametrize("name, P, direction", [
+    ("lopsided3", zoo.lopsided_cube(3), "1,1,1"),
+    ("cyclic4-8", zoo.cyclic(4, range(1, 9)), "1,0,0,0"),
+])
+def test_linprog_fallback_matches_recorded_certificates(name, P, direction, tmp_path,
+                                                        capsys, monkeypatch):
+    """Without scipy's private HiGHS module every LP goes through linprog,
+    with the same output."""
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.setattr(exactgeom, "_highs_handle", None)
+    assert exactgeom._highs()[0] is linprog
+    test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_path, capsys)
 
 
 def test_coherent_complex_x4(tmp_path, capsys):

@@ -379,3 +379,29 @@ def test_without_duals_the_exact_simplex_decides_the_same(P, c, request, monkeyp
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
     assert list(coherent_paths(P, c, graph=G)) == expected
     assert len(exact) == sum(1 for _ in enumerate_paths(G)) - len(expected) > 0
+
+
+@pytest.fixture(scope="module")
+def p10_dyadic():
+    """p10-sphere with each float coordinate taken as its exact dyadic rational,
+    so that its slope rows carry integers far above 2^53."""
+    return Polytope([tuple(map(Fraction, v)) for v in zoo.p10_spherical().vertices],
+                    label="p10-dyadic")
+
+
+@pytest.mark.parametrize("c", [(1, 1, 1), (1, 2, 3), (3, 2, 1), (0, 0, 1)])
+def test_scaled_rows_keep_high_bit_paths_on_highs(p10_dyadic, c, request, monkeypatch):
+    P = p10_dyadic
+    G = orient(P, c)
+    exact = _log_calls(monkeypatch, coherence, "lp_maximize")
+    fast = list(coherent_paths(P, c, graph=G))
+    assert exact == []
+    request.getfixturevalue("highs_fails")
+    slow = list(coherent_paths(P, c, graph=G))
+    assert exact
+    assert [p for p, _ in fast] == [p for p, _ in slow]
+    # the two routes certify with different omegas; each is rechecked on the
+    # path's unscaled rows
+    for path, cert in fast + slow:
+        rows = slope_cone(P, c, path, graph=G).rows
+        assert rows and min(dot(row, cert.omega) for row in rows) == cert.margin > 0

@@ -1,0 +1,116 @@
+"""The direct HiGHS binding behind `exactgeom._highs()` against its oracle,
+`scipy.optimize.linprog(method="highs")`."""
+import logging
+import sys
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from scipy.optimize import linprog
+
+from pathspectra import coherent_spectrum, exactgeom, zoo
+from pathspectra.exactgeom import RATIONAL
+
+from test_exactgeom import _point_sets
+
+_DIRECT = "HiGHS route: direct scipy.optimize._highspy._core._Highs"
+_FALLBACK = "HiGHS route: scipy.optimize.linprog fallback"
+
+
+def _recorded(mp):
+    """Route every HiGHS call through the direct solver and log (args, kwargs, result)."""
+    direct, np_ = exactgeom._highs()
+    assert direct is not linprog
+    calls = []
+
+    def logged(*args, **kwargs):
+        calls.append((args, kwargs, direct(*args, **kwargs)))
+        return calls[-1][2]
+    mp.setattr(exactgeom, "_highs_handle", (logged, np_))
+    return direct, calls
+
+
+def _assert_same(res, ref):
+    assert res.status == ref.status
+    if ref.x is None:
+        assert res.x is None
+        return
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.ineqlin.marginals.tobytes() == ref.ineqlin.marginals.tobytes()
+
+
+def _assert_matches_linprog(direct, calls):
+    """Each recorded solve equals linprog's, and so does a second solve of the
+    same LPs in reverse order on the one reused solver."""
+    assert calls
+    for args, kwargs, res in calls:
+        _assert_same(res, linprog(*args, **kwargs))
+    for args, kwargs, res in reversed(calls):
+        _assert_same(direct(*args, **kwargs), res)
+
+
+@pytest.mark.parametrize("P, c", [
+    pytest.param(zoo.cross_polytope(4), (1, 2, 3, 4), id="cross4"),
+    pytest.param(zoo.cross_polytope(5), (1, 2, 3, 4, 5), id="cross5"),
+    pytest.param(zoo.second_hypersimplex(5), (1, 2, 4, 8, 16), id="hyp2-5"),
+    pytest.param(zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0), id="cyclic4-8"),
+    pytest.param(zoo.lopsided_cube(3), (1, 1, 1), id="lopsided3"),
+    pytest.param(zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5), id="prod3x4"),
+])
+def test_coherence_lps_match_linprog(P, c, monkeypatch):
+    direct, calls = _recorded(monkeypatch)
+    coherent_spectrum(P, c)
+    _assert_matches_linprog(direct, calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets())
+def test_cone_escape_lps_match_linprog(points):
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    with pytest.MonkeyPatch.context() as mp:
+        direct, calls = _recorded(mp)
+        vertices = [p for i, p in enumerate(kept)
+                    if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i, RATIONAL)]
+        for u, v in combinations(vertices, 2):
+            gens = [tuple(a - b for a, b in zip(w, u)) for w in vertices if w not in (u, v)]
+            exactgeom._escapes_cone(gens, tuple(a - b for a, b in zip(v, u)), RATIONAL)
+    if len(kept) > 1:
+        _assert_matches_linprog(direct, calls)
+
+
+def test_direct_route_is_in_use(monkeypatch, caplog):
+    monkeypatch.setattr(exactgeom, "_highs_handle", None)
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.exactgeom"):
+        solve, _ = exactgeom._highs()
+        assert exactgeom._highs()[0] is solve
+    assert solve is not linprog
+    assert [r.getMessage() for r in caplog.records] == [_DIRECT]
+
+
+def test_without_core_the_route_is_linprog(monkeypatch, caplog):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.setattr(exactgeom, "_highs_handle", None)
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.exactgeom"):
+        assert exactgeom._highs()[0] is linprog
+    assert [r.getMessage() for r in caplog.records] == [_FALLBACK]
+
+
+def test_infeasible_and_equality_lps_match_linprog():
+    direct, _ = exactgeom._highs()
+    lps = [
+        # x0 + x1 = -1 with x >= 0
+        ((np.zeros(2),), dict(A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([-1.0]),
+                              bounds=(0, None))),
+        # x0 + x1 = 1, x0 - x1 <= 0.5, maximize x0
+        ((np.array([-1.0, 0.0]),), dict(A_ub=np.array([[1.0, -1.0]]), b_ub=np.array([0.5]),
+                                        A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
+                                        bounds=[(0, 1), (None, None)])),
+        # unbounded below
+        ((np.array([-1.0]),), dict(A_ub=np.array([[-1.0]]), b_ub=np.array([0.0]),
+                                   bounds=(0, None))),
+    ]
+    for args, kwargs in lps:
+        _assert_same(direct(*args, method="highs", **kwargs),
+                     linprog(*args, method="highs", **kwargs))
