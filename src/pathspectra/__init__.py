@@ -5,11 +5,10 @@ the slope cone, constructors and closed-form oracles for the standard polytope
 families, and Monte Carlo machinery for projected random polytopes on spheres.
 """
 
-from .errors import (DegeneracyError, GenericityError, IndeterminateError,
-                     InputError, VerificationMismatch)
-from .exactgeom import (FLOAT, RATIONAL, DirectedGraph, ExactRational, Float,
-                        LPResult, Polytope, edge_graph, is_edge, is_generic,
-                        lp_maximize, lower_path, orient, project2d,
+from .errors import (DegeneracyError, GenericityError, InputError,
+                     VerificationMismatch)
+from .exactgeom import (DirectedGraph, LPResult, Polytope, edge_graph, is_edge,
+                        is_generic, lp_maximize, lower_path, orient, project2d,
                         supporting_margin, upper_path)
 from .pathcount import (LengthSpectrum, MonotonePath, count_paths_by_length,
                         enumerate_paths, is_log_concave, is_symmetric,

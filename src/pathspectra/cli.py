@@ -26,9 +26,9 @@ from .betasim import (SimConfig, clt_check, estimate_growth_exponent,
                       first_diff_moment, floating_containment_rate,
                       simulate_Qn)
 from .coherence import coherent_paths, sample_coherent
-from .errors import (DegeneracyError, GenericityError, IndeterminateError,
-                     InputError, VerificationMismatch)
-from .exactgeom import FLOAT, RATIONAL, Float, Polytope, orient
+from .errors import (DegeneracyError, GenericityError, InputError,
+                     VerificationMismatch)
+from .exactgeom import Polytope, _rational, orient
 from .pathcount import (LengthSpectrum, count_paths_by_length, is_log_concave,
                         is_symmetric, is_ultra_log_concave, is_unimodal, modes)
 from . import zoo
@@ -92,14 +92,6 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _backend(args):
-    if args.backend == "rational":
-        return RATIONAL
-    if args.backend == "float":
-        return Float(args.tolerance) if args.tolerance is not None else FLOAT
-    raise InputError(f"unknown backend {args.backend!r}")
-
-
 def _parse_direction(text, dim):
     try:
         parts = [Fraction(p) for p in text.split(",")]
@@ -110,13 +102,30 @@ def _parse_direction(text, dim):
     return tuple(parts)
 
 
-def _load_polytope(path, backend):
+def _nearest_double(x):
+    """x rounded to the nearest double, as the exact Fraction of that double."""
     try:
-        with open(path) as fh:
+        return Fraction(float(_rational(x)))
+    except OverflowError as exc:
+        raise InputError(f"{x} does not fit a double") from exc
+
+
+class _DoublePolytope(Polytope):
+    """A polytope read with `--backend float`: every coordinate is rounded to
+    the nearest double before validation, then everything runs exactly."""
+
+    def __init__(self, points, **kwargs):
+        super().__init__([[_nearest_double(x) for x in p] for p in points], **kwargs)
+
+
+def _load_polytope(args):
+    try:
+        with open(args.polytope) as fh:
             text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return Polytope.from_json(text, backend=backend)
+        raise InputError(f"cannot read {args.polytope}: {exc}") from exc
+    cls = _DoublePolytope if args.backend == "float" else Polytope
+    return cls.from_json(text)
 
 
 def _spectrum_analytics(spec: LengthSpectrum):
@@ -131,8 +140,7 @@ def _spectrum_analytics(spec: LengthSpectrum):
 
 
 def cmd_count(args):
-    backend = _backend(args)
-    P = _load_polytope(args.polytope, backend)
+    P = _load_polytope(args)
     direction = _parse_direction(args.direction, P.dim)
     G = orient(P, direction, drop_level_ties=args.allow_level_ties)
     spec = count_paths_by_length(G)
@@ -145,8 +153,7 @@ def cmd_count(args):
 
 
 def cmd_coherent(args):
-    backend = _backend(args)
-    P = _load_polytope(args.polytope, backend)
+    P = _load_polytope(args)
     direction = _parse_direction(args.direction, P.dim)
     G = orient(P, direction, drop_level_ties=args.allow_level_ties)
     counts = {}
@@ -311,9 +318,9 @@ def cmd_floatbody(args):
 def _add_global_options(parser, suppress):
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--backend", choices=("rational", "float"),
-                        default=d if suppress else "rational")
-    parser.add_argument("--tolerance", type=float, default=d,
-                        help="float backend tolerance (default 1e-9)")
+                        default=d if suppress else "rational",
+                        help="float: round each input coordinate to the nearest "
+                             "double, then compute exactly (default rational)")
     parser.add_argument("--seed", type=int, default=d if suppress else 0)
     parser.add_argument("--out", default=d, help="output file (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"),
@@ -418,7 +425,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (GenericityError, DegeneracyError, IndeterminateError) as exc:
+    except (GenericityError, DegeneracyError) as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return 2
     except VerificationMismatch as exc:

@@ -9,7 +9,8 @@ alternative this fails exactly when a nonzero nonnegative combination of the
 rows vanishes.  One HiGHS LP per path (the max-least-slack LP) proposes either
 certificate: its solution a strictly interior omega, its duals the vanishing
 combination.  Both are checked in exact arithmetic, and the exact simplex
-decides what they leave open.
+decides what they leave open.  A float coordinate is taken at its exact binary
+value, so every verdict is exact.
 
 The shadow walk runs on integers: each arc's step is a primitive integer
 vector and its rise in c an integer, so slopes compare by cross-multiplying.
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import DegeneracyError, IndeterminateError, InputError
+from .errors import DegeneracyError, InputError
 from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
                         _over_common_denominator, _primitive_int_vector,
-                        _strict_interior)
+                        _rational, _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
 
@@ -63,27 +64,21 @@ def _arc_table(P: Polytope, G: DirectedGraph, tails=None):
     u -> v, in arc order.
 
     The slope of omega along the arc is proportional to omega . step / run,
-    with run > 0 and one factor for all arcs.  Rational backend: step is the
-    primitive integer vector along v - u and run is c . step with c scaled to
-    integers.  Float backend: step = v - u and run = c . step.
+    with run > 0 and one factor for all arcs: step is the primitive integer
+    vector along v - u and run is c . step with c scaled to integers.
     """
-    c = G.c
-    exact = P.backend.name == "rational"
-    if exact:
-        c, _ = _over_common_denominator(c)
+    c, _ = _over_common_denominator(G.c)
     table = {}
     for u in range(len(G.arcs)) if tails is None else tails:
         vu = P.vertices[u]
         arcs = table[u] = []
         for v in G.arcs[u]:
-            step = [a - b for a, b in zip(P.vertices[v], vu)]
-            if exact:
-                step = _primitive_int_vector(step)
+            step = _primitive_int_vector([a - b for a, b in zip(P.vertices[v], vu)])
             arcs.append((v, step, dot(c, step)))
     return table
 
 
-def _arc_rows(table, u: int, v: int, exact: bool):
+def _arc_rows(table, u: int, v: int):
     """Rows demanding that the arc u -> v beats u's other improving neighbors.
 
     On integer steps and runs each row is a positive multiple of the row on
@@ -95,13 +90,11 @@ def _arc_rows(table, u: int, v: int, exact: bool):
         if w == v:
             continue
         row = tuple(c_rival * a - run * b for a, b in zip(step, rival))
-        if exact:
-            row = _primitive_int_vector(row)
-        rows.append(row)
+        rows.append(_primitive_int_vector(row))
     return tuple(rows)
 
 
-def _path_rows(table, seq, blocks, exact: bool):
+def _path_rows(table, seq, blocks):
     """Slope rows of the path `seq`, step by step, each distinct row once.
 
     `blocks` caches the rows of each arc across calls.
@@ -111,7 +104,7 @@ def _path_rows(table, seq, blocks, exact: bool):
     for arc in zip(seq, seq[1:]):
         block = blocks.get(arc)
         if block is None:
-            block = blocks[arc] = _arc_rows(table, *arc, exact)
+            block = blocks[arc] = _arc_rows(table, *arc)
         for row in block:
             if row not in seen:
                 seen.add(row)
@@ -124,16 +117,17 @@ def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) 
     G = graph if graph is not None else orient(P, c)
     seq = _validate_path(G, path)
     table = _arc_table(P, G, tails=seq[:-1])
-    return SlopeCone(rows=tuple(_path_rows(table, seq, {}, P.backend.name == "rational")))
+    return SlopeCone(rows=tuple(_path_rows(table, seq, {})))
 
 
-def _max_min_slack(rows, d, backend):
+def _max_min_slack(rows, d):
     """(omega, t) maximizing t subject to row . omega >= t for every row and
-    omega in [-1, 1]^d, solved by the simplex of `backend`."""
+    omega in [-1, 1]^d, solved by the exact simplex.  The LP is feasible
+    (omega = 0, t <= 0) and bounded (the box on omega)."""
     res = lp_maximize([0] * d + [1], [(tuple(row) + (-1,), ">=", 0) for row in rows],
-                      [(-1, 1)] * d + [(None, None)], backend=backend)
+                      [(-1, 1)] * d + [(None, None)])
     if res.status != "optimal":
-        raise IndeterminateError(f"slack LP came back {res.status}")
+        raise AssertionError(f"max-min-slack LP came back {res.status}")
     return res.solution[:d], res.objective
 
 
@@ -151,15 +145,14 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
                 graph: DirectedGraph = None) -> Optional[CoherenceCertificate]:
     """Certificate iff the slope cone is full-dimensional, decided exactly.
 
-    Rational backend: one HiGHS max-least-slack LP proposes either a strictly
-    interior omega (coherent) or, from its duals, a nonzero nonnegative
-    vanishing combination of the rows (incoherent, by Gordan's alternative);
-    the proposal is certified in exact arithmetic, and the exact
-    max-min-slack LP settles the rare leftovers.  Float backend: decided by
-    the max-min-slack LP; a margin below tolerance raises IndeterminateError.
+    One HiGHS max-least-slack LP proposes either a strictly interior omega
+    (coherent) or, from its duals, a nonzero nonnegative vanishing
+    combination of the rows (incoherent, by Gordan's alternative); the
+    proposal is certified in exact arithmetic, and the exact max-min-slack LP
+    settles the rare leftovers.
     """
     G = graph if graph is not None else orient(P, c)
-    return _decide_rows(P, G, list(slope_cone(P, c, path, graph=G).rows))
+    return _decide_rows(G, list(slope_cone(P, c, path, graph=G).rows))
 
 
 def shadow_path(P: Polytope, c, omega) -> MonotonePath:
@@ -169,23 +162,17 @@ def shadow_path(P: Polytope, c, omega) -> MonotonePath:
     A slope tie means omega is not generic for this walk: DegeneracyError.
     """
     G = orient(P, c)
-    be = P.backend
-    om = [be.coerce(x) for x in omega]
+    om = [_rational(x) for x in omega]
     if len(om) != P.dim:
         raise InputError("omega has wrong dimension")
-    if be.name == "rational":
-        om, _ = _over_common_denominator(om)  # a positive multiple walks the same
-    return _shadow_walk(be, G, _arc_table(P, G), om)
+    om, _ = _over_common_denominator(om)  # a positive multiple walks the same
+    return _shadow_walk(G, _arc_table(P, G), om)
 
 
-def _shadow_walk(be, G: DirectedGraph, table, omega) -> MonotonePath:
-    """Walk `table` (from `_arc_table`) along the steepest omega-slope.
-
-    Rational backend: omega is integer and slopes compare exactly, by
-    cross-multiplying rise and run.  Float backend: slopes within the
-    backend's tolerance tie.
-    """
-    exact = be.name == "rational"
+def _shadow_walk(G: DirectedGraph, table, omega) -> MonotonePath:
+    """Walk `table` (from `_arc_table`) along the steepest slope of the
+    integer vector omega; slopes compare exactly, by cross-multiplying rise
+    and run."""
     u = G.source
     seq = [u]
     while u != G.sink:
@@ -195,11 +182,10 @@ def _shadow_walk(be, G: DirectedGraph, table, omega) -> MonotonePath:
             rise = dot(omega, step)
             if best_v is not None:
                 # sign of slope(v) - slope(best_v); every run is positive
-                gap = (rise * best_run - best_rise * run if exact
-                       else rise / run - best_rise / best_run)
+                gap = rise * best_run - best_rise * run
             if best_v is None or gap > 0:
                 best_v, best_rise, best_run, tie = v, rise, run, False
-            elif be.zero(gap):
+            elif gap == 0:
                 tie = True
         if tie:
             raise DegeneracyError(
@@ -213,39 +199,29 @@ def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     """Yield (path, certificate) for every coherent monotone path, in path order."""
     G = graph if graph is not None else orient(P, c)
     table = _arc_table(P, G)
-    exact = P.backend.name == "rational"
     blocks = {}
     for path in enumerate_paths(G):
-        cert = _decide_rows(P, G, _path_rows(table, path.vertex_indices, blocks, exact))
+        cert = _decide_rows(G, _path_rows(table, path.vertex_indices, blocks))
         if cert is not None:
             yield path, cert
 
 
-def _decide_rows(P: Polytope, G: DirectedGraph, rows):
-    d = P.dim
-    be = P.backend
+def _decide_rows(G: DirectedGraph, rows):
+    d = len(G.c)
     if not rows:
-        return CoherenceCertificate(omega=(be.coerce(0),) * d, margin=be.coerce(1))
-    omega = None
-    if be.name == "rational":
-        # a Gordan witness lam >= 0, sum lam = 1, sum lam_r row_r = 0 proves
-        # the cone has no interior
-        omega, witness = _strict_interior(rows)
-        if witness is not None:
-            return None
+        return CoherenceCertificate(omega=(Fraction(0),) * d, margin=Fraction(1))
+    # a Gordan witness lam >= 0, sum lam = 1, sum lam_r row_r = 0 proves the
+    # cone has no interior
+    omega, witness = _strict_interior(rows)
+    if witness is not None:
+        return None
     if omega is None:
-        omega, slack = _max_min_slack(rows, d, be)
-        if not be.pos(slack):
-            if be.name == "rational":
-                return None
-            raise IndeterminateError(
-                f"float margin {slack} below tolerance; retry on the rational backend")
+        omega, slack = _max_min_slack(rows, d)
+        if slack <= 0:
+            return None
     omega = _remove_c_component(omega, G.c)
-    if be.name == "rational":
-        num, den = _over_common_denominator(omega)
-        margin = Fraction(min(dot(row, num) for row in rows), den)
-    else:
-        margin = min(dot(row, omega) for row in rows)
+    num, den = _over_common_denominator(omega)
+    margin = Fraction(min(dot(row, num) for row in rows), den)
     if margin <= 0:
         raise AssertionError("normalized certificate lost its margin")
     return CoherenceCertificate(omega=omega, margin=margin)
@@ -273,11 +249,9 @@ def sample_coherent(P: Polytope, c, samples: int, seed: int) -> SampleDraw:
     found = set()
     degenerate = 0
     for _ in range(samples):
-        # ints walk unchanged on both backends: a float backend multiplies
-        # them exactly as it would their float values
         omega = [rng.randint(-999983, 999983) for _ in range(P.dim)]
         try:
-            found.add(_shadow_walk(P.backend, G, table, omega))
+            found.add(_shadow_walk(G, table, omega))
         except DegeneracyError:
             degenerate += 1
     return SampleDraw(paths=frozenset(found), degenerate=degenerate)

@@ -17,11 +17,5 @@ class DegeneracyError(RuntimeError):
     """A tie (equal projected coordinate or equal slope) makes a construction ambiguous."""
 
 
-class IndeterminateError(RuntimeError):
-    """No verdict could be reached: a float-backend margin fell below tolerance,
-    a float simplex stalled, or a slack LP came back other than optimal.
-    Retry on the rational backend."""
-
-
 class VerificationMismatch(RuntimeError):
     """A fixture's computed spectrum disagrees with its recorded expectation."""

@@ -1,16 +1,18 @@
-"""Exact geometry kernel: scalar backends, a small LP solver, polytopes and their
-oriented edge graphs, and planar projection with upper-chain extraction.
+"""Exact geometry kernel: exact rational scalars, a small LP solver, polytopes
+and their oriented edge graphs, and planar projection with upper-chain
+extraction.
 
-Everything here is deterministic and immutable after construction.  The rational
-backend decides every predicate exactly; the float backend treats |a - b| <= tol
-as a tie.  Float arithmetic is also used internally to *steer* exact searches
-(propose a basis, a support or a facet list), but verdicts on the rational
-backend are always certified in exact arithmetic.
+Everything here is deterministic and immutable after construction.  Every
+scalar is a `Fraction`: integers and "p/q" strings are read exactly, and a float
+is taken at its exact binary value (a dyadic rational), so every predicate is
+decided exactly.  Floating point is used only to *steer* exact searches
+(propose a basis, a support or a facet list); verdicts are always certified in
+exact arithmetic.
 
-Every polytope is validated when it is built.  On the rational backend that
-computes the one facet incidence from which its vertices and its edges are
-read.  The points are projected, exactly, onto coordinates of their affine
-hull; Qhull (`scipy.spatial.ConvexHull`) proposes a triangulated boundary; and
+Every polytope is validated when it is built, which computes the one facet
+incidence from which its vertices and its edges are read.  The points are
+projected, exactly, onto coordinates of their affine hull; Qhull
+(`scipy.spatial.ConvexHull`) proposes a triangulated boundary; and
 `_certify_facets` checks it in integer arithmetic: each simplex lies in a
 supporting plane of the hull, the non-degenerate ones are oriented outward, and
 every ridge is shared by exactly two simplices with opposite orientations.
@@ -19,9 +21,9 @@ positive degree everywhere, so the certified facets are all the facets.  A pair
 spans an edge iff the facets containing both meet in those two points alone,
 and a point is a vertex iff the facets containing it meet in that point alone.
 When Qhull fails, a coordinate overflows a float, or any check fails, the
-polytope falls back to one steered LP per point and per pair.  The float
-backend always uses the LP tests.  A `DirectedGraph` checks at construction
-that its source and sink are the only ones.
+polytope falls back to one steered LP per point and per pair.  A
+`DirectedGraph` checks at construction that its source and sink are the only
+ones.
 """
 from __future__ import annotations
 
@@ -38,89 +40,26 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import (DegeneracyError, GenericityError, IndeterminateError,
-                     InputError)
+from .errors import DegeneracyError, GenericityError, InputError
 
 _log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Scalar backends
+# Scalars
 # ---------------------------------------------------------------------------
 
-def _parse_number(text: str) -> Fraction:
-    """An integer, decimal or "p/q" string as an exact Fraction."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad number {text!r}: {exc}") from exc
-
-
-class ExactRational:
-    """All values are Fractions; comparisons are exact."""
-
-    name = "rational"
-    tolerance = Fraction(0)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return _parse_number(x)
-        if isinstance(x, float):
-            # floats carry an exact binary value; callers wanting 1/3 must say so
-            return Fraction(x)
+def _rational(x) -> Fraction:
+    """x as an exact Fraction: an int or a float at its exact value, a string
+    as an integer, decimal or "p/q"."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, (int, float, str)):
         raise InputError(f"cannot coerce {x!r} to a rational")
-
-    def pos(self, x):
-        return x > 0
-
-    def neg(self, x):
-        return x < 0
-
-    def zero(self, x):
-        return x == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def __repr__(self):
-        return "ExactRational()"
-
-
-class Float:
-    """Plain floats with a tolerance: |a - b| <= tolerance counts as equal."""
-
-    name = "float"
-
-    def __init__(self, tolerance: float = 1e-9):
-        if tolerance < 0:
-            raise InputError("tolerance must be nonnegative")
-        self.tolerance = tolerance
-
-    def coerce(self, x):
-        return float(_parse_number(x) if isinstance(x, str) else x)
-
-    def pos(self, x):
-        return x > self.tolerance
-
-    def neg(self, x):
-        return x < -self.tolerance
-
-    def zero(self, x):
-        return abs(x) <= self.tolerance
-
-    def eq(self, a, b):
-        return abs(a - b) <= self.tolerance
-
-    def __repr__(self):
-        return f"Float(tolerance={self.tolerance})"
-
-
-RATIONAL = ExactRational()
-FLOAT = Float()
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"bad number {x!r}: {exc}") from exc
 
 
 def dot(u: Sequence, v: Sequence):
@@ -142,46 +81,38 @@ class _Simplex:
     """Dense tableau simplex.  Columns: decision part then slack/artificial.
 
     Bland's rule (least-index entering, least basis-index on ratio ties)
-    guarantees termination, which the rational backend turns into a decision
+    guarantees termination, which exact arithmetic turns into a decision
     procedure.
     """
 
-    def __init__(self, backend):
-        self.be = backend
+    def __init__(self):
         self.rows = []       # each: list of coefficients + rhs last
         self.basis = []
         self.ncols = 0
         self.banned = set()  # artificial columns may never re-enter
 
-    def solve(self, cost, zero):
+    def solve(self, cost):
         """Maximize cost over the current rows; return (status, objective_delta).
 
-        `cost` has one entry per column.  Exact backends terminate by Bland's
-        rule; float backends additionally get an iteration cap so tolerance
-        jitter cannot stall, reporting "stalled".
+        `cost` has one entry per column.
         """
-        self._zero = zero
-        be = self.be
         rows, basis = self.rows, self.basis
         m = len(rows)
-        exact = be.name == "rational"
-        cap = None if exact else 60 * (m + self.ncols) + 2000
         # reduced cost row: c_j - c_B . B^-1 A_j
         cr = list(cost)
-        obj = zero
+        obj = Fraction(0)
         for i in range(m):
             cb = cr[basis[i]]
-            if not be.zero(cb):
+            if cb != 0:
                 row = rows[i]
                 for j in range(self.ncols):
                     cr[j] -= cb * row[j]
                 obj += cb * row[self.ncols]
-                cr[basis[i]] = zero
-        pivots = 0
+                cr[basis[i]] = Fraction(0)
         while True:
             enter = -1
             for j in range(self.ncols):
-                if j not in self.banned and be.pos(cr[j]):
+                if j not in self.banned and cr[j] > 0:
                     enter = j
                     break
             if enter < 0:
@@ -189,15 +120,12 @@ class _Simplex:
             leave, best, bestvar = -1, None, None
             for i in range(m):
                 a = rows[i][enter]
-                if be.pos(a):
+                if a > 0:
                     ratio = rows[i][self.ncols] / a
                     if best is None or ratio < best or (ratio == best and basis[i] < bestvar):
                         leave, best, bestvar = i, ratio, basis[i]
             if leave < 0:
                 return "unbounded", obj
-            pivots += 1
-            if cap is not None and pivots > cap:
-                return "stalled", obj
             obj += cr[enter] * best
             self._pivot(leave, enter, cr)
 
@@ -225,19 +153,16 @@ class _Simplex:
         for i, b in enumerate(self.basis):
             if b == col:
                 return self.rows[i][self.ncols]
-        return self._zero
+        return Fraction(0)
 
 
-def _feasible_nonneg(columns, target, backend):
-    """Some lam >= 0 with sum_k lam_k columns[k] = target, or None when infeasible.
-
-    On the rational backend infeasibility is an exact certificate; a stalled
-    float run raises IndeterminateError instead of guessing.
-    """
+def _feasible_nonneg(columns, target):
+    """Some lam >= 0 with sum_k lam_k columns[k] = target, or None when
+    infeasible; either answer is exact."""
     n = len(columns)
     res = lp_maximize([0] * n, [([col[i] for col in columns], "==", t)
                                 for i, t in enumerate(target)],
-                      [(0, None)] * n, backend=backend)
+                      [(0, None)] * n)
     return res.solution if res.status == "optimal" else None
 
 
@@ -472,41 +397,39 @@ def _strict_interior(rows):
                                   (0,) * d + (1,))
 
 
-def _escapes_cone(gens, target, backend):
+def _escapes_cone(gens, target):
     """Whether target lies outside the cone spanned by gens.
 
-    Rational backend: a steered combination proves "inside", a steered y with
+    A steered combination proves "inside", a steered y with
     <y, g> < 0 < <y, target> for every generator g proves "outside", and the
     exact simplex settles the rest.
     """
-    if backend.name != "rational":
-        return _feasible_nonneg(gens, target, backend) is None
     if _steered_feasible(gens, target) is not None:
         return False
     y, _ = _strict_interior([[-x for x in g] for g in gens] + [target])
     if y is not None:
         return True
-    return _feasible_nonneg(gens, target, backend) is None
+    return _feasible_nonneg(gens, target) is None
 
 
-def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
-    """Maximize objective . x subject to linear constraints and per-variable bounds.
+def lp_maximize(objective, constraints, box=None) -> LPResult:
+    """Maximize objective . x subject to linear constraints and per-variable
+    bounds, exactly.
 
     `constraints` is an iterable of (coeffs, rel, rhs) with rel in {"<=", ">=", "=="};
     `box` gives optional (lo, hi) bounds per variable (None for unbounded sides).
     """
-    be = backend
-    obj = [be.coerce(v) for v in objective]
+    obj = [_rational(v) for v in objective]
     n = len(obj)
-    zero = be.coerce(0)
-    one = be.coerce(1)
+    zero = Fraction(0)
+    one = Fraction(1)
     rows = []
     for coeffs, rel, rhs in constraints:
         if len(coeffs) != n:
             raise InputError(f"constraint has {len(coeffs)} coefficients, expected {n}")
         if rel not in ("<=", ">=", "=="):
             raise InputError(f"unknown relation {rel!r}")
-        rows.append(([be.coerce(v) for v in coeffs], rel, be.coerce(rhs)))
+        rows.append(([_rational(v) for v in coeffs], rel, _rational(rhs)))
     if box is None:
         box = [(None, None)] * n
     if len(box) != n:
@@ -517,14 +440,14 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
     colmap = []  # (var index, sign)
     for j, (lo, hi) in enumerate(box):
         if lo is not None:
-            offsets[j] = be.coerce(lo)
+            offsets[j] = _rational(lo)
             colmap.append((j, one))
             if hi is not None:
                 extra = [zero] * n
                 extra[j] = one
-                rows.append((extra, "<=", be.coerce(hi)))
+                rows.append((extra, "<=", _rational(hi)))
         elif hi is not None:
-            offsets[j] = be.coerce(hi)
+            offsets[j] = _rational(hi)
             colmap.append((j, -one))
         else:
             colmap.append((j, one))
@@ -534,7 +457,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
     def to_y(coeffs):
         return [coeffs[j] * s for j, s in colmap]
 
-    sp = _Simplex(be)
+    sp = _Simplex()
     slack_total = sum(1 for _, rel, _ in rows if rel != "==")
     art_cols = []
     width = ny + slack_total + len(rows)  # upper bound; artificials allocated lazily
@@ -547,7 +470,7 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
             r = [-x for x in r]
             b = -b
             rel = "<="
-        if be.neg(b):
+        if b < 0:
             r = [-x for x in r]
             b = -b
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
@@ -575,17 +498,13 @@ def lp_maximize(objective, constraints, box=None, backend=RATIONAL) -> LPResult:
         cost1 = [zero] * width
         for a in art_cols:
             cost1[a] = -one
-        status, obj1 = sp.solve(cost1, zero)
-        if status == "stalled":
-            raise IndeterminateError("float simplex stalled; retry on the rational backend")
-        if status != "optimal" or be.neg(obj1):
+        status, obj1 = sp.solve(cost1)
+        if status != "optimal" or obj1 < 0:
             return LPResult("infeasible")
     cost2 = [zero] * width
     for k, (j, s) in enumerate(colmap):
         cost2[k] = obj[j] * s
-    status, value = sp.solve(cost2, zero)
-    if status == "stalled":
-        raise IndeterminateError("float simplex stalled; retry on the rational backend")
+    status, value = sp.solve(cost2)
     if status == "unbounded":
         return LPResult("unbounded")
     x = list(offsets)
@@ -832,21 +751,20 @@ class Polytope:
 
     Every construction checks that no two vertices coincide and that every
     listed point really is a vertex of the convex hull; offending points are
-    rejected or stripped according to `on_nonvertex`.  On the rational backend
-    that check computes the one certified facet incidence the edge graph then
-    reads, with per-point and per-pair LPs as the fallback.
+    rejected or stripped according to `on_nonvertex`.  That check computes
+    the one certified facet incidence the edge graph then reads, with
+    per-point and per-pair LPs as the fallback.
     """
 
-    def __init__(self, points, label="", backend=RATIONAL, on_nonvertex="reject"):
+    def __init__(self, points, label="", on_nonvertex="reject"):
         if on_nonvertex not in ("reject", "strip"):
             raise InputError("on_nonvertex must be 'reject' or 'strip'")
-        pts = [tuple(backend.coerce(x) for x in p) for p in points]
+        pts = [tuple(_rational(x) for x in p) for p in points]
         if not pts:
             raise InputError("a polytope needs at least one point")
         d = len(pts[0])
         if d < 1 or any(len(p) != d for p in pts):
             raise InputError("all points must share one ambient dimension >= 1")
-        self.backend = backend
         self.dim = d
         self.label = label
         self._facets = None  # certified facet tight sets over the vertices, if known
@@ -854,20 +772,18 @@ class Polytope:
         self._edges = None
 
     def _validated(self, pts, on_nonvertex):
-        be = self.backend
         kept = []
         for p in pts:
-            dup = any(all(be.eq(a, b) for a, b in zip(p, q)) for q in kept)
-            if dup:
+            if p in kept:
                 if on_nonvertex == "reject":
                     raise InputError(f"duplicate vertex {p}")
                 continue
             kept.append(p)
         if len(kept) == 1:
             return kept
-        facets = _facet_incidence(kept) if be.name == "rational" else None
+        facets = _facet_incidence(kept)
         if facets is None:
-            flags = (_is_vertex_lp(kept, i, be) for i in range(len(kept)))
+            flags = (_is_vertex_lp(kept, i) for i in range(len(kept)))
         else:
             flags = _vertex_flags(facets, len(kept))
         vertices, index = [], []
@@ -891,19 +807,12 @@ class Polytope:
     # -- JSON schema: {"dim": int, "label": str, "vertices": [[num|"p/q", ...]]}
 
     def to_json(self) -> str:
-        verts = []
-        for v in self.vertices:
-            row = []
-            for x in v:
-                if isinstance(x, Fraction):
-                    row.append(int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
-                else:
-                    row.append(x)
-            verts.append(row)
+        verts = [[int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+                  for x in v] for v in self.vertices]
         return json.dumps({"dim": self.dim, "label": self.label, "vertices": verts})
 
     @classmethod
-    def from_json(cls, text: str, backend=RATIONAL, **kwargs) -> "Polytope":
+    def from_json(cls, text: str, **kwargs) -> "Polytope":
         try:
             data = json.loads(text)
             dim = data["dim"]
@@ -913,15 +822,15 @@ class Polytope:
             raise InputError(f"bad polytope JSON: {exc}") from exc
         if any(len(v) != dim for v in verts):
             raise InputError("vertex length disagrees with 'dim'")
-        return cls(verts, label=label, backend=backend, **kwargs)
+        return cls(verts, label=label, **kwargs)
 
     # -- edge graph
 
     def edges(self):
         """Sorted list of index pairs (i, j), i < j, that span edges of the polytope.
 
-        Read from the certified facet incidence on the rational backend; an
-        LP per pair (`_is_edge_pair`) when there is none.
+        Read from the certified facet incidence; an LP per pair
+        (`_is_edge_pair`) when there is none.
         """
         if self._edges is None:
             n = len(self.vertices)
@@ -938,7 +847,7 @@ class Polytope:
         gens = [tuple(w[t] - u[t] for t in range(self.dim))
                 for k, w in enumerate(self.vertices) if k != i and k != j]
         target = tuple(v[t] - u[t] for t in range(self.dim))
-        return _escapes_cone(gens, target, self.backend)
+        return _escapes_cone(gens, target)
 
     def neighbors(self, i):
         adj = []
@@ -960,11 +869,10 @@ def is_edge(P: Polytope, i: int, j: int) -> bool:
     return (min(i, j), max(i, j)) in P.edges()
 
 
-def _is_vertex_lp(points, i, backend):
+def _is_vertex_lp(points, i):
     """LP vertex test: points[i] is no convex combination of the other points."""
-    one = backend.coerce(1)
-    cols = [tuple(q) + (one,) for k, q in enumerate(points) if k != i]
-    return _escapes_cone(cols, tuple(points[i]) + (one,), backend)
+    cols = [tuple(q) + (1,) for k, q in enumerate(points) if k != i]
+    return _escapes_cone(cols, tuple(points[i]) + (1,))
 
 
 def edge_graph(P: Polytope):
@@ -978,17 +886,16 @@ def supporting_margin(P: Polytope, i: int, j: int):
     -1 <= c_k <= 1.  Positive exactly when [v_i, v_j] is an edge; used as the
     cross-check oracle for `is_edge`.
     """
-    be = P.backend
     d = P.dim
     u, v = P.vertices[i], P.vertices[j]
-    constraints = [(tuple(u[t] - v[t] for t in range(d)) + (be.coerce(0),), "==", 0)]
+    constraints = [(tuple(u[t] - v[t] for t in range(d)) + (0,), "==", 0)]
     for k, w in enumerate(P.vertices):
         if k in (i, j):
             continue
-        constraints.append((tuple(u[t] - w[t] for t in range(d)) + (be.coerce(-1),), ">=", 0))
+        constraints.append((tuple(u[t] - w[t] for t in range(d)) + (-1,), ">=", 0))
     box = [(-1, 1)] * d + [(None, None)]
     objective = [0] * d + [1]
-    res = lp_maximize(objective, constraints, box, backend=be)
+    res = lp_maximize(objective, constraints, box)
     if res.status != "optimal":
         raise InputError(f"margin LP unexpectedly {res.status}")
     return res.objective
@@ -1047,17 +954,16 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
     which is the usual convention for graded 0/1 families whose canonical
     direction ties only within levels.
     """
-    be = P.backend
-    cv = tuple(be.coerce(x) for x in c)
+    cv = tuple(_rational(x) for x in c)
     if len(cv) != P.dim:
         raise InputError("direction has wrong dimension")
-    if all(be.zero(x) for x in cv):
+    if not any(cv):
         raise InputError("direction must be nonzero")
     vals = [dot(v, cv) for v in P.vertices]
     n = len(P.vertices)
     succ = [[] for _ in range(n)]
     for i, j in P.edges():
-        if be.eq(vals[i], vals[j]):
+        if vals[i] == vals[j]:
             if drop_level_ties:
                 continue
             shown = ", ".join(str(x) for x in c)
@@ -1080,15 +986,14 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
 
 def project2d(P: Polytope, c, omega):
     """Project every vertex to (<v,c>, <v,omega>), in vertex order."""
-    be = P.backend
-    cv = [be.coerce(x) for x in c]
-    ov = [be.coerce(x) for x in omega]
+    cv = [_rational(x) for x in c]
+    ov = [_rational(x) for x in omega]
     if len(cv) != P.dim or len(ov) != P.dim:
         raise InputError("projection directions must match the ambient dimension")
     independent = False
     for a in range(P.dim):
         for b in range(a + 1, P.dim):
-            if not be.zero(cv[a] * ov[b] - cv[b] * ov[a]):
+            if cv[a] * ov[b] != cv[b] * ov[a]:
                 independent = True
                 break
         if independent:
@@ -1098,57 +1003,46 @@ def project2d(P: Polytope, c, omega):
     return [(dot(v, cv), dot(v, ov)) for v in P.vertices]
 
 
-def _infer_backend(points):
-    for p in points:
-        for x in p:
-            if isinstance(x, float):
-                return FLOAT
-    return RATIONAL
-
-
-def upper_path(points, backend=None):
+def upper_path(points):
     """Indices of hull vertices on the upper chain, by increasing first coordinate.
 
     Runs from the global minimizer of the first coordinate to the maximizer;
     collinear interior points are not hull vertices and are skipped.  A tie in
     the first coordinate among hull vertices is a DegeneracyError, as is a
-    second point coinciding with a hull vertex.
+    second point coinciding with a hull vertex.  Each float coordinate is
+    taken at its exact binary value.
     """
     if len(points) < 2:
         raise InputError("need at least two points")
-    be = backend or _infer_backend(points)
-    pts = [tuple(be.coerce(x) for x in p) for p in points]
+    pts = [tuple(_rational(x) for x in p) for p in points]
     order = sorted(range(len(pts)), key=lambda k: (pts[k][0], pts[k][1], k))
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    def chain(idxs, keep_side):
+    def chain(idxs):
         out = []
         for k in idxs:
-            while len(out) >= 2:
-                turn = cross(pts[out[-2]], pts[out[-1]], pts[k])
-                if be.pos(turn) if keep_side > 0 else be.neg(turn):
-                    break
+            while len(out) >= 2 and cross(pts[out[-2]], pts[out[-1]], pts[k]) <= 0:
                 out.pop()
             out.append(k)
         return out
 
-    lower = chain(order, keep_side=+1)
-    upper = chain(list(reversed(order)), keep_side=+1)
+    lower = chain(order)
+    upper = chain(list(reversed(order)))
     hull = set(lower) | set(upper)
     for k in hull:
         for other in range(len(pts)):
-            if other != k and be.eq(pts[other][0], pts[k][0]) and be.eq(pts[other][1], pts[k][1]):
+            if other != k and pts[other] == pts[k]:
                 raise DegeneracyError(f"point {other} coincides with hull vertex {k}")
     xs = sorted(hull, key=lambda k: pts[k][0])
     for a, b in zip(xs, xs[1:]):
-        if be.eq(pts[a][0], pts[b][0]):
+        if pts[a][0] == pts[b][0]:
             raise DegeneracyError(
                 f"hull vertices {a} and {b} share the first coordinate")
     return list(reversed(upper))
 
 
-def lower_path(points, backend=None):
+def lower_path(points):
     """Companion of `upper_path` for the lower chain (same contracts)."""
-    return upper_path([(p[0], -p[1]) for p in points], backend=backend)
+    return upper_path([(p[0], -p[1]) for p in points])

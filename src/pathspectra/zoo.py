@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coherence import coherent_spectrum
 from .errors import InputError
-from .exactgeom import FLOAT, Polytope, orient
+from .exactgeom import Polytope, _rational, orient
 from .pathcount import LengthSpectrum, count_paths_by_length
 
 def _binom(n: int, k: int) -> int:
@@ -131,9 +131,8 @@ def truncate_vertex(P: Polytope, normal, bound) -> Polytope:
     The cut vertex is replaced by the intersection points of its edges with the
     hyperplane.
     """
-    be = P.backend
-    a = [be.coerce(x) for x in normal]
-    b = be.coerce(bound)
+    a = [_rational(x) for x in normal]
+    b = _rational(bound)
     if len(a) != P.dim:
         raise InputError("normal has wrong dimension")
     vals = [sum(x * y for x, y in zip(v, a)) for v in P.vertices]
@@ -147,7 +146,7 @@ def truncate_vertex(P: Polytope, normal, bound) -> Polytope:
         w = P.vertices[j]
         t = (b - vals[i]) / (vals[j] - vals[i])
         verts.append(tuple(u[k] + t * (w[k] - u[k]) for k in range(P.dim)))
-    return Polytope(verts, label=P.label + "-trunc", backend=be)
+    return Polytope(verts, label=P.label + "-trunc")
 
 
 def truncated_lopsided_4() -> Polytope:
@@ -185,15 +184,16 @@ def p10() -> Polytope:
 
 
 def p10_spherical() -> Polytope:
-    """The p10 vertices recentred at their barycenter and pushed to the unit sphere."""
+    """The p10 vertices recentred at their barycenter and pushed to the unit
+    sphere in floating point; each coordinate is the exact value of its double."""
     base = p10().vertices
     bary = [sum(v[k] for v in base) / Fraction(len(base)) for k in range(3)]
     verts = []
     for v in base:
         w = [float(v[k] - bary[k]) for k in range(3)]
         norm = math.sqrt(sum(x * x for x in w))
-        verts.append(tuple(x / norm for x in w))
-    return Polytope(verts, label="p10-sphere", backend=FLOAT)
+        verts.append(tuple(Fraction(x / norm) for x in w))
+    return Polytope(verts, label="p10-sphere")
 
 
 def _binary_trees(n: int):

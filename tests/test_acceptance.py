@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathspectra import (FLOAT, Polytope, coherent_paths, coherent_spectrum,
+from pathspectra import (Polytope, coherent_paths, coherent_spectrum,
                          count_paths_by_length, enumerate_paths, is_coherent,
                          is_log_concave, is_ultra_log_concave, is_unimodal,
                          orient, prism_spectrum, sample_coherent, shadow_path)
@@ -44,11 +44,14 @@ def test_p10_monotone_table():
 
 
 def test_p10_spherical_on_float_backend():
+    """The sphere-normalized p10 keeps each double coordinate as its exact
+    dyadic rational."""
     P = zoo.p10_spherical()
-    assert P.backend is FLOAT or P.backend.name == "float"
+    for x in (x for v in P.vertices for x in v):
+        assert isinstance(x, Fraction) and x.denominator & (x.denominator - 1) == 0
     spec = dp(P, (1, 0, 0))
     ok = spec.values() == [4, 8, 10, 8, 11, 6, 1] and spec.min_len == 2
-    report("spherical p10 spectrum (4,8,10,8,11,6,1) on the float backend", ok,
+    report("spherical p10 spectrum (4,8,10,8,11,6,1) on its exact dyadic coordinates", ok,
            str(spec.counts))
 
 

@@ -82,7 +82,32 @@ def test_float_backend_reads_fraction_strings(tmp_path, capsys):
         code, out, _ = run(capsys, "--backend", backend, "count", path, "--direction", "1,1,1")
         assert code == 0
         tables.append(parse_csv(out)[0])
-    assert tables[0] == tables[1] == ["length,count", "2,2", "4,4"]
+    assert tables[0] == ["length,count", "2,2", "4,4"]
+    # 1/3 rounds down to its double, so the face {1, 4, 5, 7} is no longer
+    # planar: it bends along the new edge (1, 7), which adds a path of length 3
+    assert tables[1] == ["length,count", "2,2", "3,1", "4,4"]
+
+
+def test_float_backend_rounds_before_validation(tmp_path, capsys):
+    # (1/10, 9/10) lies on the edge x + y = 1; both its doubles lie above
+    # their rationals, so only the rounded point is a vertex
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], ["1/10", "9/10"]]}))
+    code, _, err = run(capsys, "count", str(path), "--direction", "1,2")
+    assert code == 1 and "not a vertex" in err
+    code, out, _ = run(capsys, "--backend", "float", "count", str(path), "--direction", "1,2")
+    assert code == 0
+    rows, comments = parse_csv(out)
+    assert rows[1:] == ["1,1", "3,1"]
+    assert '"backend": "float"' in comments[0]
+
+
+def test_float_backend_coherent_decides_incoherent_paths(tmp_path, capsys):
+    path = write_poly(tmp_path, zoo.cross_polytope(4))
+    code, out, err = run(capsys, "--backend", "float", "coherent", path,
+                         "--direction", "1,2,3,4")
+    assert code == 0, err
+    assert parse_csv(out)[0][1:] == ["2,6", "3,12", "4,8"]
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
@@ -90,6 +115,15 @@ def test_float_backend_reads_fraction_strings(tmp_path, capsys):
 def test_bad_number_string_exits_1(number, backend, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, number]]}))
+    code, _, err = run(capsys, "--backend", backend, "count", str(bad), "--direction", "1,2")
+    assert code == 1
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_non_finite_number_exits_1(backend, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, Infinity]]}')
     code, _, err = run(capsys, "--backend", backend, "count", str(bad), "--direction", "1,2")
     assert code == 1
     assert err.startswith("input error:")

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathspectra import (FLOAT, RATIONAL, DegeneracyError, GenericityError,
-                         InputError, Polytope, edge_graph, is_edge, is_generic,
-                         lower_path, orient, project2d, supporting_margin,
-                         upper_path)
+from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
+                         edge_graph, is_edge, is_generic, lower_path, orient,
+                         project2d, supporting_margin, upper_path)
 from pathspectra import exactgeom, zoo
 
-# edge graphs of the rational fixtures, recorded with the per-pair LP test
+# edge graphs of the fixtures, recorded with the per-pair LP test (p10-sphere's
+# on its float coordinates, with ties up to 1e-9)
 RECORDED_EDGES = json.loads(
     (Path(__file__).parent / "data" / "fixture_edges.json").read_text())
 
@@ -34,11 +34,11 @@ def test_duplicate_vertex():
 
 
 def test_json_round_trip_exact():
-    P = zoo.lopsided_cube(3)
-    Q = Polytope.from_json(P.to_json())
-    assert Q.vertices == P.vertices
-    assert Q.label == P.label
-    assert Q.dim == 3
+    for P in (zoo.lopsided_cube(3), zoo.p10_spherical()):
+        Q = Polytope.from_json(P.to_json())
+        assert Q.vertices == P.vertices
+        assert Q.label == P.label
+        assert Q.dim == 3
 
 
 def test_json_rejects_garbage():
@@ -123,7 +123,7 @@ def test_facet_incidence_matches_lp_oracle(points):
     assert len(kept) == 1 or exactgeom._facet_incidence(kept) is not None
     P = Polytope(points, on_nonvertex="strip")
     lp_vertices = [p for i, p in enumerate(kept)
-                   if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i, RATIONAL)]
+                   if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i)]
     assert list(P.vertices) == lp_vertices
     n = len(P.vertices)
     lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
@@ -203,15 +203,15 @@ def test_square_covered_twice_fails_only_the_orientation_check():
 
 
 def test_backend_agreement_on_integer_fixtures():
-    for builder in (zoo.cube, zoo.cross_polytope):
-        exact = builder(3)
-        approx = Polytope([tuple(map(float, v)) for v in exact.vertices],
-                          backend=FLOAT)
-        assert edge_graph(exact) == edge_graph(approx)
-    exact = zoo.p10()
-    approx = Polytope([tuple(map(float, v)) for v in exact.vertices],
-                      backend=FLOAT)
-    assert edge_graph(exact) == edge_graph(approx)
+    """Rounding to doubles is exact on integer coordinates and on p10-sphere's,
+    so the rounded polytope keeps the edge graph, and the per-pair LP test
+    agrees with it."""
+    for exact in (zoo.cube(3), zoo.cross_polytope(3), zoo.p10(), zoo.p10_spherical()):
+        rounded = Polytope([tuple(map(float, v)) for v in exact.vertices])
+        n = len(rounded.vertices)
+        assert edge_graph(rounded) == edge_graph(exact)
+        assert edge_graph(rounded) == [(i, j) for i, j in combinations(range(n), 2)
+                                       if rounded._is_edge_pair(i, j)]
 
 
 def test_is_generic_on_cube():
@@ -307,6 +307,8 @@ def test_project2d_cross_polytope_hull_is_at_most_hexagonal():
 def test_upper_path_cases():
     assert upper_path([(0, 0), (1, 1), (2, 0)]) == [0, 1, 2]
     assert upper_path([(0, 0), (1, -1), (2, 0)]) == [0, 2]
+    # floats at their exact value: a rise of 1e-12 is a strict turn, not a tie
+    assert upper_path([(0.0, 0.0), (1.0, 1e-12), (2.0, 0.0)]) == [0, 1, 2]
     with pytest.raises(InputError):
         upper_path([(0, 0)])
 
@@ -335,7 +337,7 @@ def test_collinear_points_are_not_chain_vertices():
 def test_exact_simplex_alone_decides_vertices_and_edges(highs_fails):
     P = zoo.lopsided_cube(3)
     n = len(P.vertices)
-    assert all(exactgeom._is_vertex_lp(P.vertices, i, RATIONAL) for i in range(n))
+    assert all(exactgeom._is_vertex_lp(P.vertices, i) for i in range(n))
     lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
     assert highs_fails
     assert lp_edges == P.edges()

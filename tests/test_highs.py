@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from scipy.optimize import linprog
 
 from pathspectra import coherent_spectrum, exactgeom, zoo
-from pathspectra.exactgeom import RATIONAL
 
 from test_exactgeom import _point_sets
 
@@ -72,10 +71,10 @@ def test_cone_escape_lps_match_linprog(points):
     with pytest.MonkeyPatch.context() as mp:
         direct, calls = _recorded(mp)
         vertices = [p for i, p in enumerate(kept)
-                    if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i, RATIONAL)]
+                    if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i)]
         for u, v in combinations(vertices, 2):
             gens = [tuple(a - b for a, b in zip(w, u)) for w in vertices if w not in (u, v)]
-            exactgeom._escapes_cone(gens, tuple(a - b for a, b in zip(v, u)), RATIONAL)
+            exactgeom._escapes_cone(gens, tuple(a - b for a, b in zip(v, u)))
     if len(kept) > 1:
         _assert_matches_linprog(direct, calls)
 

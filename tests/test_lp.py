@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathspectra import FLOAT, RATIONAL, InputError, exactgeom, lp_maximize
+from pathspectra import InputError, exactgeom, lp_maximize
 
 
 def test_single_binding_constraint():
@@ -48,14 +48,6 @@ def test_exact_rational_solution():
          ([1, 0], ">=", 0), ([0, 1], ">=", 0)])
     assert res.status == "optimal"
     assert res.objective == Fraction(1, 2)
-
-
-def test_float_backend_matches_rational():
-    constraints = [([2, 1], "<=", 4), ([1, 3], "<=", 6), ([1, 0], ">=", 0), ([0, 1], ">=", 0)]
-    exact = lp_maximize([3, 2], constraints, backend=RATIONAL)
-    approx = lp_maximize([3, 2], constraints, backend=FLOAT)
-    assert approx.status == "optimal"
-    assert abs(float(exact.objective) - approx.objective) < 1e-9
 
 
 def test_duality_spot_check():
