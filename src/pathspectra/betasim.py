@@ -19,6 +19,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from .errors import InputError
+from .exactgeom import _monotone_chains
 
 
 @dataclass(frozen=True)
@@ -139,25 +140,9 @@ def _throwaway_filter(xy: np.ndarray) -> np.ndarray:
 
 
 def _hull_chains(xy: np.ndarray):
-    """Lower and upper hull chains (Andrew's monotone chain) of the points.
-
-    Both run between the lexicographic minimum and maximum of the distinct
-    points, the lower one from the minimum, the upper one from the maximum;
-    points on a hull edge but not at its ends are left out.
-    """
-    pts = sorted(set(map(tuple, _throwaway_filter(xy))))
-
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2 and (
-                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    return half(pts), half(pts[::-1])
+    """Lower and upper hull chains of the distinct points that survive the
+    throwaway filter, from `exactgeom._monotone_chains`."""
+    return _monotone_chains(sorted(set(map(tuple, _throwaway_filter(xy)))))
 
 
 def chain_counts(xy) -> tuple:
@@ -414,8 +399,11 @@ def clt_check(config: SimConfig) -> CLTResult:
     The edge count is integer valued, so the raw distance cannot drop below
     roughly 0.2 / std no matter how normal the law becomes; `ks_smoothed`
     removes that lattice floor by a deterministic continuity correction
-    (uniform jitter on [-1/2, 1/2] before standardizing).
+    (uniform jitter on [-1/2, 1/2] before standardizing).  A standard
+    deviation needs at least two trials.
     """
+    if config.trials < 2:
+        raise InputError("the CLT check needs at least two trials")
     rep = simulate_Qn(config)
     ups = np.array(rep.f1_up, dtype=float)
     mean = float(ups.mean())

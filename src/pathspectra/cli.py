@@ -169,7 +169,7 @@ def cmd_coherent(args):
     manifest = _manifest(args, inputs=[args.polytope])
     summary = _spectrum_analytics(spec)
     if args.sample:
-        draw = sample_coherent(P, direction, args.sample, args.seed)
+        draw = sample_coherent(P, G, args.sample, args.seed)
         exact = {tuple(c["path"]) for c in certs}
         sampled = {tuple(p.vertex_indices) for p in draw.paths}
         summary["sampled_paths"] = len(sampled)

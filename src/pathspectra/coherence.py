@@ -235,15 +235,15 @@ def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpec
     return LengthSpectrum(counts)
 
 
-def sample_coherent(P: Polytope, c, samples: int, seed: int) -> SampleDraw:
-    """Shadow-walk with `samples` pseudo-random capture vectors.
+def sample_coherent(P: Polytope, G: DirectedGraph, samples: int, seed: int) -> SampleDraw:
+    """Shadow-walk the oriented graph `G` of P with `samples` pseudo-random
+    capture vectors.
 
     Every returned path is coherent (its omega captures it); degenerate draws
     (slope ties) are skipped and counted.  Deterministic under the seed.
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    G = orient(P, c)
     table = _arc_table(P, G)
     rng = random.Random(seed)
     found = set()

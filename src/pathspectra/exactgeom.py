@@ -21,9 +21,9 @@ positive degree everywhere, so the certified facets are all the facets.  A pair
 spans an edge iff the facets containing both meet in those two points alone,
 and a point is a vertex iff the facets containing it meet in that point alone.
 When Qhull fails, a coordinate overflows a float, or any check fails, the
-polytope falls back to one steered LP per point and per pair.  A
-`DirectedGraph` checks at construction that its source and sink are the only
-ones.
+polytope falls back to one max-least-slack LP per point and per pair, read as
+a Gordan alternative like a path's coherence.  A `DirectedGraph` checks at
+construction that its source and sink are the only ones.
 """
 from __future__ import annotations
 
@@ -198,11 +198,11 @@ def _direct_highs(core):
     """A `linprog(method="highs")` stand-in that solves on one reused `_Highs`.
 
     Its options are the ones `linprog` sets, passed once.  Each call builds
-    the model as `linprog` does (A_ub rows then A_eq rows, column-wise,
-    nonzeros only; infinite bounds as `kHighsInf`) and passes it whole, so no
-    state carries from one call to the next.  Status codes follow `linprog`,
-    including its demotion of an "optimal" point that violates the
-    constraints by more than 10 * sqrt(1e-9) to status 4.
+    the model as `linprog` does (the A_ub rows column-wise, nonzeros only;
+    infinite bounds as `kHighsInf`) and passes it whole, so no state carries
+    from one call to the next.  Status codes follow `linprog`, including its
+    demotion of an "optimal" point that violates the constraints by more than
+    10 * sqrt(1e-9) to status 4.
     """
     highs = core._Highs()
     options = core.HighsOptions()
@@ -219,21 +219,14 @@ def _direct_highs(core):
     inf = core.kHighsInf
     tol = np.sqrt(1e-9) * 10
 
-    def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
-              method="highs"):
+    def solve(c, A_ub=None, b_ub=None, bounds=(0, None), method="highs"):
         c = np.asarray(c, dtype=float)
         n = len(c)
-        a_ub = np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
-        a_eq = np.empty((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-        m_ub = len(a_ub)
-        eq = np.empty(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-        upper = np.concatenate((np.empty(0) if b_ub is None
-                                else np.asarray(b_ub, dtype=float), eq))
-        lower = np.concatenate((np.full(m_ub, -inf), eq))
+        cols = (np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)).T
+        upper = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float)
         box = np.broadcast_to(np.array(bounds, dtype=float), (n, 2))  # None -> nan
         lb = np.where(np.isnan(box[:, 0]), -inf, box[:, 0])
         ub = np.where(np.isnan(box[:, 1]), inf, box[:, 1])
-        cols = np.vstack((a_ub, a_eq)).T
         nonzero = cols != 0
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -245,7 +238,7 @@ def _direct_highs(core):
         lp.col_cost_ = c
         lp.col_lower_ = lb
         lp.col_upper_ = ub
-        lp.row_lower_ = lower
+        lp.row_lower_ = np.full(len(upper), -inf)
         lp.row_upper_ = upper
         if highs.passModel(lp) == core.HighsStatus.kError:
             status = codes[model_status.kModelError]
@@ -257,12 +250,10 @@ def _direct_highs(core):
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         row = np.array(solution.row_value)
-        if not (np.all((x >= lb - tol) & (x <= ub + tol))
-                and np.all(upper[:m_ub] - row[:m_ub] >= -tol)
-                and np.all(np.abs(eq - row[m_ub:]) <= tol)):
+        if not (np.all((x >= lb - tol) & (x <= ub + tol)) and np.all(upper - row >= -tol)):
             status = 4
         return SimpleNamespace(status=status, x=x, ineqlin=SimpleNamespace(
-            marginals=np.array(solution.row_dual[:m_ub])))
+            marginals=np.array(solution.row_dual)))
 
     return solve
 
@@ -332,35 +323,13 @@ def _float_row(row):
     """`row` as floats for HiGHS.  A row whose largest |entry| is at least 2^50
     is first divided exactly by 2^k, k the bit length of that entry, so the
     entry lies in [1/2, 1) and no float overflows; smaller rows are only
-    converted.  Scaling a row or a column by a positive factor keeps every
-    sign, support and certificate that is read off the LP."""
+    converted.  Scaling a row by a positive factor keeps every sign, and the
+    support of every certificate, that is read off the LP."""
     big = int(max(map(abs, row), default=0))
     if big < 2**50:
         return [float(x) for x in row]
     scale = 1 << big.bit_length()
     return [float(x / scale) for x in row]
-
-
-def _steered_feasible(columns, target):
-    """Exactly certified lam >= 0 with sum lam_k columns[k] = target, or None.
-
-    HiGHS proposes a support on the columns as `_float_row` scales them,
-    exact elimination on the unscaled columns certifies it; None means "no
-    certificate found", not "infeasible".
-    """
-    if not columns:
-        return [] if all(Fraction(t) == 0 for t in target) else None
-    try:
-        fcols = [_float_row(col) for col in columns]
-        ftarget = [float(x) for x in target]
-    except OverflowError:
-        return None
-    linprog = _highs()[0]
-    res = linprog(np.zeros(len(fcols)), A_eq=np.array(fcols).T,
-                  b_eq=np.array(ftarget), bounds=(0, None), method="highs")
-    if res.status != 0:
-        return None
-    return _certify_support(columns, [k for k, v in enumerate(res.x) if v > 1e-9], target)
 
 
 def _strict_interior(rows):
@@ -400,15 +369,16 @@ def _strict_interior(rows):
 def _escapes_cone(gens, target):
     """Whether target lies outside the cone spanned by gens.
 
-    A steered combination proves "inside", a steered y with
-    <y, g> < 0 < <y, target> for every generator g proves "outside", and the
-    exact simplex settles the rest.
+    One `_strict_interior` LP on the rows -g and target: a y with
+    <y, g> < 0 < <y, target> for every generator g proves "outside"; a Gordan
+    witness sum lam_g g = lam_t target with lam_t > 0 proves "inside"; the
+    exact simplex settles the rest, which includes a witness with lam_t = 0.
     """
-    if _steered_feasible(gens, target) is not None:
-        return False
-    y, _ = _strict_interior([[-x for x in g] for g in gens] + [target])
+    y, lam = _strict_interior([[-x for x in g] for g in gens] + [target])
     if y is not None:
         return True
+    if lam is not None and lam[-1] > 0:
+        return False
     return _feasible_nonneg(gens, target) is None
 
 
@@ -818,10 +788,10 @@ class Polytope:
             dim = data["dim"]
             verts = data["vertices"]
             label = data.get("label", "")
+            if any(len(v) != dim for v in verts):
+                raise InputError("vertex length disagrees with 'dim'")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InputError(f"bad polytope JSON: {exc}") from exc
-        if any(len(v) != dim for v in verts):
-            raise InputError("vertex length disagrees with 'dim'")
         return cls(verts, label=label, **kwargs)
 
     # -- edge graph
@@ -1003,6 +973,28 @@ def project2d(P: Polytope, c, omega):
     return [(dot(v, cv), dot(v, ov)) for v in P.vertices]
 
 
+def _monotone_chains(points):
+    """(lower, upper) hull chains of `points`, which are sorted
+    lexicographically (Andrew's monotone chain).
+
+    Only entries 0 and 1 of a point are read, so floats and Fractions both
+    work and later entries ride along.  The lower chain runs from the first
+    point to the last, the upper one back; a point on a hull edge but not at
+    its ends is left out.
+    """
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(points), half(points[::-1])
+
+
 def upper_path(points):
     """Indices of hull vertices on the upper chain, by increasing first coordinate.
 
@@ -1015,22 +1007,9 @@ def upper_path(points):
     if len(points) < 2:
         raise InputError("need at least two points")
     pts = [tuple(_rational(x) for x in p) for p in points]
-    order = sorted(range(len(pts)), key=lambda k: (pts[k][0], pts[k][1], k))
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def chain(idxs):
-        out = []
-        for k in idxs:
-            while len(out) >= 2 and cross(pts[out[-2]], pts[out[-1]], pts[k]) <= 0:
-                out.pop()
-            out.append(k)
-        return out
-
-    lower = chain(order)
-    upper = chain(list(reversed(order)))
-    hull = set(lower) | set(upper)
+    lower, upper = _monotone_chains(sorted((p[0], p[1], k) for k, p in enumerate(pts)))
+    upper = [q[2] for q in reversed(upper)]
+    hull = {q[2] for q in lower} | set(upper)
     for k in hull:
         for other in range(len(pts)):
             if other != k and pts[other] == pts[k]:
@@ -1040,7 +1019,7 @@ def upper_path(points):
         if pts[a][0] == pts[b][0]:
             raise DegeneracyError(
                 f"hull vertices {a} and {b} share the first coordinate")
-    return list(reversed(upper))
+    return upper
 
 
 def lower_path(points):

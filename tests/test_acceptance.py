@@ -239,7 +239,7 @@ def test_sampler_contained_in_exact_coherent_set(ass5_pack):
         {p for p, _ in ass5_pack["pairs"]},
     ]
     for (P, c), exact in zip(cases, exact_sets):
-        draw = sample_coherent(P, c, 10_000, seed=SEED)
+        draw = sample_coherent(P, orient(P, c), 10_000, seed=SEED)
         assert draw.paths <= exact, P.label
     report("10k sampled capture vectors never produce a path outside the exact coherent set (3 fixtures)", True)
 

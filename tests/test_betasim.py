@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from pathspectra import Polytope, shadow_path
 from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
                                  cap_measure, cap_measure_asymptotic,
                                  chain_counts, clt_check, estimate_growth_exponent,
@@ -71,6 +73,19 @@ def test_chain_counts_basic_shapes():
     assert chain_counts([(0, 0), (1, 1), (2, 2), (3, 0)]) == (3, 2, 1)
     with pytest.raises(InputError):
         chain_counts([(0, 0)])
+
+
+@pytest.mark.parametrize("n", [8, 15, 30])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_exact_shadow_path_matches_upper_chain_count(d, n):
+    """The exact engine and the Monte Carlo engine agree: on the exact dyadic
+    points of a sphere sample, the shadow walk along (e1, e2) takes as many
+    edges as the float upper chain of the points' first two coordinates."""
+    e1, e2 = (1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2)
+    for trial in range(4):
+        pts = sample_sphere(d, n, _rng(11, trial))
+        P = Polytope([[Fraction(x) for x in p] for p in pts])
+        assert shadow_path(P, e1, e2).length == chain_counts(pts[:, :2])[1]
 
 
 def test_chain_identity_on_random_samples():

@@ -72,6 +72,11 @@ def test_count_bad_file_exits_1(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, "count", str(tmp_path / "missing.json"), "--direction", "1")
     assert code == 1
+    for vertices in ("[1, 2]", "5"):
+        bad.write_text(f'{{"dim": 1, "vertices": {vertices}}}')
+        code, _, err = run(capsys, "count", str(bad), "--direction", "1")
+        assert code == 1
+        assert err.startswith("input error:")
 
 
 def test_float_backend_reads_fraction_strings(tmp_path, capsys):
@@ -150,6 +155,23 @@ def test_coherent_cross3_with_sampling(tmp_path, capsys):
     data = json.loads(certs.read_text())
     assert len(data["certificates"]) == 8
     assert all("omega" in c and "margin" in c for c in data["certificates"])
+
+
+def test_coherent_sampling_keeps_dropped_level_ties(tmp_path, capsys):
+    """The sampler walks the graph `--allow-level-ties` oriented, so it drops
+    the same level edges instead of rejecting the direction."""
+    path = write_poly(tmp_path, zoo.s_hypersimplex(4, [2, 4]))
+    flags = ("coherent", path, "--direction", "1,1,1,1", "--allow-level-ties")
+    code, out, err = run(capsys, *flags)
+    assert code == 0, err
+    assert parse_csv(out)[0][1:] == ["2,6"]
+    code, out, err = run(capsys, *flags, "--sample", "10")
+    assert code == 0, err
+    rows, comments = parse_csv(out)
+    assert rows[1:] == ["2,6"]
+    summary = json.loads(
+        [c for c in comments if c.startswith("# summary:")][0].split(": ", 1)[1])
+    assert summary["sample_contained"] is True
 
 
 @pytest.mark.parametrize("name, P, direction", [
@@ -329,3 +351,11 @@ def test_diffmoment_and_cltcheck_and_floatbody(capsys):
     assert code == 0
     rows, _ = parse_csv(out)
     assert len(rows) == 21
+
+
+def test_cltcheck_needs_two_trials(capsys):
+    code, out, err = run(capsys, "--format", "json", "cltcheck", "--d", "5", "--n", "50",
+                         "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")

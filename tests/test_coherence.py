@@ -120,22 +120,23 @@ def test_shadow_path_slope_tie_is_degenerate():
 
 def test_sampling_lopsided_cube_recovers_all_six_paths():
     P = zoo.lopsided_cube(3)
-    draw = sample_coherent(P, (1, 1, 1), 400, seed=7)
+    draw = sample_coherent(P, orient(P, (1, 1, 1)), 400, seed=7)
     assert len(draw.paths) == 6
 
 
 def test_sampling_is_deterministic_and_contained():
     P = zoo.cube(3)
     c = (1, 1, 1)
-    one = sample_coherent(P, c, 1, seed=3)
+    G = orient(P, c)
+    one = sample_coherent(P, G, 1, seed=3)
     assert len(one.paths) == 1
-    again = sample_coherent(P, c, 200, seed=3)
-    twice = sample_coherent(P, c, 200, seed=3)
+    again = sample_coherent(P, G, 200, seed=3)
+    twice = sample_coherent(P, G, 200, seed=3)
     assert again.paths == twice.paths
     exact = {p for p, _ in coherent_paths(P, c)}
     assert again.paths <= exact
     with pytest.raises(InputError):
-        sample_coherent(P, c, 0, seed=1)
+        sample_coherent(P, G, 0, seed=1)
 
 
 def test_coherent_totals_dominated_pointwise():
@@ -223,7 +224,8 @@ def test_sample_coherent_matches_recorded_draws(name, seed):
     """300 draws per input, recorded with the walk on `Fraction` slopes."""
     recorded = json.loads((Path(__file__).parent / "data" / "sampled_paths.json").read_text())
     build, c = _SAMPLED[name]
-    draw = sample_coherent(build(), c, 300, seed)
+    P = build()
+    draw = sample_coherent(P, orient(P, c), 300, seed)
     assert sorted(list(p.vertex_indices) for p in draw.paths) == recorded[f"{name}@{seed}"]["paths"]
     assert draw.degenerate == recorded[f"{name}@{seed}"]["degenerate"]
 

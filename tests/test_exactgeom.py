@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
@@ -46,6 +47,9 @@ def test_json_rejects_garbage():
         Polytope.from_json("{not json")
     with pytest.raises(InputError):
         Polytope.from_json('{"dim": 3, "vertices": [[1, 2]]}')
+    for vertices in ("[1, 2]", "5"):
+        with pytest.raises(InputError):
+            Polytope.from_json(f'{{"dim": 1, "vertices": {vertices}}}')
 
 
 def test_cross_polytope_antipodal_pair_is_not_an_edge():
@@ -341,3 +345,82 @@ def test_exact_simplex_alone_decides_vertices_and_edges(highs_fails):
     lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
     assert highs_fails
     assert lp_edges == P.edges()
+
+
+# fixtures whose vertex and edge questions the LP route answers below
+_ROUTE_FIXTURES = ("cube3", "cross4", "p10", "p10-sphere", "lopsided4", "hyp2-5", "complex-x4")
+
+
+def _route_questions(points):
+    """(question, the facet incidence's answer) for each point of `points`
+    being a vertex and each pair of the vertices spanning an edge."""
+    P = Polytope(points, on_nonvertex="strip")
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    edges = set(P.edges())
+    return ([(partial(exactgeom._is_vertex_lp, kept, i), p in P.vertices)
+             for i, p in enumerate(kept)]
+            + [(partial(P._is_edge_pair, i, j), (i, j) in edges)
+               for i, j in combinations(range(len(P.vertices)), 2)])
+
+
+def _asked(questions, mp):
+    """(verdict, expected, HiGHS calls, exact-simplex calls) of each question."""
+    solve, np_ = exactgeom._highs()
+    lp_maximize = exactgeom.lp_maximize
+    calls = [0, 0]
+
+    def highs(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    def exact(*args, **kwargs):
+        calls[1] += 1
+        return lp_maximize(*args, **kwargs)
+    mp.setattr(exactgeom, "_highs_handle", (highs, np_))
+    mp.setattr(exactgeom, "lp_maximize", exact)
+    answers = []
+    for ask, expected in questions:
+        before = list(calls)
+        verdict = ask()
+        answers.append((verdict, expected, calls[0] - before[0], calls[1] - before[1]))
+    return answers
+
+
+@pytest.mark.parametrize("name", _ROUTE_FIXTURES)
+def test_lp_route_asks_one_highs_lp_per_question(name, monkeypatch):
+    questions = _route_questions(zoo.fixture(name).polytope.vertices)
+    for verdict, expected, highs, simplex in _asked(questions, monkeypatch):
+        assert (verdict, highs, simplex) == (expected, 1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets())
+def test_lp_route_asks_one_highs_lp_per_question_on_point_sets(points):
+    questions = _route_questions(points)
+    with pytest.MonkeyPatch.context() as mp:
+        answers = _asked(questions, mp)
+    for verdict, expected, highs, _ in answers:
+        assert (verdict, highs) == (expected, 1)
+
+
+def _assert_decided_without_duals(questions, mp):
+    """Without row duals no Gordan witness is read: "outside" still comes from
+    HiGHS's strict y, and each "inside" from one exact-simplex call."""
+    for verdict, expected, highs, simplex in _asked(questions, mp):
+        assert (verdict, highs, simplex) == (expected, 1, 0 if expected else 1)
+
+
+@pytest.mark.parametrize("name", _ROUTE_FIXTURES)
+def test_lp_route_without_duals_decides_through_the_exact_simplex(name, request, monkeypatch):
+    questions = _route_questions(zoo.fixture(name).polytope.vertices)
+    request.getfixturevalue("highs_without_duals")
+    _assert_decided_without_duals(questions, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_point_sets())
+def test_lp_route_without_duals_on_point_sets(highs_without_duals, points):
+    questions = _route_questions(points)
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_decided_without_duals(questions, mp)

@@ -99,17 +99,18 @@ def test_without_core_the_route_is_linprog(monkeypatch, caplog):
 def test_infeasible_and_equality_lps_match_linprog():
     direct, _ = exactgeom._highs()
     lps = [
-        # x0 + x1 = -1 with x >= 0
-        ((np.zeros(2),), dict(A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([-1.0]),
+        # x0 + x1 <= -1 with x >= 0
+        ((np.zeros(2),), dict(A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([-1.0]),
                               bounds=(0, None))),
-        # x0 + x1 = 1, x0 - x1 <= 0.5, maximize x0
-        ((np.array([-1.0, 0.0]),), dict(A_ub=np.array([[1.0, -1.0]]), b_ub=np.array([0.5]),
-                                        A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
+        # x0 + x1 = 1 as two inequalities, x0 - x1 <= 0.5, maximize x0
+        ((np.array([-1.0, 0.0]),), dict(A_ub=np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]]),
+                                        b_ub=np.array([0.5, 1.0, -1.0]),
                                         bounds=[(0, 1), (None, None)])),
         # unbounded below
         ((np.array([-1.0]),), dict(A_ub=np.array([[-1.0]]), b_ub=np.array([0.0]),
                                    bounds=(0, None))),
     ]
-    for args, kwargs in lps:
-        _assert_same(direct(*args, method="highs", **kwargs),
-                     linprog(*args, method="highs", **kwargs))
+    for (args, kwargs), status in zip(lps, (2, 0, 3)):
+        res = direct(*args, method="highs", **kwargs)
+        assert res.status == status
+        _assert_same(res, linprog(*args, method="highs", **kwargs))
