@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import InputError
 from .exactgeom import _monotone_chains
@@ -142,7 +142,7 @@ def _throwaway_filter(xy: np.ndarray) -> np.ndarray:
 def _hull_chains(xy: np.ndarray):
     """Lower and upper hull chains of the distinct points that survive the
     throwaway filter, from `exactgeom._monotone_chains`."""
-    return _monotone_chains(sorted(set(map(tuple, _throwaway_filter(xy)))))
+    return _monotone_chains(sorted(set(map(tuple, _throwaway_filter(xy).tolist()))))
 
 
 def chain_counts(xy) -> tuple:
@@ -222,7 +222,7 @@ def estimate_growth_exponent(d: int, n_grid, trials: int, seed: int) -> GrowthFi
     dof = len(grid) - 2
     sxx = float(((xs - xs.mean()) ** 2).sum())
     stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx) if dof > 0 else 0.0
-    width = stats.t.ppf(0.975, dof) * stderr if dof > 0 else math.inf
+    width = special.stdtrit(dof, 0.975) * stderr if dof > 0 else math.inf
     return GrowthFit(slope=float(slope), stderr=stderr,
                      ci_low=float(slope - width), ci_high=float(slope + width),
                      points=tuple(zip(grid, means)))
@@ -430,4 +430,4 @@ def projection_chi_square(d: int, n: int, seed: int, bins: int = 24):
     counts, _ = np.histogram(radii, bins=np.concatenate(([0.0], edges, [1.0])))
     expected = n / bins
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, float(stats.chi2.sf(stat, bins - 1))
+    return stat, float(special.chdtrc(bins - 1, stat))

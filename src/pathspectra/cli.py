@@ -86,10 +86,18 @@ def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
 def _write(args, text):
     """Write text to --out, or to stdout when it is not given."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path, text):
+    """Write text to path; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_direction(text, dim):
@@ -177,8 +185,8 @@ def cmd_coherent(args):
         summary["sample_contained"] = sampled <= exact
     cert_path = args.certificates or (args.out + ".certs.json" if args.out else None)
     if cert_path:
-        with open(cert_path, "w") as fh:
-            json.dump({"manifest": asdict(manifest), "certificates": certs}, fh, indent=2)
+        _write_file(cert_path, json.dumps(
+            {"manifest": asdict(manifest), "certificates": certs}, indent=2))
     _emit(args, manifest, spec.to_csv_rows(), ("length", "count"), summary=summary)
     return 0
 

@@ -51,10 +51,10 @@ _log = logging.getLogger(__name__)
 
 def _rational(x) -> Fraction:
     """x as an exact Fraction: an int or a float at its exact value, a string
-    as an integer, decimal or "p/q"."""
+    as an integer, decimal or "p/q".  A bool is not a number here."""
     if isinstance(x, Fraction):
         return x
-    if not isinstance(x, (int, float, str)):
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise InputError(f"cannot coerce {x!r} to a rational")
     try:
         return Fraction(x)
@@ -77,83 +77,48 @@ class LPResult:
     solution: Optional[tuple] = None
 
 
-class _Simplex:
-    """Dense tableau simplex.  Columns: decision part then slack/artificial.
+def _simplex(rows, basis, cost, banned):
+    """Maximize cost . x over a dense tableau, pivoting `rows` (coefficients,
+    then the rhs) and `basis` (the basic column of each row) in place; returns
+    (status, objective).
 
-    Bland's rule (least-index entering, least basis-index on ratio ties)
-    guarantees termination, which exact arithmetic turns into a decision
-    procedure.
+    Bland's rule (least-index entering column, least basis index on ratio
+    ties) guarantees termination, which exact arithmetic turns into a decision
+    procedure.  Columns in `banned` (the artificials) never enter.
     """
-
-    def __init__(self):
-        self.rows = []       # each: list of coefficients + rhs last
-        self.basis = []
-        self.ncols = 0
-        self.banned = set()  # artificial columns may never re-enter
-
-    def solve(self, cost):
-        """Maximize cost over the current rows; return (status, objective_delta).
-
-        `cost` has one entry per column.
-        """
-        rows, basis = self.rows, self.basis
-        m = len(rows)
-        # reduced cost row: c_j - c_B . B^-1 A_j
-        cr = list(cost)
-        obj = Fraction(0)
-        for i in range(m):
-            cb = cr[basis[i]]
-            if cb != 0:
-                row = rows[i]
-                for j in range(self.ncols):
-                    cr[j] -= cb * row[j]
-                obj += cb * row[self.ncols]
-                cr[basis[i]] = Fraction(0)
-        while True:
-            enter = -1
-            for j in range(self.ncols):
-                if j not in self.banned and cr[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal", obj
-            leave, best, bestvar = -1, None, None
-            for i in range(m):
-                a = rows[i][enter]
-                if a > 0:
-                    ratio = rows[i][self.ncols] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < bestvar):
-                        leave, best, bestvar = i, ratio, basis[i]
-            if leave < 0:
-                return "unbounded", obj
-            obj += cr[enter] * best
-            self._pivot(leave, enter, cr)
-
-    def _pivot(self, i, j, cr):
-        rows = self.rows
-        width = self.ncols + 1
-        piv = rows[i][j]
+    ncols = len(cost)
+    cr = list(cost)  # reduced costs c_j - c_B . B^-1 A_j
+    obj = Fraction(0)
+    for row, b in zip(rows, basis):
+        cb = cr[b]
+        if cb != 0:
+            cr = [a - cb * x for a, x in zip(cr, row)]
+            obj += cb * row[ncols]
+            cr[b] = Fraction(0)
+    while True:
+        enter = next((j for j in range(ncols) if j not in banned and cr[j] > 0), None)
+        if enter is None:
+            return "optimal", obj
+        leave, best = None, None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[ncols] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            return "unbounded", obj
+        obj += cr[enter] * best
+        piv = rows[leave][enter]
         if piv != 1:
-            inv = piv
-            rows[i] = [x / inv for x in rows[i]]
-        prow = rows[i]
-        for k in range(len(rows)):
-            if k != i:
-                f = rows[k][j]
-                if f != 0:
-                    rk = rows[k]
-                    rows[k] = [rk[t] - f * prow[t] for t in range(width)]
-        f = cr[j]
-        if f != 0:
-            for t in range(self.ncols):
-                cr[t] -= f * prow[t]
-        self.basis[i] = j
-
-    def value_of(self, col):
-        for i, b in enumerate(self.basis):
-            if b == col:
-                return self.rows[i][self.ncols]
-        return Fraction(0)
+            rows[leave] = [x / piv for x in rows[leave]]
+        top = rows[leave]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if i != leave and f != 0:
+                rows[i] = [a - f * b for a, b in zip(row, top)]
+        f = cr[enter]
+        cr = [a - f * b for a, b in zip(cr, top)]
+        basis[leave] = enter
 
 
 def _feasible_nonneg(columns, target):
@@ -265,41 +230,46 @@ def _over_common_denominator(y):
     return [x.numerator * (den // x.denominator) for x in y], den
 
 
-def _solve_on_support(columns, support, target):
-    """Exact particular solution of the subsystem restricted to `support`, or None.
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination of the integer `rows`, in place, over their
+    first `ncols` columns; returns the pivot columns, the k-th held by row k.
 
-    Gauss-Jordan elimination on integers: each equation is scaled to integer
-    coefficients and every combined row divided by its gcd, so the pivots and
-    the solution (free variables zero) are those of the rational elimination.
+    Every combined row is divided by its gcd.  Scaling a row by a nonzero
+    integer keeps its zero pattern, so the pivots, and the ratios read off the
+    reduced rows, are those of the rational elimination.
     """
-    m = len(target)
-    s = len(support)
-    aug = [_over_common_denominator([Fraction(columns[k][i]) for k in support]
-                                   + [Fraction(target[i])])[0] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(s):
-        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if p is None:
             continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pivot_row = aug[r]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f, g = aug[i][c], pivot_row[c]
-                row = [g * a - f * b for a, b in zip(aug[i], pivot_row)]
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                row = [top[c] * a - f * b for a, b in zip(row, top)]
                 k = gcd(*row)
-                aug[i] = [x // k for x in row] if k > 1 else row
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][s] != 0:
-            return None
-    lam = [Fraction(0)] * s
-    for row_i, c in enumerate(piv_cols):
-        lam[c] = Fraction(aug[row_i][s], aug[row_i][c])
+                rows[i] = [x // k for x in row] if k > 1 else row
+        pivots.append(c)
+    return pivots
+
+
+def _solve_on_support(columns, support, target):
+    """Exact particular solution of the subsystem restricted to `support`
+    (free variables zero), or None; each equation is scaled to integer
+    coefficients for `_row_reduce`."""
+    aug = [_over_common_denominator([Fraction(columns[k][i]) for k in support]
+                                   + [Fraction(t)])[0] for i, t in enumerate(target)]
+    pivots = _row_reduce(aug, len(support))
+    if any(row[-1] for row in aug[len(pivots):]):
+        return None
+    lam = [Fraction(0)] * len(support)
+    for row, c in zip(aug, pivots):
+        lam[c] = Fraction(row[-1], row[c])
     return lam
 
 
@@ -427,11 +397,9 @@ def lp_maximize(objective, constraints, box=None) -> LPResult:
     def to_y(coeffs):
         return [coeffs[j] * s for j, s in colmap]
 
-    sp = _Simplex()
     slack_total = sum(1 for _, rel, _ in rows if rel != "==")
-    art_cols = []
+    tableau, basis, art_cols = [], [], []
     width = ny + slack_total + len(rows)  # upper bound; artificials allocated lazily
-    sp.ncols = width
     scol = ny
     for coeffs, rel, rhs in rows:
         r = to_y(coeffs)
@@ -444,13 +412,10 @@ def lp_maximize(objective, constraints, box=None) -> LPResult:
             r = [-x for x in r]
             b = -b
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        full = [zero] * width
-        for j, v in enumerate(r):
-            full[j] = v
+        full = r + [zero] * (width - ny)
         if rel == "<=":
             full[scol] = one
-            sp.rows.append(full + [b])
-            sp.basis.append(scol)
+            basis.append(scol)
             scol += 1
         else:
             if rel == ">=":
@@ -459,27 +424,27 @@ def lp_maximize(objective, constraints, box=None) -> LPResult:
             # place the artificial in the next free column
             acol = width - len(rows) + len(art_cols)
             full[acol] = one
-            sp.rows.append(full + [b])
-            sp.basis.append(acol)
+            basis.append(acol)
             art_cols.append(acol)
-            sp.banned.add(acol)
+        tableau.append(full + [b])
 
     if art_cols:
         cost1 = [zero] * width
         for a in art_cols:
             cost1[a] = -one
-        status, obj1 = sp.solve(cost1)
+        status, obj1 = _simplex(tableau, basis, cost1, art_cols)
         if status != "optimal" or obj1 < 0:
             return LPResult("infeasible")
     cost2 = [zero] * width
     for k, (j, s) in enumerate(colmap):
         cost2[k] = obj[j] * s
-    status, value = sp.solve(cost2)
+    status, _ = _simplex(tableau, basis, cost2, art_cols)
     if status == "unbounded":
         return LPResult("unbounded")
+    values = {b: row[width] for b, row in zip(basis, tableau)}
     x = list(offsets)
     for k, (j, s) in enumerate(colmap):
-        x[j] = x[j] + s * sp.value_of(k)
+        x[j] += s * values.get(k, zero)
     return LPResult("optimal", dot(obj, x), tuple(x))
 
 
@@ -528,24 +493,12 @@ def _affine_coordinates(points):
 
     Exact row reduction of the differences v_k - v_0 picks r coordinates on
     which the affine hull projects injectively; the projection therefore maps
-    faces to faces, and clearing denominators afterwards keeps that so.
+    faces to faces, and clearing denominators keeps that so.
     """
-    scale = lcm(*(x.denominator for p in points for x in p))
-    ints = [[x.numerator * (scale // x.denominator) for x in p] for p in points]
-    rows = [[a - b for a, b in zip(p, ints[0])] for p in ints[1:]]
-    pivots = []
-    for c in range(len(ints[0])):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i] = [a * top[c] - f * b for a, b in zip(rows[i], top)]
-        pivots.append(c)
+    d = len(points[0])
+    flat, _ = _over_common_denominator([x for p in points for x in p])
+    ints = [flat[k:k + d] for k in range(0, len(flat), d)]
+    pivots = _row_reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]], d)
     return [tuple(p[c] for c in pivots) for p in ints]
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,6 +79,39 @@ def test_count_bad_file_exits_1(tmp_path, capsys):
         code, _, err = run(capsys, "count", str(bad), "--direction", "1")
         assert code == 1
         assert err.startswith("input error:")
+    bad.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, true]]}')
+    code, _, err = run(capsys, "count", str(bad), "--direction", "1,2")
+    assert code == 1
+    assert err.startswith("input error:")
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    path = write_poly(tmp_path, zoo.simplex(3))
+    target = str(tmp_path / "missing" / "x.csv")
+    code, _, err = run(capsys, "--out", target, "count", path, "--direction", "1,2,3")
+    assert code == 1
+    assert err.startswith(f"input error: cannot write {target}:")
+
+
+def test_unwritable_certificates_exit_1(tmp_path, capsys):
+    path = write_poly(tmp_path, zoo.simplex(3))
+    target = str(tmp_path / "missing" / "c.json")
+    code, _, err = run(capsys, "coherent", path, "--direction", "1,2,3",
+                       "--certificates", target)
+    assert code == 1
+    assert err.startswith(f"input error: cannot write {target}:")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """The CLI's imports, and the HiGHS handle, do not pull in scipy.stats."""
+    src = str(Path(exactgeom.__file__).parents[1])
+    probe = ("import sys\n"
+             "from pathspectra import cli, exactgeom\n"
+             "exactgeom._highs()\n"
+             "print('scipy.stats' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_float_backend_reads_fraction_strings(tmp_path, capsys):
@@ -179,6 +214,12 @@ def test_coherent_sampling_keeps_dropped_level_ties(tmp_path, capsys):
     ("cyclic4-8", zoo.cyclic(4, range(1, 9)), "1,0,0,0"),
 ])
 def test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_path, capsys):
+    assert_matches_recorded(f"coherent_{name}", P, direction, tmp_path, capsys)
+
+
+def assert_matches_recorded(stem, P, direction, tmp_path, capsys):
+    """`coherent --certificates` prints `tests/data/<stem>.csv` (less its
+    manifest line) and writes the certificates of `<stem>.certs.json`."""
     data = Path(__file__).parent / "data"
     certs = tmp_path / "certs.json"
     code, out, _ = run(capsys, "coherent", write_poly(tmp_path, P), "--direction", direction,
@@ -186,9 +227,21 @@ def test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_p
     assert code == 0
     table = "".join(line + "\n" for line in out.splitlines()
                     if not line.startswith("# manifest:"))
-    assert table == (data / f"coherent_{name}.csv").read_text()
+    assert table == (data / f"{stem}.csv").read_text()
     recorded = json.dumps(json.loads(certs.read_text())["certificates"], indent=2) + "\n"
-    assert recorded == (data / f"coherent_{name}.certs.json").read_text()
+    assert recorded == (data / f"{stem}.certs.json").read_text()
+
+
+@pytest.mark.parametrize("name, P, direction", [
+    ("lopsided3", zoo.lopsided_cube(3), "1,1,1"),
+    ("cyclic4-8", zoo.cyclic(4, range(1, 9)), "1,0,0,0"),
+])
+def test_exact_simplex_matches_recorded_certificates(name, P, direction, tmp_path, capsys,
+                                                     highs_fails):
+    """With every HiGHS call failing, each path's omega is the exact
+    simplex's optimum, which pins its pivot order."""
+    assert_matches_recorded(f"coherent_{name}.exact", P, direction, tmp_path, capsys)
+    assert highs_fails
 
 
 @pytest.mark.parametrize("name, P, direction", [

@@ -50,6 +50,8 @@ def test_json_rejects_garbage():
     for vertices in ("[1, 2]", "5"):
         with pytest.raises(InputError):
             Polytope.from_json(f'{{"dim": 1, "vertices": {vertices}}}')
+    with pytest.raises(InputError, match="True"):
+        Polytope.from_json('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, true]]}')
 
 
 def test_cross_polytope_antipodal_pair_is_not_an_edge():
