@@ -114,29 +114,74 @@ def radial_cdf(beta: float, r: float) -> float:
 # Planar hulls
 # ---------------------------------------------------------------------------
 
-_AT_DIRECTIONS = np.array([(1, 0), (0, 1), (-1, 0), (0, -1),
-                           (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+# 32 evenly spaced directions, counterclockwise from the positive x axis
+_DIRECTIONS = np.exp(2j * np.pi * np.arange(32) / 32).view(float).reshape(32, 2)
+_BLOCK = 4096  # points per block of the edge test, so that memory stays bounded
+
+
+def _next(a):
+    """np.roll(a, -1), without its overhead."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _cut(xy, r2, ax, ay):
+    """The points of `xy` (squared norms `r2`), and their `r2`, on or outside
+    some edge line of the counterclockwise polygon (ax, ay) of points of `xy`.
+
+    The points closer to the origin than (1 - 1e-9) times the polygon's
+    inscribed radius about it go first, in one pass and without an edge test;
+    when the origin is not strictly inside, none do.  Then one broadcast
+    cross-product test against all edges decides the rest.  A polygon of
+    fewer than three distinct vertices keeps every point.  A point strictly
+    left of every edge of a closed polygon of points of `xy` lies strictly
+    inside their hull, whatever the order of the vertices, so no hull vertex
+    is dropped.
+    """
+    last = (ax != _next(ax)) | (ay != _next(ay))  # the last of each run of repeats
+    ax, ay = ax[last], ay[last]
+    if len(ax) < 3:
+        return xy, r2
+    bx, by = _next(ax), _next(ay)
+    # the origin's distance to each edge line, less a bound on its rounding
+    slack = 4 * np.finfo(float).eps * (np.abs(ax * by) + np.abs(ay * bx))
+    r = ((ax * by - ay * bx - slack) / np.hypot(bx - ax, by - ay)).min()
+    if r > 0:
+        keep = r2 >= (r * (1 - 1e-9)) ** 2
+        xy, r2 = xy[keep], r2[keep]
+    ex, ey = bx - ax, by - ay
+    # one row per edge, one column per point
+    keep = np.concatenate([((ex[:, None] * (b[:, 1] - ay[:, None])
+                             - ey[:, None] * (b[:, 0] - ax[:, None])) <= 0.0).any(axis=0)
+                           for b in np.split(xy, range(_BLOCK, len(xy), _BLOCK))])
+    return xy[keep], r2[keep]
 
 
 def _throwaway_filter(xy: np.ndarray) -> np.ndarray:
-    """Drop points strictly inside the polygon of the 8 directional extremes;
-    hull vertices always survive."""
+    """Drop points strictly inside polygons of the points' own directional
+    extremes (the Akl-Toussaint heuristic); hull vertices always survive.
+
+    One pass over all n points finds the extremes in the 8 octagon directions
+    (argmax and argmin of x, y, x + y and x - y), and `_cut` drops the points
+    strictly inside their polygon, most of them by its inscribed disk.  The
+    extremes of the few points left in 32 evenly spaced directions make a
+    finer polygon, and `_cut` runs again.  Non-finite coordinates are an
+    InputError.
+    """
+    x = np.ascontiguousarray(xy[:, 0])
+    y = np.ascontiguousarray(xy[:, 1])
+    east, north, west, south = x.argmax(), y.argmax(), x.argmin(), y.argmin()
+    # a NaN is the argmax and the argmin
+    if not np.isfinite([x[east], y[north], x[west], y[south]]).all():
+        raise InputError("planar points must be finite")
     if len(xy) <= 16:
         return xy
-    scores = xy @ _AT_DIRECTIONS.T
-    extreme_idx = np.unique(np.argmax(scores, axis=0))
-    extremes = xy[extreme_idx]
-    if len(extremes) < 3:
-        return xy
-    center = extremes.mean(axis=0)
-    order = np.argsort(np.arctan2(extremes[:, 1] - center[1], extremes[:, 0] - center[0]))
-    poly = extremes[order]
-    keep = np.zeros(len(xy), dtype=bool)
-    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
-        edge = b - a
-        cross = edge[0] * (xy[:, 1] - a[1]) - edge[1] * (xy[:, 0] - a[0])
-        keep |= cross <= 0.0
-    return xy[keep]
+    s, t = x + y, x - y
+    # counterclockwise: the directions 0, 45, ..., 315 degrees
+    octagon = np.array([east, s.argmax(), north, t.argmin(),
+                        west, s.argmin(), south, t.argmax()])
+    xy, r2 = _cut(xy, x * x + y * y, x[octagon], y[octagon])
+    ax, ay = xy[np.argmax(_DIRECTIONS @ xy.T, axis=1)].T
+    return _cut(xy, r2, ax, ay)[0]
 
 
 def _hull_chains(xy: np.ndarray):
@@ -150,7 +195,8 @@ def chain_counts(xy) -> tuple:
 
     The hull cycle is split at its lexicographic minimum and maximum, so the
     two chain edge counts always add up to the vertex count; collinear points
-    interior to a hull edge are not counted as vertices.
+    interior to a hull edge are not counted as vertices.  Non-finite
+    coordinates are an InputError.
     """
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:

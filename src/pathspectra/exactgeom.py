@@ -741,6 +741,8 @@ class Polytope:
             dim = data["dim"]
             verts = data["vertices"]
             label = data.get("label", "")
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise InputError(f"'dim' must be an integer, not {dim!r}")
             if any(len(v) != dim for v in verts):
                 raise InputError("vertex length disagrees with 'dim'")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:

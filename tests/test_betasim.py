@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial import ConvexHull
 
 from pathspectra import Polytope, shadow_path
 from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
@@ -14,8 +17,9 @@ from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
                                  max_independent_caps, outside_measure,
                                  project_to_disk, projection_chi_square,
                                  radial_cdf, sample_sphere, simulate_Qn)
-from pathspectra.betasim import _rng
+from pathspectra.betasim import _rng, _throwaway_filter
 from pathspectra.errors import InputError
+from pathspectra.exactgeom import _monotone_chains
 
 
 def test_density_values():
@@ -73,6 +77,109 @@ def test_chain_counts_basic_shapes():
     assert chain_counts([(0, 0), (1, 1), (2, 2), (3, 0)]) == (3, 2, 1)
     with pytest.raises(InputError):
         chain_counts([(0, 0)])
+
+
+def test_chain_counts_rejects_non_finite_points():
+    with pytest.raises(InputError, match="finite"):
+        chain_counts([[0, 0], [1, 0], [0, 1], [math.nan, math.nan]])
+    base = _rng(4, 0).uniform(-1, 1, size=(40, 2))
+    for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.5), (math.inf, -math.inf)):
+        for n in (3, 40):  # below and above the filter's 16-point cut-off
+            xy = base[:n].copy()
+            xy[n // 2] = bad
+            with pytest.raises(InputError, match="finite"):
+                chain_counts(xy)
+
+
+def _octagon_filter(xy):
+    """The plain octagon throwaway filter, the reference for
+    `_throwaway_filter`: the polygon of the 8 directional extremes, sorted by
+    angle about their mean, and one cross-product pass over all points per
+    edge."""
+    if len(xy) <= 16:
+        return xy
+    directions = np.array([(1, 0), (0, 1), (-1, 0), (0, -1),
+                           (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+    extremes = xy[np.unique(np.argmax(xy @ directions.T, axis=0))]
+    if len(extremes) < 3:
+        return xy
+    center = extremes.mean(axis=0)
+    poly = extremes[np.argsort(np.arctan2(extremes[:, 1] - center[1],
+                                          extremes[:, 0] - center[0]))]
+    keep = np.zeros(len(xy), dtype=bool)
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        edge = b - a
+        keep |= edge[0] * (xy[:, 1] - a[1]) - edge[1] * (xy[:, 0] - a[0]) <= 0.0
+    return xy[keep]
+
+
+def _reference_counts(xy):
+    """chain_counts with the octagon filter in place of today's."""
+    xy = np.asarray(xy, dtype=float)
+    lower, upper = _monotone_chains(sorted(set(map(tuple, _octagon_filter(xy).tolist()))))
+    if len(lower) == 1:
+        return 1, 0, 0
+    return len(lower) + len(upper) - 2, len(upper) - 1, len(lower) - 1
+
+
+def _qhull_counts(xy):
+    """(f0, f1_up, f1_low) from Qhull's counterclockwise vertex cycle, split
+    at its lexicographic minimum and maximum (the benchmark's recount)."""
+    cycle = ConvexHull(xy).vertices
+    keys = np.lexsort((xy[cycle, 1], xy[cycle, 0]))
+    f0 = len(cycle)
+    f1_low = (int(keys[-1]) - int(keys[0])) % f0
+    return f0, f0 - f1_low, f1_low
+
+
+@pytest.mark.parametrize("n", [17, 1000, 100000])
+@pytest.mark.parametrize("d", [3, 4, 5, 8])
+def test_filter_matches_octagon_filter_and_qhull(d, n):
+    """Differential oracle for the throwaway filter on sphere samples, also
+    moved off the origin: the counts equal those behind the octagon filter
+    and Qhull's, and every Qhull vertex survives the filter."""
+    for seed, trial in ((1, 0), (1, 1), (29, 0), (29, 3)):
+        sample = project_to_disk(sample_sphere(d, n, _rng(seed, trial)))
+        for shift in ((0, 0), (2.5, 0), (0, -1.5), (3, 4)):
+            xy = sample + shift
+            assert chain_counts(xy) == _reference_counts(xy) == _qhull_counts(xy)
+            kept = {tuple(p) for p in _throwaway_filter(xy).tolist()}
+            assert {tuple(p) for p in xy[ConvexHull(xy).vertices].tolist()} <= kept
+
+
+_GRID = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def _degenerate_clouds(draw):
+    """Integer clouds with repeats and collinear runs, at, near and far from
+    the filter's 16-point cut-off, moved so that the origin sits inside the
+    octagon, outside it, at one of its vertices or on one of its edges, or
+    laid on a line."""
+    n = draw(st.one_of(st.sampled_from([16, 17]), st.integers(2, 120)))
+    pts = np.array(draw(st.lists(_GRID, min_size=n, max_size=n)), dtype=float)
+    repeats = draw(st.integers(0, n // 2))
+    pts[n - repeats:] = pts[:repeats]
+    kind = draw(st.sampled_from(["inside", "outside", "vertex", "edge", "line"]))
+    if kind == "line":
+        step = np.array(draw(_GRID), dtype=float)
+        pts = pts[:, :1] * step + np.array(draw(_GRID), dtype=float)
+    elif kind == "outside":
+        pts += np.array(draw(st.tuples(st.integers(-100, 100), st.integers(13, 100))))
+    elif kind in ("vertex", "edge"):
+        scores = pts @ np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0),
+                                 (-1, -1), (0, -1), (1, -1)], dtype=float).T
+        octagon = pts[np.argmax(scores, axis=0)]
+        i = draw(st.integers(0, 7))
+        a, b = octagon[i], octagon[(i + 1) % 8]
+        pts -= a if kind == "vertex" else (a + b) / 2  # halves are exact
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_clouds())
+def test_filter_keeps_counts_on_degenerate_clouds(xy):
+    assert chain_counts(xy) == _reference_counts(xy)
 
 
 @pytest.mark.parametrize("n", [8, 15, 30])

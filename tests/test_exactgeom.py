@@ -52,6 +52,9 @@ def test_json_rejects_garbage():
             Polytope.from_json(f'{{"dim": 1, "vertices": {vertices}}}')
     with pytest.raises(InputError, match="True"):
         Polytope.from_json('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, true]]}')
+    for dim in ("true", "1.0", '"1"', "null"):
+        with pytest.raises(InputError, match="'dim'"):
+            Polytope.from_json(f'{{"dim": {dim}, "vertices": [[0], [1]]}}')
 
 
 def test_cross_polytope_antipodal_pair_is_not_an_edge():
