@@ -7,9 +7,8 @@ families, and Monte Carlo machinery for projected random polytopes on spheres.
 
 from .errors import (DegeneracyError, GenericityError, InputError,
                      VerificationMismatch)
-from .exactgeom import (DirectedGraph, LPResult, Polytope, edge_graph, is_edge,
-                        is_generic, lp_maximize, lower_path, orient, project2d,
-                        supporting_margin, upper_path)
+from .exactgeom import (DirectedGraph, Polytope, edge_graph, is_edge, is_generic,
+                        lower_path, orient, project2d, upper_path)
 from .pathcount import (LengthSpectrum, MonotonePath, count_paths_by_length,
                         enumerate_paths, is_log_concave, is_symmetric,
                         is_ultra_log_concave, is_unimodal, modes,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InputError
 from .exactgeom import _monotone_chains
@@ -283,41 +283,35 @@ def _density_constant(beta: float) -> float:
 
 
 def cap_measure(beta: float, R: float) -> float:
-    """Measure of a cap of radius R: 2C * int_R^1 r (1-r^2)^beta arccos(r) dr,
-    computed as int_0^arccos(R) theta cos(theta) sin(theta)^(2 beta + 1) dtheta
-    which is smooth for beta >= -1/2."""
+    """Mass of the cap {x : x . u > R} under the planar beta law.
+
+    A coordinate's marginal density is proportional to (1 - x^2)^(beta + 1/2),
+    so with u = 1 - x^2 the mass is half a regularized incomplete beta
+    function: I_{1 - R^2}(beta + 3/2, 1/2) / 2.
+    """
     if beta <= -1:
         raise InputError("beta must exceed -1")
     if not 0 < R < 1:
         raise InputError("cap radius must be strictly between 0 and 1")
-    alpha = math.acos(R)
-    c = _density_constant(beta)
-    val, _err = integrate.quad(
-        lambda t: t * math.cos(t) * math.sin(t) ** (2 * beta + 1),
-        0.0, alpha, epsabs=1e-16, epsrel=1e-13, limit=200)
-    return 2.0 * c * val
+    return 0.5 * float(special.betainc(beta + 1.5, 0.5, 1 - R * R))
 
 
 def cap_measure_asymptotic(beta: float, R: float) -> float:
-    """Leading term 2^(beta + 5/2) C / (2 beta + 3) * (1 - R)^(beta + 3/2)."""
-    c = _density_constant(beta)
+    """Leading term of `cap_measure` as R -> 1:
+    2^(beta + 5/2) C / (2 beta + 3) * B(1/2, beta + 1) / 2 * (1 - R)^(beta + 3/2)."""
+    c = _density_constant(beta) * special.beta(0.5, beta + 1) / 2
     return 2.0 ** (beta + 2.5) * c / (2 * beta + 3) * (1 - R) ** (beta + 1.5)
 
 
 def floating_radius(beta: float, eps: float) -> float:
-    """Radius R_eps with cap_measure(beta, R_eps) = eps, by bisection to 1e-12."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    if eps >= 0.5:
-        raise InputError("eps must be below 1/2, the half-disk measure")
-    lo, hi = 0.0, 1.0  # cap_measure decreases from 1/2 to 0 on (0, 1)
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if cap_measure(beta, mid) > eps:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    """Radius R_eps with cap_measure(beta, R_eps) = eps, for 0 < eps < 1/2,
+    by inverting the incomplete beta function."""
+    if beta <= -1:
+        raise InputError("beta must exceed -1")
+    if not 0 < eps < 0.5:
+        raise InputError(f"eps must lie strictly between 0 and 1/2, the half-disk "
+                         f"measure; got {eps}")
+    return math.sqrt(1 - float(special.betaincinv(beta + 1.5, 0.5, 2 * eps)))
 
 
 def outside_measure(beta: float, eps: float) -> float:

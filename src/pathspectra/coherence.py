@@ -8,9 +8,10 @@ full-dimensional, i.e. iff some omega satisfies every row strictly; by Gordan's
 alternative this fails exactly when a nonzero nonnegative combination of the
 rows vanishes.  One HiGHS LP per path (the max-least-slack LP) proposes either
 certificate: its solution a strictly interior omega, its duals the vanishing
-combination.  Both are checked in exact arithmetic, and the exact simplex
-decides what they leave open.  A float coordinate is taken at its exact binary
-value, so every verdict is exact.
+combination.  Both are checked in exact arithmetic, and what they leave open
+is decided by the exact simplex on the same LP (`exactgeom.lp_maximize`),
+the LP behind every vertex and edge verdict too.  A float coordinate is taken
+at its exact binary value, so every verdict is exact.
 
 The shadow walk runs on integers: each arc's step is a primitive integer
 vector and its rise in c an integer, so slopes compare by cross-multiplying.
@@ -120,17 +121,6 @@ def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) 
     return SlopeCone(rows=tuple(_path_rows(table, seq, {})))
 
 
-def _max_min_slack(rows, d):
-    """(omega, t) maximizing t subject to row . omega >= t for every row and
-    omega in [-1, 1]^d, solved by the exact simplex.  The LP is feasible
-    (omega = 0, t <= 0) and bounded (the box on omega)."""
-    res = lp_maximize([0] * d + [1], [(tuple(row) + (-1,), ">=", 0) for row in rows],
-                      [(-1, 1)] * d + [(None, None)])
-    if res.status != "optimal":
-        raise AssertionError(f"max-min-slack LP came back {res.status}")
-    return res.solution[:d], res.objective
-
-
 def _remove_c_component(omega, c):
     cc = dot(c, c)
     if cc == 0:
@@ -148,8 +138,8 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
     One HiGHS max-least-slack LP proposes either a strictly interior omega
     (coherent) or, from its duals, a nonzero nonnegative vanishing
     combination of the rows (incoherent, by Gordan's alternative); the
-    proposal is certified in exact arithmetic, and the exact max-min-slack LP
-    settles the rare leftovers.
+    proposal is certified in exact arithmetic, and the exact simplex on the
+    same LP settles the rare leftovers.
     """
     G = graph if graph is not None else orient(P, c)
     return _decide_rows(G, list(slope_cone(P, c, path, graph=G).rows))
@@ -216,7 +206,7 @@ def _decide_rows(G: DirectedGraph, rows):
     if witness is not None:
         return None
     if omega is None:
-        omega, slack = _max_min_slack(rows, d)
+        omega, slack = lp_maximize(rows)
         if slack <= 0:
             return None
     omega = _remove_c_component(omega, G.c)

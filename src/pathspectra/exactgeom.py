@@ -1,6 +1,5 @@
-"""Exact geometry kernel: exact rational scalars, a small LP solver, polytopes
-and their oriented edge graphs, and planar projection with upper-chain
-extraction.
+"""Exact geometry kernel: exact rational scalars, one LP, polytopes and their
+oriented edge graphs, and planar projection with upper-chain extraction.
 
 Everything here is deterministic and immutable after construction.  Every
 scalar is a `Fraction`: integers and "p/q" strings are read exactly, and a float
@@ -21,9 +20,11 @@ positive degree everywhere, so the certified facets are all the facets.  A pair
 spans an edge iff the facets containing both meet in those two points alone,
 and a point is a vertex iff the facets containing it meet in that point alone.
 When Qhull fails, a coordinate overflows a float, or any check fails, the
-polytope falls back to one max-least-slack LP per point and per pair, read as
-a Gordan alternative like a path's coherence.  A `DirectedGraph` checks at
-construction that its source and sink are the only ones.
+polytope falls back to one question per point and per pair: do its
+difference rows have a strict interior?  That is decided like a path's
+coherence, on the one max-least-slack LP (`_has_interior`).  A
+`DirectedGraph` checks at construction that its source and sink are the
+only ones.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -69,13 +70,6 @@ def dot(u: Sequence, v: Sequence):
 # ---------------------------------------------------------------------------
 # Linear programming (two-phase simplex, Bland's rule)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: object = None
-    solution: Optional[tuple] = None
-
 
 def _simplex(rows, basis, cost, banned):
     """Maximize cost . x over a dense tableau, pivoting `rows` (coefficients,
@@ -121,14 +115,53 @@ def _simplex(rows, basis, cost, banned):
         basis[leave] = enter
 
 
-def _feasible_nonneg(columns, target):
-    """Some lam >= 0 with sum_k lam_k columns[k] = target, or None when
-    infeasible; either answer is exact."""
-    n = len(columns)
-    res = lp_maximize([0] * n, [([col[i] for col in columns], "==", t)
-                                for i, t in enumerate(target)],
-                      [(0, None)] * n)
-    return res.solution if res.status == "optimal" else None
+def lp_maximize(rows):
+    """(omega, t) maximizing t subject to row . omega >= t for every row,
+    omega in [-1, 1]^d and t free, solved exactly.  The LP is feasible
+    (omega = 0, t = 0) and bounded (the box on omega).
+
+    The tableau's columns are y = omega + 1 >= 0, then t = t+ - t-, one slack
+    per row (the rows, then the box rows y_j <= 2), then one artificial per
+    row with a positive sum.  In y a row reads row . y - t >= sum(row): with
+    sum(row) > 0 it takes a surplus and an artificial, otherwise its negation
+    takes a slack.  Phase 1 drives the artificials to zero, phase 2
+    maximizes t.
+    """
+    d, m = len(rows[0]), len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    first_artificial = 2 * d + 2 + m
+    width = first_artificial + sum(1 for row in rows if sum(row) > 0)
+    tableau, basis, artificials = [], [], []
+    for k, row in enumerate(rows):
+        coeffs = [Fraction(x) for x in row] + [-one, one]
+        b = sum(coeffs[:d])
+        line = [zero] * (width + 1)
+        if b > 0:
+            line[d + 2 + k] = -one
+            artificials.append(first_artificial + len(artificials))
+            basis.append(artificials[-1])
+        else:
+            coeffs, b = [-x for x in coeffs], -b
+            basis.append(d + 2 + k)
+        line[:d + 2] = coeffs
+        line[basis[-1]] = one
+        line[width] = b
+        tableau.append(line)
+    for j in range(d):
+        line = [zero] * (width + 1)
+        line[j] = line[d + 2 + m + j] = one
+        line[width] = Fraction(2)
+        basis.append(d + 2 + m + j)
+        tableau.append(line)
+    if artificials:
+        _simplex(tableau, basis, [zero] * first_artificial + [-one] * len(artificials),
+                 artificials)
+    cost = [zero] * width
+    cost[d], cost[d + 1] = one, -one
+    _simplex(tableau, basis, cost, artificials)
+    values = {b: row[width] for b, row in zip(basis, tableau)}
+    omega = tuple(values.get(j, zero) - 1 for j in range(d))
+    return omega, values.get(d, zero) - values.get(d + 1, zero)
 
 
 _highs_handle = None
@@ -336,116 +369,19 @@ def _strict_interior(rows):
                                   (0,) * d + (1,))
 
 
-def _escapes_cone(gens, target):
-    """Whether target lies outside the cone spanned by gens.
+def _has_interior(rows):
+    """Whether some y has row . y > 0 for every row, decided exactly.
 
-    One `_strict_interior` LP on the rows -g and target: a y with
-    <y, g> < 0 < <y, target> for every generator g proves "outside"; a Gordan
-    witness sum lam_g g = lam_t target with lam_t > 0 proves "inside"; the
-    exact simplex settles the rest, which includes a witness with lam_t = 0.
+    No rows: yes.  Otherwise `_strict_interior`'s exactly checked strict y
+    says yes and its Gordan witness says no; when it certifies neither, the
+    exact LP's optimum t > 0 says yes.
     """
-    y, lam = _strict_interior([[-x for x in g] for g in gens] + [target])
-    if y is not None:
+    if not rows:
         return True
-    if lam is not None and lam[-1] > 0:
-        return False
-    return _feasible_nonneg(gens, target) is None
-
-
-def lp_maximize(objective, constraints, box=None) -> LPResult:
-    """Maximize objective . x subject to linear constraints and per-variable
-    bounds, exactly.
-
-    `constraints` is an iterable of (coeffs, rel, rhs) with rel in {"<=", ">=", "=="};
-    `box` gives optional (lo, hi) bounds per variable (None for unbounded sides).
-    """
-    obj = [_rational(v) for v in objective]
-    n = len(obj)
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        if len(coeffs) != n:
-            raise InputError(f"constraint has {len(coeffs)} coefficients, expected {n}")
-        if rel not in ("<=", ">=", "=="):
-            raise InputError(f"unknown relation {rel!r}")
-        rows.append(([_rational(v) for v in coeffs], rel, _rational(rhs)))
-    if box is None:
-        box = [(None, None)] * n
-    if len(box) != n:
-        raise InputError("box length does not match objective")
-
-    # substitute shifted / split nonnegative variables
-    offsets = [zero] * n
-    colmap = []  # (var index, sign)
-    for j, (lo, hi) in enumerate(box):
-        if lo is not None:
-            offsets[j] = _rational(lo)
-            colmap.append((j, one))
-            if hi is not None:
-                extra = [zero] * n
-                extra[j] = one
-                rows.append((extra, "<=", _rational(hi)))
-        elif hi is not None:
-            offsets[j] = _rational(hi)
-            colmap.append((j, -one))
-        else:
-            colmap.append((j, one))
-            colmap.append((j, -one))
-    ny = len(colmap)
-
-    def to_y(coeffs):
-        return [coeffs[j] * s for j, s in colmap]
-
-    slack_total = sum(1 for _, rel, _ in rows if rel != "==")
-    tableau, basis, art_cols = [], [], []
-    width = ny + slack_total + len(rows)  # upper bound; artificials allocated lazily
-    scol = ny
-    for coeffs, rel, rhs in rows:
-        r = to_y(coeffs)
-        b = rhs - dot(coeffs, offsets)
-        if rel == ">=":
-            r = [-x for x in r]
-            b = -b
-            rel = "<="
-        if b < 0:
-            r = [-x for x in r]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        full = r + [zero] * (width - ny)
-        if rel == "<=":
-            full[scol] = one
-            basis.append(scol)
-            scol += 1
-        else:
-            if rel == ">=":
-                full[scol] = -one
-                scol += 1
-            # place the artificial in the next free column
-            acol = width - len(rows) + len(art_cols)
-            full[acol] = one
-            basis.append(acol)
-            art_cols.append(acol)
-        tableau.append(full + [b])
-
-    if art_cols:
-        cost1 = [zero] * width
-        for a in art_cols:
-            cost1[a] = -one
-        status, obj1 = _simplex(tableau, basis, cost1, art_cols)
-        if status != "optimal" or obj1 < 0:
-            return LPResult("infeasible")
-    cost2 = [zero] * width
-    for k, (j, s) in enumerate(colmap):
-        cost2[k] = obj[j] * s
-    status, _ = _simplex(tableau, basis, cost2, art_cols)
-    if status == "unbounded":
-        return LPResult("unbounded")
-    values = {b: row[width] for b, row in zip(basis, tableau)}
-    x = list(offsets)
-    for k, (j, s) in enumerate(colmap):
-        x[j] += s * values.get(k, zero)
-    return LPResult("optimal", dot(obj, x), tuple(x))
+    y, lam = _strict_interior(rows)
+    if y is not None or lam is not None:
+        return y is not None
+    return lp_maximize(rows)[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -767,12 +703,19 @@ class Polytope:
         return list(self._edges)
 
     def _is_edge_pair(self, i, j):
-        """LP edge test: v_j - v_i escapes the cone of the other directions at v_i."""
+        """LP edge test: some c orthogonal to e = v_j - v_i has c . v_i > c . w
+        for every other vertex w.  Its rows are the r = v_i - w projected
+        orthogonally to e and scaled by e . e: (e . e) r - (r . e) e."""
         u, v = self.vertices[i], self.vertices[j]
-        gens = [tuple(w[t] - u[t] for t in range(self.dim))
-                for k, w in enumerate(self.vertices) if k != i and k != j]
-        target = tuple(v[t] - u[t] for t in range(self.dim))
-        return _escapes_cone(gens, target)
+        e = [b - a for a, b in zip(u, v)]
+        ee = dot(e, e)
+        rows = []
+        for k, w in enumerate(self.vertices):
+            if k != i and k != j:
+                r = [a - b for a, b in zip(u, w)]
+                re = dot(r, e)
+                rows.append(tuple(ee * x - re * y for x, y in zip(r, e)))
+        return _has_interior(rows)
 
     def neighbors(self, i):
         adj = []
@@ -795,35 +738,16 @@ def is_edge(P: Polytope, i: int, j: int) -> bool:
 
 
 def _is_vertex_lp(points, i):
-    """LP vertex test: points[i] is no convex combination of the other points."""
-    cols = [tuple(q) + (1,) for k, q in enumerate(points) if k != i]
-    return _escapes_cone(cols, tuple(points[i]) + (1,))
+    """LP vertex test: some c has c . points[i] > c . q for every other point
+    q.  A Gordan witness on the rows points[i] - q writes points[i] as a
+    convex combination of the others."""
+    p = points[i]
+    return _has_interior([tuple(a - b for a, b in zip(p, q))
+                          for k, q in enumerate(points) if k != i])
 
 
 def edge_graph(P: Polytope):
     return P.edges()
-
-
-def supporting_margin(P: Polytope, i: int, j: int):
-    """Optimal margin t of the supporting-hyperplane LP for the pair (i, j).
-
-    Maximizes t with <c,v_i> = <c,v_j> >= <c,w> + t for all other vertices w and
-    -1 <= c_k <= 1.  Positive exactly when [v_i, v_j] is an edge; used as the
-    cross-check oracle for `is_edge`.
-    """
-    d = P.dim
-    u, v = P.vertices[i], P.vertices[j]
-    constraints = [(tuple(u[t] - v[t] for t in range(d)) + (0,), "==", 0)]
-    for k, w in enumerate(P.vertices):
-        if k in (i, j):
-            continue
-        constraints.append((tuple(u[t] - w[t] for t in range(d)) + (-1,), ">=", 0))
-    box = [(-1, 1)] * d + [(None, None)]
-    objective = [0] * d + [1]
-    res = lp_maximize(objective, constraints, box)
-    if res.status != "optimal":
-        raise InputError(f"margin LP unexpectedly {res.status}")
-    return res.objective
 
 
 # ---------------------------------------------------------------------------

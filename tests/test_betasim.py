@@ -250,6 +250,50 @@ def test_cap_measure_monotone_and_invertible():
         cap_measure(0.5, 1.5)
 
 
+# (d, R, true cap mass to 4 significant digits)
+_CAP_MASSES = [(4, 0.1, 0.4364), (5, 0.5, 0.1562), (8, 0.9, 0.0004715)]
+
+
+@pytest.mark.parametrize("d, R, mass", _CAP_MASSES)
+def test_cap_measure_is_the_sampled_cap_mass(d, R, mass):
+    beta = d / 2 - 2
+    assert cap_measure(beta, R) == pytest.approx(mass, rel=1e-3)
+    n = 400_000
+    x = project_to_disk(sample_sphere(d, n, _rng(3, 0)))[:, 0]
+    sampled = np.count_nonzero(x > R) / n
+    assert abs(sampled - cap_measure(beta, R)) <= 4 * math.sqrt(mass * (1 - mass) / n)
+
+
+@pytest.mark.parametrize("beta, R", [(0.0, 0.3), (0.5, 0.5), (2.0, 0.8)])
+def test_cap_measure_matches_density_quadrature(beta, R):
+    # independent oracle: the density integrated over the cap
+    oracle, _ = integrate.dblquad(
+        lambda y, x: beta_density(beta, (x, y)), R, 1,
+        lambda x: -math.sqrt(1 - x * x), lambda x: math.sqrt(1 - x * x),
+        epsabs=1e-12, epsrel=1e-10)
+    assert cap_measure(beta, R) == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.parametrize("R", [1e-3, 0.1, 0.5, 0.9, 0.999])
+def test_uniform_cap_is_the_disk_segment(R):
+    segment = (math.acos(R) - R * math.sqrt(1 - R * R)) / math.pi
+    assert cap_measure(0.0, R) == pytest.approx(segment, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 10.0])
+def test_cap_asymptotics_tight_at_the_rim(beta):
+    R = 1 - 1e-6
+    assert cap_measure(beta, R) / cap_measure_asymptotic(beta, R) == pytest.approx(1, abs=5e-6)
+    assert cap_measure(beta, 1e-12) == pytest.approx(0.5, abs=1e-11)
+
+
+@pytest.mark.parametrize("beta, eps", [(0.5, float("nan")), (0.5, 0.0), (0.5, -1e-3),
+                                       (0.5, 0.5), (0.5, float("inf")), (-1.0, 0.1)])
+def test_floating_radius_rejects_eps_outside_the_half_disk(beta, eps):
+    with pytest.raises(InputError):
+        floating_radius(beta, eps)
+
+
 def test_outside_measure_matches_annulus_quadrature():
     beta, eps = 0.5, 0.01
     r = floating_radius(beta, eps)

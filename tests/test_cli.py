@@ -114,6 +114,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """The cap measure is closed form, so no import pulls in scipy.integrate."""
+    src = str(Path(exactgeom.__file__).parents[1])
+    probe = ("import sys\n"
+             "from pathspectra import cli\n"
+             "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_float_backend_reads_fraction_strings(tmp_path, capsys):
     path = write_poly(tmp_path, zoo.lopsided_cube(3))
     assert "/" in Path(path).read_text()  # the file holds "p/q" strings
@@ -404,6 +415,15 @@ def test_diffmoment_and_cltcheck_and_floatbody(capsys):
     assert code == 0
     rows, _ = parse_csv(out)
     assert len(rows) == 21
+
+
+@pytest.mark.parametrize("c0", ["nan", "inf", "0", "-1"])
+def test_floatbody_rejects_eps_outside_the_half_disk(capsys, c0):
+    code, out, err = run(capsys, "--format", "json", "floatbody", "--d", "5", "--n", "100",
+                         "--trials", "2", "--c0", c0)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")
 
 
 def test_cltcheck_needs_two_trials(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
                          edge_graph, is_edge, is_generic, lower_path, orient,
-                         project2d, supporting_margin, upper_path)
+                         project2d, upper_path)
 from pathspectra import exactgeom, zoo
 
 # edge graphs of the fixtures, recorded with the per-pair LP test (p10-sphere's
@@ -96,10 +96,11 @@ def test_edge_test_symmetry():
 @pytest.mark.parametrize("builder", [lambda: zoo.cube(3), lambda: zoo.cross_polytope(3),
                                      lambda: zoo.simplex(3), lambda: zoo.lopsided_cube(3)])
 def test_edge_test_agrees_with_supporting_hyperplane_margin(builder):
+    """The facet-read edge graph against the LP edge test, whose rows ask
+    for a c with c . v_i = c . v_j > c . w for every other vertex w."""
     P = builder()
     for i, j in combinations(range(len(P.vertices)), 2):
-        margin = supporting_margin(P, i, j)
-        assert is_edge(P, i, j) == (margin > 0)
+        assert is_edge(P, i, j) == P._is_edge_pair(i, j)
 
 
 _COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -131,8 +132,7 @@ def test_facet_incidence_matches_lp_oracle(points):
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     assert len(kept) == 1 or exactgeom._facet_incidence(kept) is not None
     P = Polytope(points, on_nonvertex="strip")
-    lp_vertices = [p for i, p in enumerate(kept)
-                   if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i)]
+    lp_vertices = [p for i, p in enumerate(kept) if exactgeom._is_vertex_lp(kept, i)]
     assert list(P.vertices) == lp_vertices
     n = len(P.vertices)
     lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
@@ -154,7 +154,7 @@ def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
     def incidence(points):
         incidences.append(points)
         return real_incidence(points)
-    monkeypatch.setattr(exactgeom, "_escapes_cone", no_lp)
+    monkeypatch.setattr(exactgeom, "_has_interior", no_lp)
     monkeypatch.setattr(Polytope, "__init__", init)
     monkeypatch.setattr(exactgeom, "_facet_incidence", incidence)
     P = zoo.fixture(name).polytope
@@ -357,19 +357,23 @@ _ROUTE_FIXTURES = ("cube3", "cross4", "p10", "p10-sphere", "lopsided4", "hyp2-5"
 
 
 def _route_questions(points):
-    """(question, the facet incidence's answer) for each point of `points`
-    being a vertex and each pair of the vertices spanning an edge."""
+    """(question, the facet incidence's answer, whether it has LP rows) for
+    each point of `points` being a vertex and each pair of the vertices
+    spanning an edge.  A lone point, and the one pair of a two-vertex
+    polytope, have no rows: the answer is yes without an LP."""
     P = Polytope(points, on_nonvertex="strip")
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     edges = set(P.edges())
-    return ([(partial(exactgeom._is_vertex_lp, kept, i), p in P.vertices)
+    n = len(P.vertices)
+    return ([(partial(exactgeom._is_vertex_lp, kept, i), p in P.vertices, len(kept) > 1)
              for i, p in enumerate(kept)]
-            + [(partial(P._is_edge_pair, i, j), (i, j) in edges)
-               for i, j in combinations(range(len(P.vertices)), 2)])
+            + [(partial(P._is_edge_pair, i, j), (i, j) in edges, n > 2)
+               for i, j in combinations(range(n), 2)])
 
 
 def _asked(questions, mp):
-    """(verdict, expected, HiGHS calls, exact-simplex calls) of each question."""
+    """(verdict, expected, has rows, HiGHS calls, exact-simplex calls) of
+    each question."""
     solve, np_ = exactgeom._highs()
     lp_maximize = exactgeom.lp_maximize
     calls = [0, 0]
@@ -384,18 +388,19 @@ def _asked(questions, mp):
     mp.setattr(exactgeom, "_highs_handle", (highs, np_))
     mp.setattr(exactgeom, "lp_maximize", exact)
     answers = []
-    for ask, expected in questions:
+    for ask, expected, has_rows in questions:
         before = list(calls)
         verdict = ask()
-        answers.append((verdict, expected, calls[0] - before[0], calls[1] - before[1]))
+        answers.append((verdict, expected, has_rows,
+                        calls[0] - before[0], calls[1] - before[1]))
     return answers
 
 
 @pytest.mark.parametrize("name", _ROUTE_FIXTURES)
 def test_lp_route_asks_one_highs_lp_per_question(name, monkeypatch):
     questions = _route_questions(zoo.fixture(name).polytope.vertices)
-    for verdict, expected, highs, simplex in _asked(questions, monkeypatch):
-        assert (verdict, highs, simplex) == (expected, 1, 0)
+    for verdict, expected, has_rows, highs, simplex in _asked(questions, monkeypatch):
+        assert (verdict, has_rows, highs, simplex) == (expected, True, 1, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,15 +409,17 @@ def test_lp_route_asks_one_highs_lp_per_question_on_point_sets(points):
     questions = _route_questions(points)
     with pytest.MonkeyPatch.context() as mp:
         answers = _asked(questions, mp)
-    for verdict, expected, highs, _ in answers:
-        assert (verdict, highs) == (expected, 1)
+    for verdict, expected, has_rows, highs, _ in answers:
+        assert (verdict, highs) == (expected, int(has_rows))
 
 
 def _assert_decided_without_duals(questions, mp):
-    """Without row duals no Gordan witness is read: "outside" still comes from
-    HiGHS's strict y, and each "inside" from one exact-simplex call."""
-    for verdict, expected, highs, simplex in _asked(questions, mp):
-        assert (verdict, highs, simplex) == (expected, 1, 0 if expected else 1)
+    """Without row duals no Gordan witness is read: each "yes" with rows
+    still comes from HiGHS's strict y, and each "no" from one exact-simplex
+    call; a question without rows asks no LP."""
+    for verdict, expected, has_rows, highs, simplex in _asked(questions, mp):
+        assert (verdict, highs, simplex) == (
+            expected, int(has_rows), 0 if expected else 1)
 
 
 @pytest.mark.parametrize("name", _ROUTE_FIXTURES)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
 
-from pathspectra import coherent_spectrum, exactgeom, zoo
+from pathspectra import Polytope, coherent_spectrum, exactgeom, zoo
 
 from test_exactgeom import _point_sets
 
@@ -67,14 +67,15 @@ def test_coherence_lps_match_linprog(P, c, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(_point_sets())
 def test_cone_escape_lps_match_linprog(points):
+    """The strict-interior LPs of the vertex and edge tests."""
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    P = Polytope(kept, on_nonvertex="strip")
     with pytest.MonkeyPatch.context() as mp:
         direct, calls = _recorded(mp)
-        vertices = [p for i, p in enumerate(kept)
-                    if len(kept) == 1 or exactgeom._is_vertex_lp(kept, i)]
-        for u, v in combinations(vertices, 2):
-            gens = [tuple(a - b for a, b in zip(w, u)) for w in vertices if w not in (u, v)]
-            exactgeom._escapes_cone(gens, tuple(a - b for a, b in zip(v, u)))
+        for i in range(len(kept)):
+            exactgeom._is_vertex_lp(kept, i)
+        for i, j in combinations(range(len(P.vertices)), 2):
+            P._is_edge_pair(i, j)
     if len(kept) > 1:
         _assert_matches_linprog(direct, calls)
 

@@ -5,85 +5,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathspectra import InputError, exactgeom, lp_maximize
+from pathspectra import exactgeom
+from pathspectra.exactgeom import lp_maximize
 
 
 def test_single_binding_constraint():
-    res = lp_maximize([1], [([1], "<=", 3), ([1], ">=", 0)])
-    assert res.status == "optimal"
-    assert res.objective == 3
-    assert res.solution == (3,)
-
-
-def test_symmetric_simplex_face():
-    res = lp_maximize([1, 1], [([1, 1], "<=", 1), ([1, 0], ">=", 0), ([0, 1], ">=", 0)])
-    assert res.status == "optimal"
-    assert res.objective == 1
-
-
-def test_contradictory_bounds_infeasible():
-    assert lp_maximize([1], [([1], "<=", 1), ([1], ">=", 2)]).status == "infeasible"
-
-
-def test_unbounded():
-    assert lp_maximize([1], [([1], ">=", 0)]).status == "unbounded"
-
-
-def test_dimension_mismatch():
-    with pytest.raises(InputError):
-        lp_maximize([1, 2], [([1], "<=", 3)])
-
-
-def test_equality_and_box():
-    res = lp_maximize([0, 1], [([1, 1], "==", 2)], box=[(0, 1), (None, None)])
-    assert res.status == "optimal"
-    assert res.objective == 2
-    assert res.solution == (0, 2)
+    # omega >= t binds at the end of the box
+    assert lp_maximize([(1,)]) == ((1,), 1)
 
 
 def test_exact_rational_solution():
-    res = lp_maximize(
-        [Fraction(1), Fraction(1)],
-        [([Fraction(2), Fraction(3)], "<=", Fraction(1)),
-         ([1, 0], ">=", 0), ([0, 1], ">=", 0)])
-    assert res.status == "optimal"
-    assert res.objective == Fraction(1, 2)
+    # both rows grow with omega_0; they balance at omega_1 = 3/8
+    rows = [(Fraction(1, 2), 1), (1, Fraction(-1, 3))]
+    assert lp_maximize(rows) == ((1, Fraction(3, 8)), Fraction(7, 8))
 
 
 def test_duality_spot_check():
-    """No feasible point found by randomized search may beat the reported optimum."""
+    """No omega in the box found by randomized search may beat the reported
+    least slack."""
     rng = random.Random(4)
     for _ in range(10):
-        n = rng.randint(2, 3)
-        m = rng.randint(2, 4)
-        rows = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(m)]
-        rhs = [rng.randint(2, 9) for _ in range(m)]
-        obj = [rng.randint(-2, 4) for _ in range(n)]
-        constraints = [(row, "<=", b) for row, b in zip(rows, rhs)]
-        box = [(0, 6)] * n
-        res = lp_maximize(obj, constraints, box)
-        assert res.status == "optimal"  # box keeps it bounded, origin may be infeasible
-        if res.status != "optimal":
-            continue
+        d = rng.randint(2, 3)
+        rows = [[rng.randint(-3, 5) for _ in range(d)] for _ in range(rng.randint(2, 4))]
+        _, t = lp_maximize(rows)
         for _ in range(200):
-            x = [Fraction(rng.randint(0, 60), 10) for _ in range(n)]
-            if all(sum(r * v for r, v in zip(row, x)) <= b for row, b in zip(rows, rhs)):
-                val = sum(c * v for c, v in zip(obj, x))
-                assert val <= res.objective
+            omega = [Fraction(rng.randint(-10, 10), 10) for _ in range(d)]
+            assert min(sum(r * w for r, w in zip(row, omega)) for row in rows) <= t
 
 
-def test_optimal_solution_is_feasible_exactly():
-    rng = random.Random(11)
-    for _ in range(10):
-        n = 3
-        rows = [[rng.randint(-4, 6) for _ in range(n)] for _ in range(4)]
-        rhs = [rng.randint(1, 12) for _ in range(4)]
-        constraints = [(row, "<=", b) for row, b in zip(rows, rhs)]
-        res = lp_maximize([1, 1, 1], constraints, box=[(0, 10)] * n)
-        assert res.status == "optimal"
-        for row, b in zip(rows, rhs):
-            assert sum(r * v for r, v in zip(row, res.solution)) <= b
-        assert all(0 <= v <= 10 for v in res.solution)
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _rows(draw):
+    """Rows in d = 1..4; with some draws a row that is minus a nonnegative
+    combination of the others, so that no strict interior exists."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_ENTRY] * d), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lam = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append(tuple(-sum(l * row[i] for l, row in zip(lam, rows)) for i in range(d)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows())
+def test_optimal_solution_is_feasible_exactly(rows):
+    omega, t = lp_maximize(rows)
+    assert all(isinstance(x, Fraction) and -1 <= x <= 1 for x in omega)
+    assert isinstance(t, Fraction) and t >= 0
+    assert all(sum(r * w for r, w in zip(row, omega)) >= t for row in rows)
+
+
+def _strict_interior_with_highs_optimum(rows):
+    """`_strict_interior(rows)` and the least slack t of its HiGHS LP."""
+    solve, np_ = exactgeom._highs()
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactgeom, "_highs_handle", (recorded, np_))
+        certificate = exactgeom._strict_interior(rows)
+    (res,) = results
+    assert res.status == 0
+    return certificate, res.x[len(rows[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows())
+def test_optimum_matches_highs_and_its_certificates(rows):
+    """The exact optimum is HiGHS's (which caps t at 1), and it is positive
+    exactly when `_strict_interior` certifies a strict y, zero exactly when
+    it certifies a Gordan witness."""
+    _, t = lp_maximize(rows)
+    (y, lam), highs_t = _strict_interior_with_highs_optimum(rows)
+    assert float(min(t, 1)) == pytest.approx(highs_t, abs=1e-7)
+    assert (t > 0) == (y is not None)
+    assert (t == 0) == (lam is not None)
 
 
 def _fraction_solve_on_support(columns, support, target):
@@ -117,9 +117,6 @@ def _fraction_solve_on_support(columns, support, target):
     for row_i, c in enumerate(piv_cols):
         lam[c] = aug[row_i][s]
     return lam
-
-
-_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
 @settings(max_examples=150, deadline=None)
