@@ -6,8 +6,16 @@ statistics of interest are the vertex and chain-edge counts of the convex hull
 of n such points: the upper-chain edge count is distributed like the length of
 the coherent path captured by the projection plane.
 
+A sphere sample is drawn shell by shell from the rim inward (see `_shells`),
+and a simulation trial draws only the outer shells that make the hull: it stops
+at the first shell whose inner disk the hull so far holds, since every later
+point lies inside that disk.  `sample_sphere` draws every shell from the same
+stream, then permutes the rows, so a trial's hull is that of the full sample.
+
 Reproducibility: every trial draws from a counter-based Philox stream keyed by
-seed XOR trial index, so results are independent of execution order.
+the pair (seed mod 2^64, trial index), and a retry jumps that stream ahead, so
+no two seeds, trials or attempts share a stream and results are independent of
+execution order.
 """
 from __future__ import annotations
 
@@ -63,23 +71,63 @@ def _summary(values):
 
 
 def _rng(seed: int, trial: int, attempt: int = 0):
-    key = (seed ^ trial) + attempt * 0x9E3779B97F4A7C15
-    return np.random.Generator(np.random.Philox(key=key & (2**64 - 1)))
+    """The stream of one trial: Philox keyed by (seed mod 2^64, trial); attempt k
+    starts k jumps (2^128 draws each) into it."""
+    bits = np.random.Philox(key=np.array([seed % 2**64, trial], dtype=np.uint64))
+    return np.random.Generator(bits.jumped(attempt) if attempt else bits)
+
+
+# The first shell holds about this many points, and each later shell about as
+# many as all before it; fixed on cost grounds (few shells, few points beyond
+# the hull's), never by a statistical criterion.
+_FIRST_SHELL = 64
+
+
+def _shells(d: int, n: int, rng):
+    """n i.i.d. uniform points on the unit sphere in R^d, d >= 3, shell by
+    shell from the rim of their projection to the first two axes inward.
+
+    With a = d/2 - 1, U = (1 - r^2)^a is uniform on [0, 1] for the projected
+    radius r.  Shell k holds the points with U in [t_k, t_{k+1}): t_0 = 0,
+    t_1 = min(1, 64/n), and each later boundary doubles, capped at 1.  Its
+    count is binomial among the points left, and the last shell takes them
+    all.  Given its projection, the rest of a uniform point is uniform on the
+    sphere of radius sqrt(1 - r^2) = U^(1/(2a)) in the other d - 2
+    coordinates.  Yields (points, r_in) per shell, the projection in the first
+    two columns, where r_in = sqrt(1 - t_{k+1}^(1/a)) bounds the projected
+    radius of every later point.
+    """
+    a = d / 2 - 1
+    left, lo, hi = n, 0.0, min(1.0, _FIRST_SHELL / n)
+    while left:
+        m = left if hi == 1.0 else int(rng.binomial(left, (hi - lo) / (1 - lo)))
+        u = rng.uniform(lo, hi, m)
+        r = np.sqrt(1 - u ** (1 / a))
+        theta = 2 * np.pi * rng.random(m)
+        rest = rng.standard_normal((m, d - 2))
+        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+        # a zero draw has probability 0; resample defensively
+        while not norms.all():
+            bad = norms == 0.0
+            rest[bad] = rng.standard_normal((int(bad.sum()), d - 2))
+            norms[bad] = np.sqrt(np.einsum("ij,ij->i", rest[bad], rest[bad]))
+        pts = np.empty((m, d))
+        pts[:, 0] = r * np.cos(theta)
+        pts[:, 1] = r * np.sin(theta)
+        np.multiply(rest, (u ** (0.5 / a) / norms)[:, None], out=pts[:, 2:])
+        left -= m
+        yield pts, math.sqrt(1 - hi ** (1 / a))
+        lo, hi = hi, min(1.0, 2 * hi)
 
 
 def sample_sphere(d: int, n: int, rng) -> np.ndarray:
-    """n i.i.d. uniform points on the unit sphere in R^d (normalized Gaussians)."""
-    if d < 2:
-        raise InputError("sphere sampling needs d >= 2")
-    pts = rng.normal(size=(n, d))
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    # a zero draw has probability 0; resample defensively
-    bad = norms[:, 0] == 0.0
-    while bad.any():
-        pts[bad] = rng.normal(size=(int(bad.sum()), d))
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        bad = norms[:, 0] == 0.0
-    return pts / norms
+    """n i.i.d. uniform points on the unit sphere in R^d, d >= 3: the shells of
+    `_shells`, then one permutation of the rows drawn after them, so that every
+    row, the first one included, is a uniform point."""
+    if d < 3:
+        raise InputError("sphere sampling needs d >= 3")
+    pts = np.concatenate([shell for shell, _ in _shells(d, n, rng)])
+    return np.take(pts, rng.permutation(n), axis=0)
 
 
 def project_to_disk(points: np.ndarray) -> np.ndarray:
@@ -201,12 +249,32 @@ def chain_counts(xy) -> tuple:
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:
         raise InputError("need at least two planar points")
-    lower, upper = _hull_chains(xy)
+    return _chain_lengths(*_hull_chains(xy))
+
+
+def _chain_lengths(lower, upper):
+    """(f0, f1_up, f1_low) of the hull with these chains."""
     if len(lower) == 1:
         return 1, 0, 0
-    f1_low = len(lower) - 1
-    f1_up = len(upper) - 1
-    return f1_low + f1_up, f1_up, f1_low
+    return len(lower) + len(upper) - 2, len(upper) - 1, len(lower) - 1
+
+
+def _rim_chains(d: int, n: int, rng):
+    """Hull chains of `project_to_disk(sample_sphere(d, n, rng))`, from the
+    fewest outer shells of the same stream.
+
+    Once every hull edge of the points drawn so far lies at least the current
+    shell's inner radius from the origin (times 1 + 1e-9, against rounding),
+    every later point lies strictly inside the hull, which is then the hull of
+    the full sample.
+    """
+    xy = np.empty((0, 2))
+    for shell, r_in in _shells(d, n, rng):
+        xy = np.concatenate((xy, shell[:, :2]))
+        chains = _hull_chains(xy) if len(xy) else ([], [])
+        if _disk_in_hull(chains, r_in * (1 + 1e-9)):
+            break
+    return chains
 
 
 def _trial_counts(config: SimConfig, trial: int):
@@ -214,9 +282,7 @@ def _trial_counts(config: SimConfig, trial: int):
     retries = 0
     for attempt in range(64):
         rng = _rng(config.seed, trial, attempt)
-        pts = sample_sphere(config.d, config.n, rng)
-        xy = project_to_disk(pts)
-        f0, f1_up, f1_low = chain_counts(xy)
+        f0, f1_up, f1_low = _chain_lengths(*_rim_chains(config.d, config.n, rng))
         if f0 >= 3:
             return f0, f1_up, f1_low, retries
         retries += 1
@@ -343,16 +409,17 @@ def floating_containment_rate(config: SimConfig, c0: float) -> ContainmentReport
     radius = floating_radius(config.beta, eps)
     flags = []
     for trial in range(config.trials):
-        rng = _rng(config.seed, trial)
-        xy = project_to_disk(sample_sphere(config.d, config.n, rng))
-        flags.append(_disk_in_hull(xy, radius))
+        chains = _rim_chains(config.d, config.n, _rng(config.seed, trial))
+        flags.append(_disk_in_hull(chains, radius))
     return ContainmentReport(rate=flags.count(False) / config.trials, eps=eps,
                              radius=radius, trials=config.trials,
                              contained=tuple(flags))
 
 
-def _disk_in_hull(xy: np.ndarray, radius: float) -> bool:
-    lower, upper = _hull_chains(xy)
+def _disk_in_hull(chains, radius: float) -> bool:
+    """Whether the hull with these (lower, upper) chains holds the disk of this
+    radius about the origin: every edge line lies at least `radius` from it."""
+    lower, upper = chains
     cycle = lower[:-1] + upper[:-1]  # counterclockwise
     if len(cycle) < 3:
         return False

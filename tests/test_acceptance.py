@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from scipy import integrate
 
 from pathspectra import (Polytope, coherent_paths, coherent_spectrum,
                          count_paths_by_length, enumerate_paths, is_coherent,
@@ -17,7 +18,8 @@ from pathspectra import (Polytope, coherent_paths, coherent_spectrum,
 from pathspectra import zoo
 from pathspectra.betasim import (SimConfig, cap_measure, cap_measure_asymptotic,
                                  clt_check, estimate_growth_exponent,
-                                 first_diff_moment, max_independent_caps)
+                                 first_diff_moment, floating_radius,
+                                 max_independent_caps, simulate_Qn)
 from pathspectra.pathcount import LengthSpectrum
 
 SEED = 20260808
@@ -333,6 +335,50 @@ def test_efron_stein_consistency():
     ok = rate >= 0.95
     report("jackknife bound Var f0 <= (n+1) E[(D f0)^2] holds in at least 95% of grid runs", ok,
            f"{sum(runs)}/{len(runs)}")
+
+
+def _exact_mean_f0(d, n):
+    """E f0 for n i.i.d. points of the planar beta law, beta = d/2 - 2, with
+    no sampling (Renyi and Sulanke; Blaschke-Petkantschin on lines):
+
+    C(n,2) 2 pi C^2 K(beta) int_0^1 (1 - p^2)^((4 beta + 3)/2) [s^(n-2) + (1 - s)^(n-2)] dp,
+
+    where C is the density constant, s = cap_measure(beta, p) and
+    K(beta) = int int_[-1,1]^2 (1 - u^2)^beta (1 - v^2)^beta |u - v| du dv.
+    """
+    beta = d / 2 - 2
+    c = (beta + 1) / math.pi
+    half, _ = integrate.dblquad(lambda v, u: ((1 - u * u) * (1 - v * v)) ** beta * (u - v),
+                                -1, 1, -1, lambda u: u, epsabs=0, epsrel=1e-9)
+
+    def line(p):
+        s = cap_measure(beta, p)
+        return (1 - p * p) ** ((4 * beta + 3) / 2) * (
+            math.exp((n - 2) * math.log(s)) + math.exp((n - 2) * math.log1p(-s)))
+
+    # the far side's mass s is about 1/n where the integrand lives
+    rims = [floating_radius(beta, x / n) for x in (0.1, 1, 10, 100) if x / n < 0.5]
+    value, _ = integrate.quad(line, 0, 1, points=rims, limit=200, epsabs=0, epsrel=1e-10)
+    return math.comb(n, 2) * 2 * math.pi * c * c * 2 * half * value
+
+
+def test_exact_mean_of_three_points_is_three():
+    means = {d: _exact_mean_f0(d, 3) for d in (3, 4, 5, 8)}
+    ok = all(abs(m - 3) < 1e-8 for m in means.values())
+    report("exact mean vertex count of three points is 3 for d in {3, 4, 5, 8}", ok, str(means))
+
+
+@pytest.mark.parametrize("d, n", [(5, 10 ** 6), (8, 10 ** 7)])
+def test_simulated_means_match_the_exact_mean(d, n):
+    """A gate that does not depend on the stream: the simulated f0 and f1_up
+    means sit within 4 standard errors of E f0 and E f1_up = E f0 / 2."""
+    exact = _exact_mean_f0(d, n)
+    rep = simulate_Qn(SimConfig(d=d, n=n, trials=400, seed=SEED))
+    z = {name: (rep.summary[name]["mean"] - want) / rep.summary[name]["stderr"]
+         for name, want in (("f0", exact), ("f1_up", exact / 2))}
+    ok = all(abs(v) <= 4 for v in z.values())
+    report(f"simulated means at d={d}, n={n} within 4 stderr of the exact E f0 = {exact:.2f}",
+           ok, ", ".join(f"{k} z={v:+.2f}" for k, v in z.items()))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.spatial import ConvexHull
 
 from pathspectra import Polytope, shadow_path
@@ -17,7 +17,8 @@ from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
                                  max_independent_caps, outside_measure,
                                  project_to_disk, projection_chi_square,
                                  radial_cdf, sample_sphere, simulate_Qn)
-from pathspectra.betasim import _rng, _throwaway_filter
+from pathspectra.betasim import (_disk_in_hull, _hull_chains, _rng, _throwaway_filter,
+                                 _trial_counts)
 from pathspectra.errors import InputError
 from pathspectra.exactgeom import _monotone_chains
 
@@ -43,6 +44,29 @@ def test_sphere_sample_statistics():
     assert np.abs(np.linalg.norm(pts, axis=1) - 1).max() < 1e-12
     assert np.linalg.norm(pts.mean(axis=0)) <= 0.02
     assert abs(pts[:, 0].var() - 1 / 5) < 0.1 / 5
+
+
+def test_streams_are_distinct_across_seeds_trials_and_attempts():
+    """No two (seed, trial, attempt) share a stream: the key is the pair
+    (seed, trial), not their XOR, and an attempt jumps the stream ahead."""
+    firsts = {tuple(_rng(seed, trial, attempt).integers(0, 2**63, size=2))
+              for seed in range(64) for trial in range(64) for attempt in range(2)}
+    assert len(firsts) == 64 * 64 * 2
+
+
+def test_first_row_is_exchangeable():
+    """The shells run from the rim inward, so without the final permutation
+    the first row would lie near the rim; its projected radius must follow the
+    radial law over many streams (chi-square on 20 equiprobable bins)."""
+    d, bins, seeds = 5, 20, 2000
+    beta = d / 2 - 2
+    first = np.array([sample_sphere(d, 300, _rng(seed, 0))[0, :2] for seed in range(seeds)])
+    levels = [radial_cdf(beta, r) for r in np.hypot(first[:, 0], first[:, 1])]
+    counts = np.bincount(np.minimum((np.array(levels) * bins).astype(int), bins - 1),
+                         minlength=bins)
+    expected = seeds / bins
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert special.chdtrc(bins - 1, stat) > 0.01
 
 
 def test_projection_stays_in_disk_and_matches_radial_law():
@@ -147,6 +171,31 @@ def test_filter_matches_octagon_filter_and_qhull(d, n):
             assert {tuple(p) for p in xy[ConvexHull(xy).vertices].tolist()} <= kept
 
 
+@pytest.mark.parametrize("n", [3, 4, 17, 63, 64, 65, 129, 2000, 100000])
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 22])
+def test_rim_counts_match_the_full_sample_and_qhull(d, n):
+    """Differential oracle for the rim-first trial: its counts, read off a
+    prefix of the shells, equal those of the full sample drawn from the same
+    stream, by the monotone chain and by Qhull (the benchmark's recount)."""
+    for seed, trial in ((1, 0), (1, 1), (29, 0), (29, 3)):
+        counts = _trial_counts(SimConfig(d=d, n=n, trials=trial + 1, seed=seed), trial)
+        xy = project_to_disk(sample_sphere(d, n, _rng(seed, trial)))
+        assert counts == chain_counts(xy) + (0,) == _qhull_counts(xy) + (0,)
+
+
+@pytest.mark.parametrize("d, n, c0", [(3, 3, 0.3), (3, 1000, 0.5), (5, 200, 1.25),
+                                      (5, 20000, 0.5), (8, 2000, 0.5), (22, 100000, 0.3)])
+def test_floating_flags_match_the_full_sample(d, n, c0):
+    """Each containment flag, read off the rim-first hull, equals the test on
+    the full sample's hull and the distances of Qhull's edge lines (c0 is
+    small, so that the disk often reaches outside the hull)."""
+    rep = floating_containment_rate(SimConfig(d=d, n=n, trials=12, seed=8), c0=c0)
+    for trial, flag in enumerate(rep.contained):
+        xy = project_to_disk(sample_sphere(d, n, _rng(8, trial)))
+        assert flag == _disk_in_hull(_hull_chains(xy), rep.radius)
+        assert flag == bool((-ConvexHull(xy).equations[:, 2] >= rep.radius).all())
+
+
 _GRID = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 
@@ -222,6 +271,8 @@ def test_three_points_make_a_triangle():
 def test_config_validation():
     with pytest.raises(InputError):
         SimConfig(d=2, n=10, trials=1)
+    with pytest.raises(InputError):
+        sample_sphere(2, 10, _rng(0, 0))
     with pytest.raises(InputError):
         SimConfig(d=4, n=10, trials=0)
     assert SimConfig(d=5, n=10, trials=1).beta == 0.5
