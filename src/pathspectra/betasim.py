@@ -7,10 +7,12 @@ of n such points: the upper-chain edge count is distributed like the length of
 the coherent path captured by the projection plane.
 
 A sphere sample is drawn shell by shell from the rim inward (see `_shells`),
-and a simulation trial draws only the outer shells that make the hull: it stops
-at the first shell whose inner disk the hull so far holds, since every later
-point lies inside that disk.  `sample_sphere` draws every shell from the same
-stream, then permutes the rows, so a trial's hull is that of the full sample.
+and every simulated hull is a rim hull (`_rim_chains`): it reads only the outer
+shells, and stops at the first one whose inner disk the hull so far holds,
+since every later point lies inside that disk.  `sample_sphere` draws every
+shell from the same stream, then permutes the rows, so a trial's hull is that
+of the full sample.  A rim holds a few hundred points, so the monotone chain
+runs on them directly.
 
 Reproducibility: every trial draws from a counter-based Philox stream keyed by
 the pair (seed mod 2^64, trial index), and a retry jumps that stream ahead, so
@@ -124,8 +126,10 @@ def sample_sphere(d: int, n: int, rng) -> np.ndarray:
     """n i.i.d. uniform points on the unit sphere in R^d, d >= 3: the shells of
     `_shells`, then one permutation of the rows drawn after them, so that every
     row, the first one included, is a uniform point."""
-    if d < 3:
-        raise InputError("sphere sampling needs d >= 3")
+    if d < 3 or n < 0:
+        raise InputError("sphere sampling needs d >= 3 and n >= 0")
+    if n == 0:
+        return np.empty((0, d))
     pts = np.concatenate([shell for shell, _ in _shells(d, n, rng)])
     return np.take(pts, rng.permutation(n), axis=0)
 
@@ -162,94 +166,23 @@ def radial_cdf(beta: float, r: float) -> float:
 # Planar hulls
 # ---------------------------------------------------------------------------
 
-# 32 evenly spaced directions, counterclockwise from the positive x axis
-_DIRECTIONS = np.exp(2j * np.pi * np.arange(32) / 32).view(float).reshape(32, 2)
-_BLOCK = 4096  # points per block of the edge test, so that memory stays bounded
-
-
-def _next(a):
-    """np.roll(a, -1), without its overhead."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _cut(xy, r2, ax, ay):
-    """The points of `xy` (squared norms `r2`), and their `r2`, on or outside
-    some edge line of the counterclockwise polygon (ax, ay) of points of `xy`.
-
-    The points closer to the origin than (1 - 1e-9) times the polygon's
-    inscribed radius about it go first, in one pass and without an edge test;
-    when the origin is not strictly inside, none do.  Then one broadcast
-    cross-product test against all edges decides the rest.  A polygon of
-    fewer than three distinct vertices keeps every point.  A point strictly
-    left of every edge of a closed polygon of points of `xy` lies strictly
-    inside their hull, whatever the order of the vertices, so no hull vertex
-    is dropped.
-    """
-    last = (ax != _next(ax)) | (ay != _next(ay))  # the last of each run of repeats
-    ax, ay = ax[last], ay[last]
-    if len(ax) < 3:
-        return xy, r2
-    bx, by = _next(ax), _next(ay)
-    # the origin's distance to each edge line, less a bound on its rounding
-    slack = 4 * np.finfo(float).eps * (np.abs(ax * by) + np.abs(ay * bx))
-    r = ((ax * by - ay * bx - slack) / np.hypot(bx - ax, by - ay)).min()
-    if r > 0:
-        keep = r2 >= (r * (1 - 1e-9)) ** 2
-        xy, r2 = xy[keep], r2[keep]
-    ex, ey = bx - ax, by - ay
-    # one row per edge, one column per point
-    keep = np.concatenate([((ex[:, None] * (b[:, 1] - ay[:, None])
-                             - ey[:, None] * (b[:, 0] - ax[:, None])) <= 0.0).any(axis=0)
-                           for b in np.split(xy, range(_BLOCK, len(xy), _BLOCK))])
-    return xy[keep], r2[keep]
-
-
-def _throwaway_filter(xy: np.ndarray) -> np.ndarray:
-    """Drop points strictly inside polygons of the points' own directional
-    extremes (the Akl-Toussaint heuristic); hull vertices always survive.
-
-    One pass over all n points finds the extremes in the 8 octagon directions
-    (argmax and argmin of x, y, x + y and x - y), and `_cut` drops the points
-    strictly inside their polygon, most of them by its inscribed disk.  The
-    extremes of the few points left in 32 evenly spaced directions make a
-    finer polygon, and `_cut` runs again.  Non-finite coordinates are an
-    InputError.
-    """
-    x = np.ascontiguousarray(xy[:, 0])
-    y = np.ascontiguousarray(xy[:, 1])
-    east, north, west, south = x.argmax(), y.argmax(), x.argmin(), y.argmin()
-    # a NaN is the argmax and the argmin
-    if not np.isfinite([x[east], y[north], x[west], y[south]]).all():
-        raise InputError("planar points must be finite")
-    if len(xy) <= 16:
-        return xy
-    s, t = x + y, x - y
-    # counterclockwise: the directions 0, 45, ..., 315 degrees
-    octagon = np.array([east, s.argmax(), north, t.argmin(),
-                        west, s.argmin(), south, t.argmax()])
-    xy, r2 = _cut(xy, x * x + y * y, x[octagon], y[octagon])
-    ax, ay = xy[np.argmax(_DIRECTIONS @ xy.T, axis=1)].T
-    return _cut(xy, r2, ax, ay)[0]
-
-
-def _hull_chains(xy: np.ndarray):
-    """Lower and upper hull chains of the distinct points that survive the
-    throwaway filter, from `exactgeom._monotone_chains`."""
-    return _monotone_chains(sorted(set(map(tuple, _throwaway_filter(xy).tolist()))))
-
-
 def chain_counts(xy) -> tuple:
     """(f0, f1_up, f1_low) of the convex hull of the points.
 
     The hull cycle is split at its lexicographic minimum and maximum, so the
     two chain edge counts always add up to the vertex count; collinear points
     interior to a hull edge are not counted as vertices.  Non-finite
-    coordinates are an InputError.
+    coordinates are an InputError.  `exactgeom._monotone_chains` runs on
+    every distinct point: about half a second at 10^5 points, some 100 times
+    what a throwaway filter would cost there.  Simulations hull only a rim of
+    a few hundred points (`_rim_chains`), so none is kept.
     """
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:
         raise InputError("need at least two planar points")
-    return _chain_lengths(*_hull_chains(xy))
+    if not np.isfinite(xy).all():
+        raise InputError("planar points must be finite")
+    return _chain_lengths(*_monotone_chains(sorted(set(map(tuple, xy.tolist())))))
 
 
 def _chain_lengths(lower, upper):
@@ -259,19 +192,19 @@ def _chain_lengths(lower, upper):
     return len(lower) + len(upper) - 2, len(upper) - 1, len(lower) - 1
 
 
-def _rim_chains(d: int, n: int, rng):
-    """Hull chains of `project_to_disk(sample_sphere(d, n, rng))`, from the
-    fewest outer shells of the same stream.
+def _rim_chains(shells):
+    """Hull chains of the points of `shells`, (points, r_in) pairs as `_shells`
+    yields them, from the fewest shells that make the hull.
 
-    Once every hull edge of the points drawn so far lies at least the current
-    shell's inner radius from the origin (times 1 + 1e-9, against rounding),
-    every later point lies strictly inside the hull, which is then the hull of
-    the full sample.
+    Once every hull edge lies at least the current shell's inner radius from
+    the origin (times 1 + 1e-9, against rounding), every later point lies
+    strictly inside the hull, which is then the hull of all the points.  Only
+    the hull's vertices are carried on to the next shell.
     """
-    xy = np.empty((0, 2))
-    for shell, r_in in _shells(d, n, rng):
-        xy = np.concatenate((xy, shell[:, :2]))
-        chains = _hull_chains(xy) if len(xy) else ([], [])
+    chains = ([], [])
+    for points, r_in in shells:
+        hull = set(chains[0] + chains[1]).union(map(tuple, points[:, :2].tolist()))
+        chains = _monotone_chains(sorted(hull))
         if _disk_in_hull(chains, r_in * (1 + 1e-9)):
             break
     return chains
@@ -282,7 +215,7 @@ def _trial_counts(config: SimConfig, trial: int):
     retries = 0
     for attempt in range(64):
         rng = _rng(config.seed, trial, attempt)
-        f0, f1_up, f1_low = _chain_lengths(*_rim_chains(config.d, config.n, rng))
+        f0, f1_up, f1_low = _chain_lengths(*_rim_chains(_shells(config.d, config.n, rng)))
         if f0 >= 3:
             return f0, f1_up, f1_low, retries
         retries += 1
@@ -352,14 +285,15 @@ def cap_measure(beta: float, R: float) -> float:
     """Mass of the cap {x : x . u > R} under the planar beta law.
 
     A coordinate's marginal density is proportional to (1 - x^2)^(beta + 1/2),
-    so with u = 1 - x^2 the mass is half a regularized incomplete beta
-    function: I_{1 - R^2}(beta + 3/2, 1/2) / 2.
+    so with u = x^2 the mass is half the complement of a regularized
+    incomplete beta function: (1 - I_{R^2}(1/2, beta + 3/2)) / 2, computed
+    without forming 1 - R^2, so that it stays exact near R = 0.
     """
     if beta <= -1:
         raise InputError("beta must exceed -1")
     if not 0 < R < 1:
         raise InputError("cap radius must be strictly between 0 and 1")
-    return 0.5 * float(special.betainc(beta + 1.5, 0.5, 1 - R * R))
+    return 0.5 * float(special.betaincc(0.5, beta + 1.5, R * R))
 
 
 def cap_measure_asymptotic(beta: float, R: float) -> float:
@@ -409,7 +343,7 @@ def floating_containment_rate(config: SimConfig, c0: float) -> ContainmentReport
     radius = floating_radius(config.beta, eps)
     flags = []
     for trial in range(config.trials):
-        chains = _rim_chains(config.d, config.n, _rng(config.seed, trial))
+        chains = _rim_chains(_shells(config.d, config.n, _rng(config.seed, trial)))
         flags.append(_disk_in_hull(chains, radius))
     return ContainmentReport(rate=flags.count(False) / config.trials, eps=eps,
                              radius=radius, trials=config.trials,
@@ -449,22 +383,20 @@ class DiffMomentReport:
 
 def first_diff_moment(config: SimConfig, p: int) -> DiffMomentReport:
     """Moments of D f0 = f0(all n points) - f0(first point removed), plus the
-    jackknife variance proxy (n+1) E[(D f0)^2]."""
+    jackknife variance proxy (n+1) E[(D f0)^2].
+
+    Both hulls are rim hulls of `sample_sphere`'s shells.  D f0 is nonzero
+    only when the removed point is a hull vertex, so the trials must far
+    exceed n / E f0 for the moments to say much.
+    """
     if config.n < 4:
         raise InputError("need n >= 4")
     if p < 1:
         raise InputError("p must be a positive integer")
-    diffs = []
-    f0s = []
-    for trial in range(config.trials):
-        rng = _rng(config.seed, trial)
-        xy = project_to_disk(sample_sphere(config.d, config.n, rng))
-        f0_full, _, _ = chain_counts(xy)
-        f0_drop, _, _ = chain_counts(xy[1:])
-        diffs.append(f0_full - f0_drop)
-        f0s.append(f0_full)
-    diffs = np.array(diffs, dtype=float)
-    f0s = np.array(f0s, dtype=float)
+    counts = np.array([_f0_with_and_without_first_row(config, trial)
+                       for trial in range(config.trials)], dtype=float)
+    f0s = counts[:, 0]
+    diffs = f0s - counts[:, 1]
     second = float((diffs ** 2).mean())
     return DiffMomentReport(
         p=p,
@@ -476,6 +408,19 @@ def first_diff_moment(config: SimConfig, p: int) -> DiffMomentReport:
         zero_rate=float((diffs == 0).mean()),
         config=config,
     )
+
+
+def _f0_with_and_without_first_row(config: SimConfig, trial: int):
+    """f0 of the trial's `sample_sphere` points, and f0 without its first row,
+    both from rim hulls of the same shells."""
+    rng = _rng(config.seed, trial)
+    shells = list(_shells(config.d, config.n, rng))
+    k = int(rng.permutation(config.n)[0])  # the shell row `sample_sphere` puts first
+    dropped = []  # each r_in still bounds every later point
+    for points, r_in in shells:
+        dropped.append((np.delete(points, k, axis=0) if 0 <= k < len(points) else points, r_in))
+        k -= len(points)
+    return (_chain_lengths(*_rim_chains(shells))[0], _chain_lengths(*_rim_chains(dropped))[0])
 
 
 @dataclass(frozen=True)
@@ -528,6 +473,8 @@ def clt_check(config: SimConfig) -> CLTResult:
 def projection_chi_square(d: int, n: int, seed: int, bins: int = 24):
     """Chi-square statistic and p-value of projected sphere samples against the
     radial law of the beta density, on equiprobable radial bins."""
+    if n < 1:
+        raise InputError("need at least one point")
     beta = d / 2 - 2
     rng = _rng(seed, 0)
     xy = project_to_disk(sample_sphere(d, n, rng))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
                                  max_independent_caps, outside_measure,
                                  project_to_disk, projection_chi_square,
                                  radial_cdf, sample_sphere, simulate_Qn)
-from pathspectra.betasim import (_disk_in_hull, _hull_chains, _rng, _throwaway_filter,
-                                 _trial_counts)
+from pathspectra.betasim import (_disk_in_hull, _f0_with_and_without_first_row,
+                                 _rim_chains, _rng, _shells, _trial_counts)
 from pathspectra.errors import InputError
 from pathspectra.exactgeom import _monotone_chains
 
@@ -108,42 +109,11 @@ def test_chain_counts_rejects_non_finite_points():
         chain_counts([[0, 0], [1, 0], [0, 1], [math.nan, math.nan]])
     base = _rng(4, 0).uniform(-1, 1, size=(40, 2))
     for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.5), (math.inf, -math.inf)):
-        for n in (3, 40):  # below and above the filter's 16-point cut-off
+        for n in (3, 40):
             xy = base[:n].copy()
             xy[n // 2] = bad
             with pytest.raises(InputError, match="finite"):
                 chain_counts(xy)
-
-
-def _octagon_filter(xy):
-    """The plain octagon throwaway filter, the reference for
-    `_throwaway_filter`: the polygon of the 8 directional extremes, sorted by
-    angle about their mean, and one cross-product pass over all points per
-    edge."""
-    if len(xy) <= 16:
-        return xy
-    directions = np.array([(1, 0), (0, 1), (-1, 0), (0, -1),
-                           (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
-    extremes = xy[np.unique(np.argmax(xy @ directions.T, axis=0))]
-    if len(extremes) < 3:
-        return xy
-    center = extremes.mean(axis=0)
-    poly = extremes[np.argsort(np.arctan2(extremes[:, 1] - center[1],
-                                          extremes[:, 0] - center[0]))]
-    keep = np.zeros(len(xy), dtype=bool)
-    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
-        edge = b - a
-        keep |= edge[0] * (xy[:, 1] - a[1]) - edge[1] * (xy[:, 0] - a[0]) <= 0.0
-    return xy[keep]
-
-
-def _reference_counts(xy):
-    """chain_counts with the octagon filter in place of today's."""
-    xy = np.asarray(xy, dtype=float)
-    lower, upper = _monotone_chains(sorted(set(map(tuple, _octagon_filter(xy).tolist()))))
-    if len(lower) == 1:
-        return 1, 0, 0
-    return len(lower) + len(upper) - 2, len(upper) - 1, len(lower) - 1
 
 
 def _qhull_counts(xy):
@@ -156,19 +126,17 @@ def _qhull_counts(xy):
     return f0, f0 - f1_low, f1_low
 
 
-@pytest.mark.parametrize("n", [17, 1000, 100000])
+@pytest.mark.parametrize("n", [17, 1000])
 @pytest.mark.parametrize("d", [3, 4, 5, 8])
 def test_filter_matches_octagon_filter_and_qhull(d, n):
-    """Differential oracle for the throwaway filter on sphere samples, also
-    moved off the origin: the counts equal those behind the octagon filter
-    and Qhull's, and every Qhull vertex survives the filter."""
+    """Differential oracle for `chain_counts` on sphere samples, also moved
+    off the origin: its counts equal Qhull's.  (The name is kept from the
+    throwaway filter this once tested.)"""
     for seed, trial in ((1, 0), (1, 1), (29, 0), (29, 3)):
         sample = project_to_disk(sample_sphere(d, n, _rng(seed, trial)))
         for shift in ((0, 0), (2.5, 0), (0, -1.5), (3, 4)):
             xy = sample + shift
-            assert chain_counts(xy) == _reference_counts(xy) == _qhull_counts(xy)
-            kept = {tuple(p) for p in _throwaway_filter(xy).tolist()}
-            assert {tuple(p) for p in xy[ConvexHull(xy).vertices].tolist()} <= kept
+            assert chain_counts(xy) == _qhull_counts(xy)
 
 
 @pytest.mark.parametrize("n", [3, 4, 17, 63, 64, 65, 129, 2000, 100000])
@@ -192,7 +160,8 @@ def test_floating_flags_match_the_full_sample(d, n, c0):
     rep = floating_containment_rate(SimConfig(d=d, n=n, trials=12, seed=8), c0=c0)
     for trial, flag in enumerate(rep.contained):
         xy = project_to_disk(sample_sphere(d, n, _rng(8, trial)))
-        assert flag == _disk_in_hull(_hull_chains(xy), rep.radius)
+        chains = _monotone_chains(sorted(set(map(tuple, xy.tolist()))))
+        assert flag == _disk_in_hull(chains, rep.radius)
         assert flag == bool((-ConvexHull(xy).equations[:, 2] >= rep.radius).all())
 
 
@@ -201,34 +170,62 @@ _GRID = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 @st.composite
 def _degenerate_clouds(draw):
-    """Integer clouds with repeats and collinear runs, at, near and far from
-    the filter's 16-point cut-off, moved so that the origin sits inside the
-    octagon, outside it, at one of its vertices or on one of its edges, or
-    laid on a line."""
-    n = draw(st.one_of(st.sampled_from([16, 17]), st.integers(2, 120)))
+    """Integer clouds with repeats and collinear runs, about the origin, far
+    from it, or laid on a line."""
+    n = draw(st.integers(2, 120))
     pts = np.array(draw(st.lists(_GRID, min_size=n, max_size=n)), dtype=float)
     repeats = draw(st.integers(0, n // 2))
     pts[n - repeats:] = pts[:repeats]
-    kind = draw(st.sampled_from(["inside", "outside", "vertex", "edge", "line"]))
+    kind = draw(st.sampled_from(["near", "far", "line"]))
     if kind == "line":
         step = np.array(draw(_GRID), dtype=float)
         pts = pts[:, :1] * step + np.array(draw(_GRID), dtype=float)
-    elif kind == "outside":
+    elif kind == "far":
         pts += np.array(draw(st.tuples(st.integers(-100, 100), st.integers(13, 100))))
-    elif kind in ("vertex", "edge"):
-        scores = pts @ np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0),
-                                 (-1, -1), (0, -1), (1, -1)], dtype=float).T
-        octagon = pts[np.argmax(scores, axis=0)]
-        i = draw(st.integers(0, 7))
-        a, b = octagon[i], octagon[(i + 1) % 8]
-        pts -= a if kind == "vertex" else (a + b) / 2  # halves are exact
     return pts
+
+
+def _exact_counts(xy):
+    """(f0, f1_up, f1_low) of an integer cloud, exactly and without a hull
+    algorithm.  A distinct point is a vertex iff the vectors from it to the
+    other distinct points lie in an open half-plane: some vector v among them
+    has every other one strictly counterclockwise of it, or along it, within
+    a half-turn.  f1_low and f1_up are 1 plus the vertices strictly below and
+    above the line from the lexicographic minimum to the maximum."""
+    pts = sorted({(int(x), int(y)) for x, y in xy.tolist()})
+    if len(pts) == 1:
+        return 1, 0, 0
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def is_vertex(p):
+        vecs = [(q[0] - p[0], q[1] - p[1]) for q in pts if q != p]
+        return any(all(cross(v, w) > 0 or (cross(v, w) == 0 and v[0] * w[0] + v[1] * w[1] > 0)
+                       for w in vecs) for v in vecs)
+
+    vertices = [p for p in pts if is_vertex(p)]
+    lo, hi = pts[0], pts[-1]
+    sides = [cross((hi[0] - lo[0], hi[1] - lo[1]), (p[0] - lo[0], p[1] - lo[1]))
+             for p in vertices]
+    return (len(vertices), 1 + sum(side > 0 for side in sides),
+            1 + sum(side < 0 for side in sides))
+
+
+def test_exact_counts_on_known_shapes():
+    square = np.array([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0), (2, 2)], dtype=float)
+    assert _exact_counts(square) == (4, 2, 2)
+    assert _exact_counts(np.array([(0, 0), (1, 1), (2, 2), (3, 0)], dtype=float)) == (3, 2, 1)
+    assert _exact_counts(np.array([(0, 0), (1, 1), (2, 2)], dtype=float)) == (2, 1, 1)
+    assert _exact_counts(np.array([(5, 5), (5, 5)], dtype=float)) == (1, 0, 0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_degenerate_clouds())
 def test_filter_keeps_counts_on_degenerate_clouds(xy):
-    assert chain_counts(xy) == _reference_counts(xy)
+    """`chain_counts` against the exact oracle above.  (The name is kept from
+    the throwaway filter this once tested.)"""
+    assert chain_counts(xy) == _exact_counts(xy)
 
 
 @pytest.mark.parametrize("n", [8, 15, 30])
@@ -273,6 +270,11 @@ def test_config_validation():
         SimConfig(d=2, n=10, trials=1)
     with pytest.raises(InputError):
         sample_sphere(2, 10, _rng(0, 0))
+    assert sample_sphere(4, 0, _rng(0, 0)).shape == (0, 4)
+    with pytest.raises(InputError):
+        sample_sphere(4, -1, _rng(0, 0))
+    with pytest.raises(InputError):
+        projection_chi_square(4, 0, seed=0)
     with pytest.raises(InputError):
         SimConfig(d=4, n=10, trials=0)
     assert SimConfig(d=5, n=10, trials=1).beta == 0.5
@@ -325,7 +327,7 @@ def test_cap_measure_matches_density_quadrature(beta, R):
     assert cap_measure(beta, R) == pytest.approx(oracle, rel=1e-7)
 
 
-@pytest.mark.parametrize("R", [1e-3, 0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("R", [1e-9, 1e-3, 0.1, 0.5, 0.9, 0.999])
 def test_uniform_cap_is_the_disk_segment(R):
     segment = (math.acos(R) - R * math.sqrt(1 - R * R)) / math.pi
     assert cap_measure(0.0, R) == pytest.approx(segment, rel=1e-12)
@@ -384,6 +386,54 @@ def test_first_diff_moment_cases():
     assert rep.moment == rep.second_moment
     with pytest.raises(InputError):
         first_diff_moment(SimConfig(d=5, n=3, trials=10, seed=6), p=2)
+
+
+def _where_first_row_falls(d, n, seed, trial):
+    """Whether `sample_sphere`'s first row comes from the first shell, from a
+    later shell that the rim hull reads, or from past the last one it reads."""
+    rng = _rng(seed, trial)
+    shells = list(_shells(d, n, rng))
+    first = int(rng.permutation(n)[0])
+    read = []
+
+    def reading():
+        for shell in shells:
+            read.append(len(shell[0]))
+            yield shell
+
+    _rim_chains(reading())
+    if first < read[0]:
+        return "first"
+    return "later" if first < sum(read) else "past"
+
+
+def test_first_diff_moment_matches_the_full_sample():
+    """Differential oracle for the rim-first one-point difference: per trial,
+    f0 with and without the first row equals `chain_counts` on the full
+    `sample_sphere` points and on their [1:], and the report is read off
+    those counts.  The grid removes the row from the first shell, from a
+    later one and from past the last shell the rim reads, and D f0 != 0
+    occurs."""
+    where, nonzero = set(), 0
+    for d, n in itertools.product((3, 5, 8), (8, 17, 64, 65, 400)):
+        cfg = SimConfig(d=d, n=n, trials=40, seed=21)
+        full, drop = [], []
+        for trial in range(cfg.trials):
+            xy = project_to_disk(sample_sphere(d, n, _rng(cfg.seed, trial)))
+            counts = _f0_with_and_without_first_row(cfg, trial)
+            assert counts == (chain_counts(xy)[0], chain_counts(xy[1:])[0])
+            full.append(counts[0])
+            drop.append(counts[1])
+            where.add(_where_first_row_falls(d, n, cfg.seed, trial))
+        diffs = np.subtract(full, drop)
+        nonzero += np.count_nonzero(diffs)
+        rep = first_diff_moment(cfg, p=1)
+        assert rep.moment == np.abs(diffs).mean()
+        assert rep.second_moment == (diffs ** 2).mean()
+        assert rep.mean_f0 == np.mean(full)
+        assert rep.zero_rate == np.mean(diffs == 0)
+    assert where == {"first", "later", "past"}
+    assert nonzero > 0
 
 
 def test_growth_exponent_needs_grid():
