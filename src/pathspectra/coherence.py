@@ -6,19 +6,28 @@ homogeneous cone in omega: at every step the taken arc must beat every other
 improving neighbor on slope.  The path is coherent iff that cone is
 full-dimensional, i.e. iff some omega satisfies every row strictly; by Gordan's
 alternative this fails exactly when a nonzero nonnegative combination of the
-rows vanishes.  One HiGHS LP per path (the max-least-slack LP) proposes either
-certificate: its solution a strictly interior omega, its duals the vanishing
-combination.  Both are checked in exact arithmetic, and what they leave open
-is decided by the exact simplex on the same LP (`exactgeom.lp_maximize`),
-the LP behind every vertex and edge verdict too.  A float coordinate is taken
-at its exact binary value, so every verdict is exact.
+rows vanishes.
+
+A witness already in hand decides a path incoherent before any LP: a row r
+next to its negation -r (weights 1/2, 1/2), or, within one enumeration, the
+support of a witness an earlier path certified, when the path's rows hold
+all of it.  Every other path with rows costs one HiGHS LP (the
+max-least-slack LP), which proposes either certificate: its solution a
+strictly interior omega, its duals the vanishing combination.  Both are
+checked in exact arithmetic, and what they leave open is decided by the
+exact simplex on the same LP (`exactgeom.lp_maximize`), the LP behind every
+vertex and edge verdict too.  So every coherent path's certificate comes
+from its own LP.  A float coordinate is taken at its exact binary value, so
+every verdict is exact.
 
 The shadow walk runs on integers: each arc's step is a primitive integer
 vector and its rise in c an integer, so slopes compare by cross-multiplying.
 """
 from __future__ import annotations
 
+import logging
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -28,6 +37,8 @@ from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
                         _over_common_denominator, _primitive_int_vector,
                         _rational, _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,7 @@ class SampleDraw(NamedTuple):
 
 def _validate_path(G: DirectedGraph, path: MonotonePath):
     seq = tuple(path.vertex_indices)
-    if len(seq) < 2 or seq[0] != G.source or seq[-1] != G.sink:
+    if not seq or seq[0] != G.source or seq[-1] != G.sink:
         raise InputError("path must run from the source to the sink")
     for u, v in zip(seq, seq[1:]):
         if v not in G.arcs[u]:
@@ -135,14 +146,15 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
                 graph: DirectedGraph = None) -> Optional[CoherenceCertificate]:
     """Certificate iff the slope cone is full-dimensional, decided exactly.
 
-    One HiGHS max-least-slack LP proposes either a strictly interior omega
-    (coherent) or, from its duals, a nonzero nonnegative vanishing
-    combination of the rows (incoherent, by Gordan's alternative); the
-    proposal is certified in exact arithmetic, and the exact simplex on the
-    same LP settles the rare leftovers.
+    A row next to its negation proves the path incoherent outright.
+    Otherwise one HiGHS max-least-slack LP proposes either a strictly
+    interior omega (coherent) or, from its duals, a nonzero nonnegative
+    vanishing combination of the rows (incoherent, by Gordan's alternative);
+    the proposal is certified in exact arithmetic, and the exact simplex on
+    the same LP settles the rare leftovers.
     """
     G = graph if graph is not None else orient(P, c)
-    return _decide_rows(G, list(slope_cone(P, c, path, graph=G).rows))
+    return _decide_rows(G, list(slope_cone(P, c, path, graph=G).rows))[1]
 
 
 def shadow_path(P: Polytope, c, omega) -> MonotonePath:
@@ -186,35 +198,113 @@ def _shadow_walk(G: DirectedGraph, table, omega) -> MonotonePath:
 
 
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
-    """Yield (path, certificate) for every coherent monotone path, in path order."""
+    """Yield (path, certificate) for every coherent monotone path, in path order.
+
+    One witness store serves the whole enumeration; the verdict count per
+    route is logged at DEBUG when the enumeration ends.
+    """
     G = graph if graph is not None else orient(P, c)
     table = _arc_table(P, G)
     blocks = {}
-    for path in enumerate_paths(G):
-        cert = _decide_rows(G, _path_rows(table, path.vertex_indices, blocks))
-        if cert is not None:
-            yield path, cert
+    witnesses = _Witnesses()
+    routes = Counter()
+    try:
+        for path in enumerate_paths(G):
+            route, cert = _decide_rows(G, _path_rows(table, path.vertex_indices, blocks),
+                                       witnesses)
+            routes[route] += 1
+            if cert is not None:
+                yield path, cert
+    finally:
+        _log.debug("coherent_paths: %d paths; %s", sum(routes.values()),
+                   ", ".join(f"{route} {routes[route]}" for route in _ROUTES))
 
 
-def _decide_rows(G: DirectedGraph, rows):
+_ROUTES = ("no rows", "opposite rows", "shared witness", "HiGHS strict omega",
+           "HiGHS witness", "exact simplex")
+_HALF = Fraction(1, 2)
+
+
+class _Negations(dict):
+    """row -> -row, each negation built on first lookup."""
+
+    def __missing__(self, row):
+        neg = self[row] = tuple(-x for x in row)
+        return neg
+
+
+class _Witnesses:
+    """Gordan witnesses certified so far in one enumeration.
+
+    Each witness is a {row: weight} dict over its support, filed under one
+    support row in `by_row`; `negated` maps each row to its negation, worked
+    out once per row.
+    """
+
+    def __init__(self):
+        self.by_row = {}
+        self.negated = _Negations()
+
+    def add(self, rows, lam):
+        support = {row: x for row, x in zip(rows, lam) if x}
+        self.by_row.setdefault(min(support), []).append(support)
+
+
+def _known_witness(rows, witnesses=None):
+    """A Gordan witness for `rows` already in hand, as (route, {row: weight}),
+    or None.
+
+    Opposite rows r and -r take weight 1/2 each.  Otherwise a witness in
+    `witnesses` whose support lies within `rows` holds for `rows` as it is.
+    """
+    seen = set(rows)
+    negated = _Negations() if witnesses is None else witnesses.negated
+    for row in rows:
+        neg = negated[row]
+        if neg in seen:
+            return "opposite rows", {row: _HALF, neg: _HALF}
+    if witnesses is not None:
+        by_row = witnesses.by_row
+        for row in rows:
+            for support in by_row.get(row, ()):
+                if support.keys() <= seen:
+                    return "shared witness", support
+    return None
+
+
+def _decide_rows(G: DirectedGraph, rows, witnesses=None):
+    """(route, certificate) for the cone of `rows`: a certificate iff it has
+    an interior point, else None; `route` names what decided it (`_ROUTES`).
+
+    A witness in hand (`_known_witness`) settles an incoherent path first;
+    then one HiGHS LP, then the exact simplex.  A `witnesses` store keeps
+    each HiGHS witness for later paths.
+    """
     d = len(G.c)
     if not rows:
-        return CoherenceCertificate(omega=(Fraction(0),) * d, margin=Fraction(1))
+        return "no rows", CoherenceCertificate(omega=(Fraction(0),) * d, margin=Fraction(1))
+    known = _known_witness(rows, witnesses)
+    if known is not None:
+        return known[0], None
     # a Gordan witness lam >= 0, sum lam = 1, sum lam_r row_r = 0 proves the
     # cone has no interior
     omega, witness = _strict_interior(rows)
     if witness is not None:
-        return None
+        if witnesses is not None:
+            witnesses.add(rows, witness)
+        return "HiGHS witness", None
+    route = "HiGHS strict omega"
     if omega is None:
+        route = "exact simplex"
         omega, slack = lp_maximize(rows)
         if slack <= 0:
-            return None
+            return route, None
     omega = _remove_c_component(omega, G.c)
     num, den = _over_common_denominator(omega)
     margin = Fraction(min(dot(row, num) for row in rows), den)
     if margin <= 0:
         raise AssertionError("normalized certificate lost its margin")
-    return CoherenceCertificate(omega=omega, margin=margin)
+    return route, CoherenceCertificate(omega=omega, margin=margin)
 
 
 def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpectrum:

@@ -1,4 +1,5 @@
 import json
+import logging
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathspectra import (DegeneracyError, GenericityError, InputError,
                          shadow_path, slope_cone)
 from pathspectra import coherence, exactgeom, zoo
 from pathspectra.exactgeom import dot
+from test_exactgeom import _point_sets
 
 
 def test_both_polygon_paths_are_coherent():
@@ -76,6 +78,14 @@ def test_slope_cone_validates_paths():
         slope_cone(P, c, MonotonePath((0, 7)))
     with pytest.raises(InputError):
         slope_cone(P, c, MonotonePath((0,)))
+
+
+def test_single_vertex_path_has_no_rows_and_is_coherent():
+    P, c = Polytope([(0, 1)]), (0, 1)
+    (path,) = enumerate_paths(orient(P, c))
+    assert path == MonotonePath((0,))
+    assert slope_cone(P, c, path).rows == ()
+    assert is_coherent(P, c, path) == next(coherent_paths(P, c))[1]
 
 
 def test_certificate_round_trip():
@@ -322,10 +332,8 @@ def _log_calls(monkeypatch, owner, name):
     return log
 
 
-@pytest.mark.parametrize("P, c", _DUAL_CASES)
-def test_one_highs_lp_per_path(P, c, monkeypatch):
-    G = orient(P, c)
-    with_rows = sum(1 for p in enumerate_paths(G) if slope_cone(P, c, p, graph=G).rows)
+def _count_highs(monkeypatch):
+    """Route every HiGHS call through a counter; returns the call log."""
     linprog, np = exactgeom._highs()
     calls = []
 
@@ -333,39 +341,142 @@ def test_one_highs_lp_per_path(P, c, monkeypatch):
         calls.append(kwargs)
         return linprog(*args, **kwargs)
     monkeypatch.setattr(exactgeom, "_highs_handle", (counted, np))
+    return calls
+
+
+def _assert_gordan(rows, lam):
+    """lam ({row: weight}) is a Gordan witness on `rows`, in `Fraction`s:
+    lam >= 0, sum lam = 1 and sum lam_r row_r = 0."""
+    assert set(lam) <= set(rows)
+    assert all(isinstance(x, Fraction) and x >= 0 for x in lam.values())
+    assert sum(lam.values()) == 1
+    d = len(rows[0])
+    assert [sum(x * row[i] for row, x in lam.items()) for i in range(d)] == [0] * d
+
+
+@pytest.mark.parametrize("P, c", _DUAL_CASES)
+def test_one_highs_lp_per_path(P, c, monkeypatch):
+    """One HiGHS LP per path that has rows and no witness in hand."""
+    G = orient(P, c)
+    with_rows = sum(1 for p in enumerate_paths(G) if slope_cone(P, c, p, graph=G).rows)
+    calls = _count_highs(monkeypatch)
+    known = _log_calls(monkeypatch, coherence, "_known_witness")
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
     coherent_spectrum(P, c, graph=G)
-    assert len(calls) == with_rows
+    decided = sum(1 for _args, found in known if found is not None)
+    assert len(known) == with_rows
+    assert len(calls) == with_rows - decided
     assert exact == []
 
 
 @pytest.mark.parametrize("P, c", _DUAL_CASES)
 def test_dual_witnesses_recheck_in_fractions(P, c, monkeypatch):
+    """Every incoherent path carries a witness that rechecks in `Fraction`s:
+    one in hand, or one read off its HiGHS duals."""
     G = orient(P, c)
+    known = _log_calls(monkeypatch, coherence, "_known_witness")
     proposals = _log_calls(monkeypatch, coherence, "_strict_interior")
     coherent = {p for p, _ in coherent_paths(P, c, graph=G)}
-    witnesses = [(rows, lam) for (rows,), (_y, lam) in proposals if lam is not None]
+    witnesses = [(rows, dict(zip(rows, lam))) for (rows,), (_y, lam) in proposals
+                 if lam is not None]
+    witnesses += [(args[0], found[1]) for args, found in known if found is not None]
     incoherent = sum(1 for p in enumerate_paths(G) if p not in coherent)
     assert len(witnesses) == incoherent
     for rows, lam in witnesses:
-        assert all(isinstance(x, Fraction) and x >= 0 for x in lam)
-        d = len(rows[0])
-        total = [sum(x * Fraction(row[i]) for x, row in zip(lam, rows)) for i in range(d)]
-        assert total == [0] * d
-        assert sum(lam) == 1
+        _assert_gordan(rows, lam)
 
 
-@pytest.mark.parametrize("P, c", [
-    (zoo.cross_polytope(4), (1, 2, 3, 4)),
-    (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
+@pytest.mark.parametrize("P, c, exact_runs", [
+    (zoo.cross_polytope(4), (1, 2, 3, 4), False),
+    (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0), True),
 ], ids=["cross4", "cyclic4-8"])
-def test_without_duals_the_exact_simplex_decides_the_same(P, c, request, monkeypatch):
+def test_without_duals_the_exact_simplex_decides_the_same(P, c, exact_runs, request,
+                                                          monkeypatch):
+    """With no HiGHS witness, every incoherent path without opposite rows
+    goes to the exact simplex: on cross4 every one has them, on cyclic4-8
+    none does."""
     G = orient(P, c)
     expected = list(coherent_paths(P, c, graph=G))
     request.getfixturevalue("highs_without_duals")
+    known = _log_calls(monkeypatch, coherence, "_known_witness")
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
     assert list(coherent_paths(P, c, graph=G)) == expected
-    assert len(exact) == sum(1 for _ in enumerate_paths(G)) - len(expected) > 0
+    decided = [found[0] for _args, found in known if found is not None]
+    assert set(decided) <= {"opposite rows"}
+    incoherent = sum(1 for _ in enumerate_paths(G)) - len(expected)
+    assert len(exact) == incoherent - len(decided)
+    assert bool(exact) == exact_runs
+
+
+@pytest.mark.parametrize("P, c", [
+    (zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5)),
+    (zoo.lopsided_cube(5), (1, 1, 1, 1, 1)),
+], ids=["prod3x4", "lopsided5"])
+def test_coherent_only_inputs_ask_one_highs_lp_per_path(P, c, monkeypatch):
+    G = orient(P, c)
+    paths = sum(1 for _ in enumerate_paths(G))
+    calls = _count_highs(monkeypatch)
+    assert len(list(coherent_paths(P, c, graph=G))) == paths
+    assert len(calls) == paths
+
+
+def _per_path_route(P, c, G):
+    """(path, certificate) of every monotone path, each decided alone by
+    `_decide_rows` on its own rows, with no witness store."""
+    return [(p, coherence._decide_rows(G, list(slope_cone(P, c, p, graph=G).rows))[1])
+            for p in enumerate_paths(G)]
+
+
+def _assert_matches_per_path_route(P, c, monkeypatch):
+    G = orient(P, c)
+    reference = _per_path_route(P, c, G)
+    known = _log_calls(monkeypatch, coherence, "_known_witness")
+    pairs = list(coherent_paths(P, c, graph=G))
+    assert pairs == [(p, cert) for p, cert in reference if cert is not None]
+    found = {p for p, _ in pairs}
+    assert ({p for p in enumerate_paths(G) if p not in found}
+            == {p for p, cert in reference if cert is None})
+    for (rows, _store), witness in known:
+        if witness is not None:
+            _assert_gordan(rows, witness[1])
+    # with no witness in hand, every path with rows asks HiGHS
+    monkeypatch.setattr(coherence, "_known_witness", lambda rows, witnesses=None: None)
+    assert _per_path_route(P, c, G) == reference
+    return [witness[0] for _args, witness in known if witness is not None]
+
+
+@pytest.mark.parametrize("P, c", _DUAL_CASES)
+def test_shared_witnesses_match_the_per_path_route(P, c, monkeypatch):
+    _assert_matches_per_path_route(P, c, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["ass5", "p10-sphere"])
+def test_shared_witnesses_match_the_per_path_route_on_fixtures(name, monkeypatch):
+    F = zoo.fixture(name)
+    routes = _assert_matches_per_path_route(F.polytope, F.direction, monkeypatch)
+    assert "shared witness" in routes
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets(), st.data())
+def test_shared_witnesses_match_the_per_path_route_on_point_sets(points, data):
+    P = Polytope(points, on_nonvertex="strip")
+    c = data.draw(st.tuples(*[_COORD] * P.dim))
+    try:
+        orient(P, c)
+    except (GenericityError, InputError):
+        assume(False)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches_per_path_route(P, c, monkeypatch)
+
+
+def test_route_counts_are_logged_once_per_enumeration(caplog):
+    P, c = zoo.cross_polytope(4), (1, 2, 3, 4)
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
+        coherent_spectrum(P, c)
+    assert [r.getMessage() for r in caplog.records if r.name == "pathspectra.coherence"] == [
+        "coherent_paths: 42 paths; no rows 0, opposite rows 16, shared witness 0, "
+        "HiGHS strict omega 26, HiGHS witness 0, exact simplex 0"]
 
 
 @pytest.fixture(scope="module")
