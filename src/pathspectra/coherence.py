@@ -20,8 +20,9 @@ vertex and edge verdict too.  So every coherent path's certificate comes
 from its own LP.  A float coordinate is taken at its exact binary value, so
 every verdict is exact.
 
-The shadow walk runs on integers: each arc's step is a primitive integer
-vector and its rise in c an integer, so slopes compare by cross-multiplying.
+Certificates and the shadow walk run on integers: omega is projected off c
+on numerators over one denominator, and each arc's step is a primitive
+integer vector and its rise in c an integer, so slopes cross-multiply.
 """
 from __future__ import annotations
 
@@ -130,16 +131,6 @@ def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) 
     seq = _validate_path(G, path)
     table = _arc_table(P, G, tails=seq[:-1])
     return SlopeCone(rows=tuple(_path_rows(table, seq, {})))
-
-
-def _remove_c_component(omega, c):
-    cc = dot(c, c)
-    if cc == 0:
-        return tuple(omega)
-    t = dot(omega, c)
-    if t == 0:
-        return tuple(omega)
-    return tuple(w - t * ck / cc for w, ck in zip(omega, c))
 
 
 def is_coherent(P: Polytope, c, path: MonotonePath,
@@ -299,12 +290,19 @@ def _decide_rows(G: DirectedGraph, rows, witnesses=None):
         omega, slack = lp_maximize(rows)
         if slack <= 0:
             return route, None
-    omega = _remove_c_component(omega, G.c)
-    num, den = _over_common_denominator(omega)
+        omega = _over_common_denominator(omega)
+    # omega = num / den less its c component: with cn an integer multiple of
+    # c, that is num (cn . cn) - (num . cn) cn over den (cn . cn)
+    num, den = omega
+    cn, _ = _over_common_denominator(G.c)
+    cc, t = dot(cn, cn), dot(num, cn)
+    num = [x * cc - t * y for x, y in zip(num, cn)]
+    den *= cc
     margin = Fraction(min(dot(row, num) for row in rows), den)
     if margin <= 0:
         raise AssertionError("normalized certificate lost its margin")
-    return route, CoherenceCertificate(omega=omega, margin=margin)
+    return route, CoherenceCertificate(omega=tuple(Fraction(x, den) for x in num),
+                                       margin=margin)
 
 
 def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpectrum:

@@ -197,10 +197,10 @@ def _direct_highs(core):
 
     Its options are the ones `linprog` sets, passed once.  Each call builds
     the model as `linprog` does (the A_ub rows column-wise, nonzeros only;
-    infinite bounds as `kHighsInf`) and passes it whole, so no state carries
-    from one call to the next.  Status codes follow `linprog`, including its
-    demotion of an "optimal" point that violates the constraints by more than
-    10 * sqrt(1e-9) to status 4.
+    infinite bounds as `kHighsInf`) and passes it whole, as lists, so no
+    HiGHS state carries from one call to the next.  Status codes follow
+    `linprog`, including its demotion of an "optimal" point off the
+    constraints by more than 10 * sqrt(1e-9) to 4.
     """
     highs = core._Highs()
     options = core.HighsOptions()
@@ -215,28 +215,30 @@ def _direct_highs(core):
              model_status.kIterationLimit: 1, model_status.kInfeasible: 2,
              model_status.kModelError: 2, model_status.kUnbounded: 3}
     inf = core.kHighsInf
-    tol = np.sqrt(1e-9) * 10
+    tol = float(np.sqrt(1e-9) * 10)
 
     def solve(c, A_ub=None, b_ub=None, bounds=(0, None), method="highs"):
         c = np.asarray(c, dtype=float)
         n = len(c)
         cols = (np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)).T
-        upper = np.empty(0) if b_ub is None else np.asarray(b_ub, dtype=float)
+        upper = [] if b_ub is None else np.asarray(b_ub, dtype=float).tolist()
         box = np.broadcast_to(np.array(bounds, dtype=float), (n, 2))  # None -> nan
-        lb = np.where(np.isnan(box[:, 0]), -inf, box[:, 0])
-        ub = np.where(np.isnan(box[:, 1]), inf, box[:, 1])
+        lb = np.where(np.isnan(box[:, 0]), -inf, box[:, 0]).tolist()
+        ub = np.where(np.isnan(box[:, 1]), inf, box[:, 1]).tolist()
         nonzero = cols != 0
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
         lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-        lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-        lp.a_matrix_.value_ = cols[nonzero]
+        # lists: pybind11 copies them into the model faster than numpy arrays,
+        # and the checks below read them faster
+        lp.a_matrix_.start_ = [0] + np.cumsum(nonzero.sum(axis=1)).tolist()
+        lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
+        lp.a_matrix_.value_ = cols[nonzero].tolist()
         lp.col_cost_ = c
         lp.col_lower_ = lb
         lp.col_upper_ = ub
-        lp.row_lower_ = np.full(len(upper), -inf)
+        lp.row_lower_ = [-inf] * len(upper)
         lp.row_upper_ = upper
         if highs.passModel(lp) == core.HighsStatus.kError:
             status = codes[model_status.kModelError]
@@ -246,11 +248,11 @@ def _direct_highs(core):
         if status != 0:
             return SimpleNamespace(status=status, x=None, ineqlin=SimpleNamespace(marginals=None))
         solution = highs.getSolution()
-        x = np.array(solution.col_value)
-        row = np.array(solution.row_value)
-        if not (np.all((x >= lb - tol) & (x <= ub + tol)) and np.all(upper - row >= -tol)):
+        x = solution.col_value
+        if not (all(lo - tol <= v <= hi + tol for lo, v, hi in zip(lb, x, ub))
+                and all(b - r >= -tol for b, r in zip(upper, solution.row_value))):
             status = 4
-        return SimpleNamespace(status=status, x=x, ineqlin=SimpleNamespace(
+        return SimpleNamespace(status=status, x=np.array(x), ineqlin=SimpleNamespace(
             marginals=np.array(solution.row_dual)))
 
     return solve
@@ -339,10 +341,11 @@ def _strict_interior(rows):
     """One HiGHS LP and an exact certificate for the cone {y : row . y > 0}.
 
     HiGHS maximizes the least slack t of row . y >= t over y in [-1, 1]^d,
-    t in [0, 1], each row as `_float_row` scales it; the exact checks use
-    the unscaled rows.  Returns (y, lam), at most one of them set:
-    - t > 0: y is the proposal rounded to ever finer denominators until every
-      row . y > 0 holds in exact arithmetic;
+    t in [0, 1], its rows as `_float_row` scales them, written into one
+    array; the exact checks use the unscaled rows.  Returns (y, lam), at
+    most one of them set:
+    - t > 0: y = (numerators, den) is the proposal rounded to ever finer
+      denominators until every row . y > 0 holds in exact arithmetic;
     - t = 0: by LP duality the multipliers lam_r = -marginal_r of the rows
       satisfy lam >= 0, sum lam >= 1 and sum lam_r row_r = 0, Gordan's
       alternative to a strict y.  Their support is solved exactly for
@@ -350,19 +353,18 @@ def _strict_interior(rows):
     (None, None) means no certificate was found, not that none exists.
     """
     d = len(rows[0])
-    a_ub = [[-x for x in _float_row(row)] + [1.0] for row in rows]
-    linprog = _highs()[0]
-    res = linprog(np.array([0.0] * d + [-1.0]), A_ub=np.array(a_ub),
-                  b_ub=np.zeros(len(a_ub)),
-                  bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
+    a_ub = np.ones((len(rows), d + 1))
+    np.negative([_float_row(row) for row in rows], out=a_ub[:, :d])
+    res = _highs()[0](np.array([0.0] * d + [-1.0]), A_ub=a_ub, b_ub=np.zeros(len(rows)),
+                      bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
     if res.status != 0 or res.x is None:
         return None, None
     if res.x[d] > 1e-9:
         for denominator in (10**4, 10**8, 10**12):
-            y = tuple(Fraction(v).limit_denominator(denominator) for v in res.x[:d])
-            num, _ = _over_common_denominator(y)
+            num, den = _over_common_denominator(
+                [Fraction(v).limit_denominator(denominator) for v in res.x[:d]])
             if all(dot(row, num) > 0 for row in rows):
-                return y, None
+                return (num, den), None
         return None, None
     support = [r for r, m in enumerate(res.ineqlin.marginals) if -m > 1e-9]
     return None, _certify_support([tuple(row) + (1,) for row in rows], support,

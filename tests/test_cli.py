@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import linprog
 
-from pathspectra import Polytope, exactgeom, zoo
+from pathspectra import Polytope, cli, exactgeom, zoo
 from pathspectra.cli import main
 from pathspectra.pathcount import LengthSpectrum
 
@@ -223,6 +223,10 @@ def test_coherent_sampling_keeps_dropped_level_ties(tmp_path, capsys):
 @pytest.mark.parametrize("name, P, direction", [
     ("lopsided3", zoo.lopsided_cube(3), "1,1,1"),
     ("cyclic4-8", zoo.cyclic(4, range(1, 9)), "1,0,0,0"),
+    # rows above 2^53, which HiGHS takes scaled by powers of two
+    ("p10-sphere", zoo.p10_spherical(), "1,2,3"),
+    # a direction with denominators, cleared before omega is projected off it
+    ("p10-fractional", zoo.p10(), "1,1/3,1/7"),
 ])
 def test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_path, capsys):
     assert_matches_recorded(f"coherent_{name}", P, direction, tmp_path, capsys)
@@ -267,6 +271,24 @@ def test_linprog_fallback_matches_recorded_certificates(name, P, direction, tmp_
     monkeypatch.setattr(exactgeom, "_highs_handle", None)
     assert exactgeom._highs()[0] is linprog
     test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_path, capsys)
+
+
+def test_coherent_rejects_a_negative_sample_before_enumerating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "coherent_paths", lambda *args, **kwargs: calls.append(args) or iter(()))
+    path = write_poly(tmp_path, zoo.cross_polytope(3))
+    code, out, err = run(capsys, "coherent", path, "--direction", "1,2,3", "--sample", "-1")
+    assert (code, out, err) == (1, "", "input error: need at least one sample\n")
+    assert calls == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m pathspectra` runs the CLI from a plain checkout."""
+    src = str(Path(exactgeom.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "pathspectra", "zoo", "emit", "cube3"],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert Polytope.from_json(proc.stdout).vertices == zoo.cube(3).vertices
 
 
 def test_coherent_complex_x4(tmp_path, capsys):

@@ -3,7 +3,9 @@ import logging
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -502,3 +504,67 @@ def test_scaled_rows_keep_high_bit_paths_on_highs(p10_dyadic, c, request, monkey
     for path, cert in fast + slow:
         rows = slope_cone(P, c, path, graph=G).rows
         assert rows and min(dot(row, cert.omega) for row in rows) == cert.margin > 0
+
+
+def _remove_c_component(omega, c):
+    """omega less its component along c, in `Fraction`s: the normal form
+    `_decide_rows` once computed, kept as the oracle of its integer form."""
+    cc = dot(c, c)
+    if cc == 0:
+        return tuple(omega)
+    t = dot(omega, c)
+    if t == 0:
+        return tuple(omega)
+    return tuple(w - t * ck / cc for w, ck in zip(omega, c))
+
+
+_DIRECTION = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_certificate_matches_the_fraction_normal_form(data):
+    """`_decide_rows` projects omega off c and reads its margin on integers;
+    the `Fraction` projection gives the same (omega, margin), whether omega
+    is handed in (orthogonal to c or not), proposed by HiGHS, or the exact
+    simplex's optimum."""
+    d = data.draw(st.integers(2, 5))
+    c = data.draw(st.tuples(*[_DIRECTION] * d).filter(any))
+    omega = data.draw(st.tuples(*[st.fractions(-1, 1, max_denominator=60)] * d))
+    if data.draw(st.booleans()):
+        omega = _remove_c_component(omega, c)  # t = 0
+    # rows orthogonal to c, as slope rows are, each on omega's positive side
+    cn, _ = exactgeom._over_common_denominator(c)
+    rows = []
+    for a in data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=6)):
+        row = [dot(cn, cn) * x - dot(a, cn) * y for x, y in zip(a, cn)]
+        side = dot(row, omega)
+        if side:
+            rows.append(exactgeom._primitive_int_vector([x * side for x in row]))
+    assume(rows)
+    route = data.draw(st.sampled_from(["handed in", "HiGHS strict omega", "exact simplex"]))
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "handed in":
+            mp.setattr(coherence, "_strict_interior",
+                       lambda rows: (exactgeom._over_common_denominator(omega), None))
+        else:
+            proposals = _log_calls(mp, coherence, "_strict_interior")
+            optima = _log_calls(mp, coherence, "lp_maximize")
+            if route == "exact simplex":
+                mp.setattr(exactgeom, "_highs_handle",
+                           (lambda *args, **kwargs: SimpleNamespace(status=4, x=None), np))
+        found, cert = coherence._decide_rows(SimpleNamespace(c=c), rows)
+    if route == "handed in":
+        assert found == "HiGHS strict omega"
+    else:
+        (_args, (y, _lam)), = proposals
+        assert found == ("HiGHS strict omega" if y is not None else "exact simplex")
+        assert y is None or route == "HiGHS strict omega"
+        if y is None:
+            (_args, (omega, _t)), = optima
+        else:
+            omega = tuple(Fraction(x, y[1]) for x in y[0])
+    omega = _remove_c_component(omega, c)
+    num, den = exactgeom._over_common_denominator(omega)
+    assert (cert.omega, cert.margin) == (omega, Fraction(min(dot(row, num) for row in rows), den))
+    assert [str(x) for x in cert.omega] == [str(x) for x in omega]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
 
-from pathspectra import Polytope, coherent_spectrum, exactgeom, zoo
+from pathspectra import Polytope, coherence, coherent_spectrum, exactgeom, zoo
 
 from test_exactgeom import _point_sets
 
@@ -115,3 +115,51 @@ def test_infeasible_and_equality_lps_match_linprog():
         res = direct(*args, method="highs", **kwargs)
         assert res.status == status
         _assert_same(res, linprog(*args, method="highs", **kwargs))
+
+
+def _cone_rows(P, c):
+    """The rows of every coherence LP of P under c, one list per LP."""
+    rows = []
+    real = coherence._strict_interior
+
+    def logged(r):
+        rows.append(r)
+        return real(r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coherence, "_strict_interior", logged)
+        coherent_spectrum(P, c)
+    return rows
+
+
+@pytest.mark.parametrize("P, c", [
+    pytest.param(zoo.cross_polytope(5), (1, 2, 3, 4, 5), id="cross5"),
+    pytest.param(zoo.p10_spherical(), (1, 2, 3), id="p10-sphere"),
+])
+def test_cone_lp_rows_are_the_scaled_float_rows(P, c, monkeypatch):
+    """The A_ub handed to HiGHS is, bit for bit, the rows as `_float_row`
+    gives them, negated, with a 1 for t."""
+    _, calls = _recorded(monkeypatch)
+    cones = _cone_rows(P, c)
+    assert len(cones) == len(calls)
+    big = False
+    for rows, (_args, kwargs, _res) in zip(cones, calls):
+        want = np.array([[-x for x in exactgeom._float_row(row)] + [1.0] for row in rows])
+        assert kwargs["A_ub"].dtype == want.dtype and kwargs["A_ub"].shape == want.shape
+        assert kwargs["A_ub"].tobytes() == want.tobytes()
+        big |= max(abs(x) for row in rows for x in row) >= 2**50
+    assert big == (P.label == "p10-sphere")
+
+
+def test_cone_lps_of_two_dimensions_alternate_on_the_one_solver(monkeypatch):
+    """Cone LPs in d = 3 and d = 5, interleaved on the one reused solver,
+    each equal linprog's: no bounds or cost array carries over from the
+    other dimension."""
+    small = _cone_rows(zoo.p10(), (1, 2, 3))
+    large = _cone_rows(zoo.cross_polytope(5), (1, 2, 3, 4, 5))
+    assert {len(r[0]) for r in small} == {3} and {len(r[0]) for r in large} == {5}
+    direct, calls = _recorded(monkeypatch)
+    for a, b in zip(small, large):
+        exactgeom._strict_interior(a)
+        exactgeom._strict_interior(b)
+    assert [len(args[0]) for args, _kwargs, _res in calls[:4]] == [4, 6, 4, 6]
+    _assert_matches_linprog(direct, calls)
