@@ -387,12 +387,15 @@ def first_diff_moment(config: SimConfig, p: int) -> DiffMomentReport:
 
     Both hulls are rim hulls of `sample_sphere`'s shells.  D f0 is nonzero
     only when the removed point is a hull vertex, so the trials must far
-    exceed n / E f0 for the moments to say much.
+    exceed n / E f0 for the moments to say much; the variance of f0 needs at
+    least two.
     """
     if config.n < 4:
         raise InputError("need n >= 4")
     if p < 1:
         raise InputError("p must be a positive integer")
+    if config.trials < 2:
+        raise InputError("the one-point difference needs at least two trials")
     counts = np.array([_f0_with_and_without_first_row(config, trial)
                        for trial in range(config.trials)], dtype=float)
     f0s = counts[:, 0]
@@ -403,7 +406,7 @@ def first_diff_moment(config: SimConfig, p: int) -> DiffMomentReport:
         moment=float((np.abs(diffs) ** p).mean()),
         second_moment=second,
         es_proxy=(config.n + 1) * second,
-        var_f0=float(f0s.var(ddof=1)) if len(f0s) > 1 else 0.0,
+        var_f0=float(f0s.var(ddof=1)),
         mean_f0=float(f0s.mean()),
         zero_rate=float((diffs == 0).mean()),
         config=config,

@@ -8,10 +8,11 @@ full-dimensional, i.e. iff some omega satisfies every row strictly; by Gordan's
 alternative this fails exactly when a nonzero nonnegative combination of the
 rows vanishes.
 
-A witness already in hand decides a path incoherent before any LP: a row r
-next to its negation -r (weights 1/2, 1/2), or, within one enumeration, the
-support of a witness an earlier path certified, when the path's rows hold
-all of it.  Every other path with rows costs one HiGHS LP (the
+A witness already in hand decides a path incoherent before any LP, when the
+path's rows hold all of its support.  One store keeps them: seeded with
+{r: 1/2, -r: 1/2} for every row r whose negation -r is a row too, and
+growing, within one enumeration, by every witness an earlier path
+certified.  Every other path with rows costs one HiGHS LP (the
 max-least-slack LP), which proposes either certificate: its solution a
 strictly interior omega, its duals the vanishing combination.  Both are
 checked in exact arithmetic, and what they leave open is decided by the
@@ -31,6 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .errors import DegeneracyError, InputError
@@ -91,46 +93,34 @@ def _arc_table(P: Polytope, G: DirectedGraph, tails=None):
     return table
 
 
-def _arc_rows(table, u: int, v: int):
-    """Rows demanding that the arc u -> v beats u's other improving neighbors.
+def _arc_rows(table):
+    """{(u, v): rows} over the arcs of `table`: the rows demanding that the
+    arc u -> v beats u's other improving neighbors.
 
     On integer steps and runs each row is a positive multiple of the row on
     the raw differences, so its primitive vector is the same.
     """
-    step, run = next((s, r) for w, s, r in table[u] if w == v)
-    rows = []
-    for w, rival, c_rival in table[u]:
-        if w == v:
-            continue
-        row = tuple(c_rival * a - run * b for a, b in zip(step, rival))
-        rows.append(_primitive_int_vector(row))
-    return tuple(rows)
+    blocks = {}
+    for u, arcs in table.items():
+        for v, step, run in arcs:
+            blocks[u, v] = tuple(
+                _primitive_int_vector([c_rival * a - run * b for a, b in zip(step, rival)])
+                for w, rival, c_rival in arcs if w != v)
+    return blocks
 
 
-def _path_rows(table, seq, blocks):
-    """Slope rows of the path `seq`, step by step, each distinct row once.
-
-    `blocks` caches the rows of each arc across calls.
-    """
-    rows = []
-    seen = set()
-    for arc in zip(seq, seq[1:]):
-        block = blocks.get(arc)
-        if block is None:
-            block = blocks[arc] = _arc_rows(table, *arc)
-        for row in block:
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-    return rows
+def _path_rows(blocks, seq):
+    """Slope rows of the path `seq` from the arc blocks of `_arc_rows`, step
+    by step, each distinct row once."""
+    return list(dict.fromkeys(chain.from_iterable(map(blocks.__getitem__, zip(seq, seq[1:])))))
 
 
 def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) -> SlopeCone:
     """Cone of capture vectors for the path: one row per (step, rival neighbor)."""
     G = graph if graph is not None else orient(P, c)
     seq = _validate_path(G, path)
-    table = _arc_table(P, G, tails=seq[:-1])
-    return SlopeCone(rows=tuple(_path_rows(table, seq, {})))
+    blocks = _arc_rows(_arc_table(P, G, tails=seq[:-1]))
+    return SlopeCone(rows=tuple(_path_rows(blocks, seq)))
 
 
 def is_coherent(P: Polytope, c, path: MonotonePath,
@@ -191,18 +181,17 @@ def _shadow_walk(G: DirectedGraph, table, omega) -> MonotonePath:
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     """Yield (path, certificate) for every coherent monotone path, in path order.
 
-    One witness store serves the whole enumeration; the verdict count per
-    route is logged at DEBUG when the enumeration ends.
+    One witness store, seeded with every opposite pair of the graph's rows,
+    serves the whole enumeration; the verdict count per route is logged at
+    DEBUG when the enumeration ends.
     """
     G = graph if graph is not None else orient(P, c)
-    table = _arc_table(P, G)
-    blocks = {}
-    witnesses = _Witnesses()
+    blocks = _arc_rows(_arc_table(P, G))
+    witnesses = _witness_store(chain.from_iterable(blocks.values()))
     routes = Counter()
     try:
         for path in enumerate_paths(G):
-            route, cert = _decide_rows(G, _path_rows(table, path.vertex_indices, blocks),
-                                       witnesses)
+            route, cert = _decide_rows(G, _path_rows(blocks, path.vertex_indices), witnesses)
             routes[route] += 1
             if cert is not None:
                 yield path, cert
@@ -216,50 +205,26 @@ _ROUTES = ("no rows", "opposite rows", "shared witness", "HiGHS strict omega",
 _HALF = Fraction(1, 2)
 
 
-class _Negations(dict):
-    """row -> -row, each negation built on first lookup."""
-
-    def __missing__(self, row):
-        neg = self[row] = tuple(-x for x in row)
-        return neg
-
-
-class _Witnesses:
-    """Gordan witnesses certified so far in one enumeration.
-
-    Each witness is a {row: weight} dict over its support, filed under one
-    support row in `by_row`; `negated` maps each row to its negation, worked
-    out once per row.
-    """
-
-    def __init__(self):
-        self.by_row = {}
-        self.negated = _Negations()
-
-    def add(self, rows, lam):
-        support = {row: x for row, x in zip(rows, lam) if x}
-        self.by_row.setdefault(min(support), []).append(support)
-
-
-def _known_witness(rows, witnesses=None):
-    """A Gordan witness for `rows` already in hand, as (route, {row: weight}),
-    or None.
-
-    Opposite rows r and -r take weight 1/2 each.  Otherwise a witness in
-    `witnesses` whose support lies within `rows` holds for `rows` as it is.
-    """
-    seen = set(rows)
-    negated = _Negations() if witnesses is None else witnesses.negated
+def _witness_store(rows):
+    """Gordan witnesses in hand, as {least support row: [(route, {row: weight})]},
+    seeded with {r: 1/2, -r: 1/2} for every opposite pair among `rows`."""
+    rows = set(rows)
+    store = {}
     for row in rows:
-        neg = negated[row]
-        if neg in seen:
-            return "opposite rows", {row: _HALF, neg: _HALF}
-    if witnesses is not None:
-        by_row = witnesses.by_row
-        for row in rows:
-            for support in by_row.get(row, ()):
-                if support.keys() <= seen:
-                    return "shared witness", support
+        neg = tuple(-x for x in row)
+        if row < neg and neg in rows:
+            store[row] = [("opposite rows", {row: _HALF, neg: _HALF})]
+    return store
+
+
+def _known_witness(rows, witnesses):
+    """A witness in `witnesses` whose support lies within `rows`, as (route,
+    {row: weight}), or None; it holds for `rows` as it is."""
+    seen = set(rows)
+    for row in rows:
+        for known in witnesses.get(row, ()):
+            if known[1].keys() <= seen:
+                return known
     return None
 
 
@@ -268,12 +233,15 @@ def _decide_rows(G: DirectedGraph, rows, witnesses=None):
     an interior point, else None; `route` names what decided it (`_ROUTES`).
 
     A witness in hand (`_known_witness`) settles an incoherent path first;
-    then one HiGHS LP, then the exact simplex.  A `witnesses` store keeps
-    each HiGHS witness for later paths.
+    then one HiGHS LP, then the exact simplex.  The `witnesses` store
+    (default: one seeded from `rows`) keeps each HiGHS witness for later
+    paths.
     """
     d = len(G.c)
     if not rows:
         return "no rows", CoherenceCertificate(omega=(Fraction(0),) * d, margin=Fraction(1))
+    if witnesses is None:
+        witnesses = _witness_store(rows)
     known = _known_witness(rows, witnesses)
     if known is not None:
         return known[0], None
@@ -281,8 +249,8 @@ def _decide_rows(G: DirectedGraph, rows, witnesses=None):
     # cone has no interior
     omega, witness = _strict_interior(rows)
     if witness is not None:
-        if witnesses is not None:
-            witnesses.add(rows, witness)
+        support = {row: x for row, x in zip(rows, witness) if x}
+        witnesses.setdefault(min(support), []).append(("shared witness", support))
         return "HiGHS witness", None
     route = "HiGHS strict omega"
     if omega is None:

@@ -399,6 +399,11 @@ def _primitive_int_vector(vec: Sequence[Fraction]):
     return tuple(ints)
 
 
+def _plain(v) -> str:
+    """A vector for messages, each coordinate by `str`: (1/3, 0), not reprs."""
+    return "(" + ", ".join(str(x) for x in v) + ")"
+
+
 def _bits(mask: int):
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -633,13 +638,12 @@ class Polytope:
         self._edges = None
 
     def _validated(self, pts, on_nonvertex):
-        kept = []
+        kept = {}  # insertion-ordered, so indices follow first occurrences
         for p in pts:
-            if p in kept:
-                if on_nonvertex == "reject":
-                    raise InputError(f"duplicate vertex {p}")
-                continue
-            kept.append(p)
+            if p in kept and on_nonvertex == "reject":
+                raise InputError(f"duplicate vertex {_plain(p)}")
+            kept[p] = None
+        kept = list(kept)
         if len(kept) == 1:
             return kept
         facets = _facet_incidence(kept)
@@ -653,7 +657,7 @@ class Polytope:
                 vertices.append(p)
                 index.append(k)
             elif on_nonvertex == "reject":
-                raise InputError(f"point {p} is not a vertex of the hull")
+                raise InputError(f"point {_plain(p)} is not a vertex of the hull")
         if facets is not None:
             self._facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
                             for tight in facets]
@@ -817,9 +821,8 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
         if vals[i] == vals[j]:
             if drop_level_ties:
                 continue
-            shown = ", ".join(str(x) for x in c)
             raise GenericityError(
-                f"direction ({shown}) is level on edge {(i, j)}", edge=(i, j))
+                f"direction {_plain(c)} is level on edge {(i, j)}", edge=(i, j))
         lo, hi = (i, j) if vals[i] < vals[j] else (j, i)
         succ[lo].append(hi)
     order = sorted(range(n), key=lambda k: (vals[k], k))

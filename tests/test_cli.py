@@ -67,6 +67,20 @@ def test_level_direction_message_prints_plain_numbers(tmp_path, capsys):
     assert "direction (0, 1) is level on edge (0, 1)" in err
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([[0, 0], [1, 0], [0, 1], [1, 0]], "duplicate vertex (1, 0)"),
+    ([[0, 0], [1, 0], [0, 1], ["1/3", "1/3"]], "point (1/3, 1/3) is not a vertex of the hull"),
+], ids=["duplicate", "interior"])
+def test_validation_messages_print_plain_numbers(tmp_path, capsys, vertices, message):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+    code, out, err = run(capsys, "count", str(path), "--direction", "1,2")
+    assert code == 1
+    assert out == ""
+    assert "Fraction(" not in err
+    assert message in err
+
+
 def test_count_bad_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -443,6 +457,14 @@ def test_diffmoment_and_cltcheck_and_floatbody(capsys):
 def test_floatbody_rejects_eps_outside_the_half_disk(capsys, c0):
     code, out, err = run(capsys, "--format", "json", "floatbody", "--d", "5", "--n", "100",
                          "--trials", "2", "--c0", c0)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+def test_diffmoment_needs_two_trials(capsys):
+    code, out, err = run(capsys, "--format", "json", "diffmoment", "--d", "3", "--n", "10",
+                         "--trials", "1")
     assert code == 1
     assert out == ""
     assert err.startswith("input error:")

@@ -1,7 +1,7 @@
 import json
 import logging
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -470,6 +470,99 @@ def test_shared_witnesses_match_the_per_path_route_on_point_sets(points, data):
         assume(False)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_matches_per_path_route(P, c, monkeypatch)
+
+
+class _Negations(dict):
+    """row -> -row, each negation built on first lookup."""
+
+    def __missing__(self, row):
+        neg = self[row] = tuple(-x for x in row)
+        return neg
+
+
+class _Witnesses:
+    """The two-rule store `coherence` once kept: Gordan witnesses certified
+    so far in one enumeration, each a {row: weight} dict over its support
+    filed under one support row in `by_row`; `negated` maps each row to its
+    negation."""
+
+    def __init__(self):
+        self.by_row = {}
+        self.negated = _Negations()
+
+    def add(self, rows, lam):
+        support = {row: x for row, x in zip(rows, lam) if x}
+        self.by_row.setdefault(min(support), []).append(support)
+
+
+def _two_rule_known_witness(rows, witnesses):
+    """The oracle of `coherence._known_witness`: opposite rows r and -r take
+    weight 1/2 each; otherwise a stored witness whose support lies within
+    `rows` holds as it is."""
+    seen = set(rows)
+    for row in rows:
+        neg = witnesses.negated[row]
+        if neg in seen:
+            return "opposite rows", {row: Fraction(1, 2), neg: Fraction(1, 2)}
+    for row in rows:
+        for support in witnesses.by_row.get(row, ()):
+            if support.keys() <= seen:
+                return "shared witness", support
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_witness_store_decides_as_the_two_rule_store(data):
+    """The one store, seeded with the opposite pairs of every row, decides a
+    path exactly when the two rules decide it, over a sequence of paths
+    whose undecided ones hand both stores the same HiGHS witnesses; the
+    rows plant opposite pairs and vanishing triples a, b, -(a + b)."""
+    d = data.draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * d).filter(any).map(
+        exactgeom._primitive_int_vector)
+    pool = data.draw(st.lists(vector, min_size=2, max_size=8, unique=True))
+    pool += [tuple(-x for x in row)
+             for row in data.draw(st.lists(st.sampled_from(pool), max_size=3))]
+    planted = []  # a + b + g c = 0 with c primitive: weights 1, 1, g over 2 + g
+    pairs = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=3)
+    for a, b in data.draw(pairs):
+        total = [-(x + y) for x, y in zip(a, b)]
+        if a == b or not any(total):
+            continue
+        c = exactgeom._primitive_int_vector(total)
+        g = Fraction(gcd(*total))
+        planted.append({a: 1 / (2 + g), b: 1 / (2 + g), c: g / (2 + g)})
+        pool.append(c)
+    pool = list(dict.fromkeys(pool))
+    store, old = coherence._witness_store(pool), _Witnesses()
+
+    def highs(rows):
+        """The first planted witness the rows hold, as HiGHS duals, or none."""
+        held = [w for w in planted if w.keys() <= set(rows)]
+        return None, ([held[0].get(row, 0) for row in rows] if held else None)
+
+    for rows in data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, unique=True),
+                                   min_size=1, max_size=12)):
+        want = _two_rule_known_witness(rows, old)
+        found = coherence._known_witness(rows, store)
+        assert (found is None) == (want is None)
+        for witness in (want, found):
+            if witness is not None:
+                _assert_gordan(rows, witness[1])
+        proposal = highs(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coherence, "_strict_interior", lambda rows: proposal)
+            mp.setattr(coherence, "lp_maximize", lambda rows: (None, Fraction(0)))
+            route, cert = coherence._decide_rows(SimpleNamespace(c=(1,) * d), rows, store)
+        assert cert is None
+        if want is not None:
+            assert route in ("opposite rows", "shared witness")
+        elif proposal[1] is not None:
+            assert route == "HiGHS witness"
+            old.add(rows, proposal[1])
+        else:
+            assert route == "exact simplex"
 
 
 def test_route_counts_are_logged_once_per_enumeration(caplog):

@@ -34,6 +34,14 @@ def test_duplicate_vertex():
     assert len(P.vertices) == 2
 
 
+def test_duplicates_keep_first_occurrences_and_name_the_first_repeat():
+    points = [(1, 0), (0, 1), ("0", "0"), (0.0, 1), (1, 0)]
+    with pytest.raises(InputError, match=r"^duplicate vertex \(0, 1\)$"):
+        Polytope(points)
+    P = Polytope(points, on_nonvertex="strip")
+    assert P.vertices == ((1, 0), (0, 1), (0, 0))
+
+
 def test_json_round_trip_exact():
     for P in (zoo.lopsided_cube(3), zoo.p10_spherical()):
         Q = Polytope.from_json(P.to_json())
