@@ -339,6 +339,8 @@ class ContainmentReport:
 def floating_containment_rate(config: SimConfig, c0: float) -> ContainmentReport:
     """Fraction of trials in which the disk of radius R_eps, eps = c0 log n / n,
     is NOT contained in the hull (tested edge by edge against the origin)."""
+    if config.n < 1:
+        raise InputError(f"the floating body needs n >= 1; got {config.n}")
     eps = c0 * math.log(config.n) / config.n
     radius = floating_radius(config.beta, eps)
     flags = []

@@ -11,10 +11,10 @@ rerun with the same flags produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -34,16 +34,6 @@ from .pathcount import (LengthSpectrum, count_paths_by_length, is_log_concave,
 from . import zoo
 
 
-@dataclass
-class RunManifest:
-    command: list
-    seed: int
-    backend: str
-    versions: dict
-    timestamp: str
-    input_digests: dict
-
-
 def _manifest(args, inputs=()):
     versions = {"pathspectra": __version__, "numpy": numpy.__version__,
                 "scipy": scipy.__version__}
@@ -54,15 +44,14 @@ def _manifest(args, inputs=()):
             h.update(fh.read())
         digests[path] = h.hexdigest()
     stamp = datetime.now(timezone.utc).isoformat() if args.stamp_time else "unset"
-    return RunManifest(command=list(args.argv), seed=args.seed,
-                       backend=args.backend, versions=versions,
-                       timestamp=stamp, input_digests=digests)
+    return {"command": list(args.argv), "seed": args.seed, "backend": args.backend,
+            "versions": versions, "timestamp": stamp, "input_digests": digests}
 
 
 def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
     """Write CSV (rows + comment manifest/summary) or a single JSON document."""
     if args.format == "json":
-        doc = {"manifest": asdict(manifest),
+        doc = {"manifest": manifest,
                "rows": [dict(zip(header, r)) for r in rows]}
         if summary is not None:
             doc["summary"] = summary
@@ -74,7 +63,7 @@ def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        lines = [f"# manifest: {json.dumps(asdict(manifest))}"]
+        lines = [f"# manifest: {json.dumps(manifest)}"]
         lines.append(buf.getvalue().rstrip("\n"))
         lines += list(extra_comments)
         if summary is not None:
@@ -188,61 +177,51 @@ def cmd_coherent(args):
     cert_path = args.certificates or (args.out + ".certs.json" if args.out else None)
     if cert_path:
         _write_file(cert_path, json.dumps(
-            {"manifest": asdict(manifest), "certificates": certs}, indent=2))
+            {"manifest": manifest, "certificates": certs}, indent=2))
     _emit(args, manifest, spec.to_csv_rows(), ("length", "count"), summary=summary)
     return 0
 
 
+# zoo emit's options: the placeholder `zoo list` shows, and how one
+# comma-separated part is read (None: the option is a single integer)
+_ZOO_OPTIONS = {"d": ("D", None), "n": ("N", None), "s": ("S1,S2,...", int),
+                "counts": ("M1,M2", int),
+                "facets": ("F1,F2,...", lambda f: tuple(map(int, f)))}
+
+
 def cmd_zoo(args):
     if args.zoo_command == "list":
-        names = sorted(zoo._BUILDERS)
-        families = ["simplex --d D", "cube --d D", "cross --d D",
-                    "cyclic --d D --n N", "shyp --d D --s S1,S2,...",
-                    "hyp2 --d D", "lopsided --d D", "ass --n N",
-                    "prod --counts M1,M2", "complex --n N --facets F1,F2,..."]
-        _write(args, "fixtures:\n" + "\n".join(f"  {n}" for n in names) + "\n"
-               + "families:\n" + "\n".join(f"  {f}" for f in families) + "\n")
+        families = (" ".join([name] + [f"--{o} {_ZOO_OPTIONS[o][0]}" for o in options])
+                    for name, (_, options) in zoo.FAMILIES.items())
+        _write(args, "fixtures:\n" + "".join(f"  {n}\n" for n in zoo.fixture_names())
+               + "families:\n" + "".join(f"  {f}\n" for f in families))
     else:
         _write(args, _zoo_build(args).to_json() + "\n")
     return 0
 
 
-def _parts(text, what, parse=int):
-    """The comma-separated parts of a zoo option, each read by `parse`."""
+def _zoo_build(args):
+    name = args.name
+    if name in zoo.fixture_names():
+        return zoo.fixture(name).polytope
+    if name not in zoo.FAMILIES:
+        raise InputError(f"unknown zoo name {name!r}")
+    build, options = zoo.FAMILIES[name]
+    missing = [o for o in options if getattr(args, o) is None]
+    if missing:
+        raise InputError(f"zoo emit {name} needs --{missing[0]}")
+    return build(*(_zoo_option(args, o) for o in options))
+
+
+def _zoo_option(args, option):
+    """The value of a zoo emit option, each comma-separated part read in turn."""
+    text, parse = getattr(args, option), _ZOO_OPTIONS[option][1]
+    if parse is None:
+        return text
     try:
         return [parse(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"bad --{what} {text!r}: {exc}") from exc
-
-
-def _zoo_build(args):
-    name = args.name
-    if name in zoo._BUILDERS:
-        return zoo._BUILDERS[name]()
-    need = lambda v, what: v if v is not None else (_ for _ in ()).throw(
-        InputError(f"zoo emit {name} needs --{what}"))
-    if name == "simplex":
-        return zoo.simplex(need(args.d, "d"))
-    if name == "cube":
-        return zoo.cube(need(args.d, "d"))
-    if name == "cross":
-        return zoo.cross_polytope(need(args.d, "d"))
-    if name == "cyclic":
-        return zoo.cyclic(need(args.d, "d"), range(1, need(args.n, "n") + 1))
-    if name == "shyp":
-        return zoo.s_hypersimplex(need(args.d, "d"), _parts(need(args.s, "s"), "s"))
-    if name == "hyp2":
-        return zoo.second_hypersimplex(need(args.d, "d"))
-    if name == "lopsided":
-        return zoo.lopsided_cube(need(args.d, "d"))
-    if name == "ass":
-        return zoo.loday_associahedron(need(args.n, "n"))
-    if name == "prod":
-        return zoo.product_of_simplices(_parts(need(args.counts, "counts"), "counts"))
-    if name == "complex":
-        facets = _parts(need(args.facets, "facets"), "facets", lambda f: tuple(map(int, f)))
-        return zoo.zero_one_from_complex(need(args.n, "n"), facets)
-    raise InputError(f"unknown zoo name {name!r}")
+        raise InputError(f"bad --{option} {text!r}: {exc}") from exc
 
 
 def _spectrum_cell(spec):
@@ -351,9 +330,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     _add_global_options(common, suppress=True)
 
-    def subparser(**kw):
-        return argparse.ArgumentParser(parents=[common], allow_abbrev=False, **kw)
-
+    subparser = functools.partial(argparse.ArgumentParser, parents=[common], allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     c = sub.add_parser("count", help="monotone path counts by length")
@@ -378,11 +355,8 @@ def build_parser():
     zlist.set_defaults(func=cmd_zoo)
     zemit = zsub.add_parser("emit")
     zemit.add_argument("name")
-    zemit.add_argument("--d", type=int)
-    zemit.add_argument("--n", type=int)
-    zemit.add_argument("--s")
-    zemit.add_argument("--counts")
-    zemit.add_argument("--facets")
+    for option, (_, parse) in _ZOO_OPTIONS.items():
+        zemit.add_argument(f"--{option}", type=int if parse is None else str)
     zemit.set_defaults(func=cmd_zoo)
 
     c = sub.add_parser("verify", help="reproduce recorded fixture tables")

@@ -462,11 +462,12 @@ def _propose_simplices(coords):
     outward normals.  Floats only steer here: `_certify_facets` checks
     whatever this returns.
     """
-    pts = np.array(coords, dtype=float)
     # Qhull's precision is relative to the coordinate range; rescaling each
-    # axis onto [0, 1] changes no face and, with positive scales, no orientation
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    pts = (pts - lo) / (hi - lo)
+    # axis onto [0, 1] changes no face and, with positive scales, no
+    # orientation.  Integer true division rounds once and cannot overflow.
+    lo = [min(axis) for axis in zip(*coords)]
+    span = [max(axis) - m for axis, m in zip(zip(*coords), lo)]
+    pts = np.array([[(x - m) / w for x, m, w in zip(p, lo, span)] for p in coords])
     hull = ConvexHull(pts)
     tri = hull.simplices
     volumes = np.linalg.det(np.concatenate(
@@ -565,8 +566,8 @@ def _facet_incidence(points):
     """Certified tight sets (bitmasks over `points`) of every facet of their hull.
 
     Qhull proposes the facets in affine-hull coordinates and `_certify_facets`
-    decides them exactly.  None when Qhull fails, a coordinate does not fit a
-    float, or the certificate does not hold: the caller then uses the LP tests.
+    decides them exactly.  None when Qhull fails or the certificate does not
+    hold: the caller then uses the LP tests.
     """
     coords = _affine_coordinates(points)
     r = len(coords[0])
@@ -577,7 +578,7 @@ def _facet_incidence(points):
         return [sum(1 << k for k, x in enumerate(xs) if x == end) for end in (min(xs), max(xs))]
     try:
         simplices = _propose_simplices(coords)
-    except (QhullError, OverflowError, ValueError):
+    except (QhullError, ValueError):
         return None
     return _certify_facets(coords, simplices)
 
@@ -644,8 +645,6 @@ class Polytope:
                 raise InputError(f"duplicate vertex {_plain(p)}")
             kept[p] = None
         kept = list(kept)
-        if len(kept) == 1:
-            return kept
         facets = _facet_incidence(kept)
         if facets is None:
             flags = (_is_vertex_lp(kept, i) for i in range(len(kept)))
@@ -844,15 +843,7 @@ def project2d(P: Polytope, c, omega):
     ov = [_rational(x) for x in omega]
     if len(cv) != P.dim or len(ov) != P.dim:
         raise InputError("projection directions must match the ambient dimension")
-    independent = False
-    for a in range(P.dim):
-        for b in range(a + 1, P.dim):
-            if cv[a] * ov[b] != cv[b] * ov[a]:
-                independent = True
-                break
-        if independent:
-            break
-    if not independent:
+    if all(cv[a] * ov[b] == cv[b] * ov[a] for a, b in combinations(range(P.dim), 2)):
         raise InputError("omega must be linearly independent from c")
     return [(dot(v, cv), dot(v, ov)) for v in P.vertices]
 

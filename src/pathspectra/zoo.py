@@ -1,5 +1,6 @@
 """Polytope families, canonical directions, closed-form spectra, and the
-reproduction fixtures with their recorded expectations.
+reproduction fixtures with their recorded expectations.  `FAMILIES` lists the
+families the command line builds, each with the options it takes.
 
 Closed forms act as independent oracles for the counting pipeline: whatever a
 formula predicts, the dynamic program on the constructed polytope must match.
@@ -95,16 +96,11 @@ def second_hypersimplex(d: int) -> Polytope:
     return Polytope(verts, label=f"hyp2-{d}")
 
 
+# vertex k stands for the k-th subset of {1,2,3}: {} 1 2 3 12 13 23 123
 _LOP3 = (
     (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
     (4, 1, 0), (2, 0, 1), (0, Fraction(1, 3), 1), (3, Fraction(1, 3), 1),
 )
-# index by subset of {1,2,3}: {} 1 2 3 12 13 23 123
-_LOP3_BY_SET = {
-    frozenset(): 0, frozenset({1}): 1, frozenset({2}): 2, frozenset({3}): 3,
-    frozenset({1, 2}): 4, frozenset({1, 3}): 5, frozenset({2, 3}): 6,
-    frozenset({1, 2, 3}): 7,
-}
 
 
 def lopsided_cube(d: int, prism_first: bool = False) -> Polytope:
@@ -166,7 +162,7 @@ def modified_lopsided_3() -> Polytope:
     peak in the direction (-3, 1, 4) yields the 10-vertex fixture.
     """
     base = list(_LOP3)
-    base[_LOP3_BY_SET[frozenset({3})]] = (Fraction(-1, 2), Fraction(3, 2), 0)
+    base[3] = (Fraction(-1, 2), Fraction(3, 2), 0)
     P = Polytope(base, on_nonvertex="strip")
     a = (-3, 1, 4)
     vals = sorted(sum(x * y for x, y in zip(v, a)) for v in P.vertices)
@@ -207,29 +203,21 @@ def _binary_trees(n: int):
     return out
 
 
+def _loday(tree):
+    """(leaf count, Loday coordinates in infix order) of a binary tree."""
+    if tree is None:
+        return 1, ()
+    left, before = _loday(tree[0])
+    right, after = _loday(tree[1])
+    return left + right, before + (left * right,) + after
+
+
 def loday_associahedron(n: int) -> Polytope:
     """Associahedron on binary trees with n internal nodes: coordinate i is the
     product of the left and right leaf counts at the i-th node in infix order."""
     if n < 2:
         raise InputError("associahedron needs n >= 2")
-    verts = []
-    for tree in _binary_trees(n):
-        coords = {}
-        counter = [0]
-
-        def leaves(t):
-            if t is None:
-                return 1
-            left = leaves(t[0])
-            counter[0] += 1
-            pos = counter[0]
-            right = leaves(t[1])
-            coords[pos] = left * right
-            return left + right
-
-        leaves(tree)
-        verts.append(tuple(coords[i] for i in range(1, n + 1)))
-    return Polytope(verts, label=f"ass-{n}")
+    return Polytope([_loday(tree)[1] for tree in _binary_trees(n)], label=f"ass-{n}")
 
 
 def zero_one_polytope(n: int, sets, label: str = "") -> Polytope:
@@ -285,6 +273,22 @@ def canonical_direction(P: Polytope):
     if kind in ("complex", "zeroone"):
         return c_lex(d)
     return tuple(range(1, d + 1))  # simplices, cross-polytopes, associahedra, products
+
+
+# The families `zoo emit` builds: name -> (constructor, the options it takes
+# in order).  `zoo list` shows them in this order.
+FAMILIES = {
+    "simplex": (simplex, ("d",)),
+    "cube": (cube, ("d",)),
+    "cross": (cross_polytope, ("d",)),
+    "cyclic": (lambda d, n: cyclic(d, range(1, n + 1)), ("d", "n")),
+    "shyp": (s_hypersimplex, ("d", "s")),
+    "hyp2": (second_hypersimplex, ("d",)),
+    "lopsided": (lopsided_cube, ("d",)),
+    "ass": (loday_associahedron, ("n",)),
+    "prod": (product_of_simplices, ("counts",)),
+    "complex": (zero_one_from_complex, ("n", "facets")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +385,6 @@ def second_hypersimplex_coherent(n: int) -> LengthSpectrum:
     if n < 4:
         raise InputError("defined for n >= 4")
 
-    def poly(items):
-        return dict(items)
-
     def padd(a, b):
         out = dict(a)
         for k, v in b.items():
@@ -397,10 +398,10 @@ def second_hypersimplex_coherent(n: int) -> LengthSpectrum:
                 out[i + j] = out.get(i + j, 0) + x * y
         return out
 
-    z = poly({1: 1})
-    one_plus_z = poly({0: 1, 1: 1})
-    z_plus_z2 = poly({1: 1, 2: 1})
-    T, Q, C = poly({4: 1, 3: 2}), poly({4: 1}), poly({4: 2, 3: 2})
+    z = {1: 1}
+    one_plus_z = {0: 1, 1: 1}
+    z_plus_z2 = {1: 1, 2: 1}
+    T, Q, C = {4: 1, 3: 2}, {4: 1}, {4: 2, 3: 2}
     for _ in range(n - 4):
         T, Q, C = (
             padd(pmul(z, T), padd(pmul(one_plus_z, Q), pmul(one_plus_z, C))),
@@ -423,7 +424,6 @@ class Fixture:
     expected_coherent: Optional[LengthSpectrum]
     source: str
     drop_level_ties: bool = False
-    slow: bool = False
 
 
 @dataclass
@@ -484,7 +484,6 @@ def fixture(name: str) -> Fixture:
         expected_coherent=coh,
         source=rec["source"],
         drop_level_ties=rec.get("drop_level_ties", False),
-        slow=rec.get("slow", False),
     )
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,65 @@ def test_zoo_list_and_emit(tmp_path, capsys):
     assert code == 1  # missing parameters
 
 
+ZOO_LIST = """\
+fixtures:
+  ass5
+  ass6
+  complex-123-134-245-345
+  complex-14-1235-2345
+  complex-x4
+  cross3
+  cross4
+  cube3
+  hyp2-5
+  lopsided3
+  lopsided4
+  lopsided5
+  modified-lopsided3
+  p10
+  p10-sphere
+  truncated-lopsided4
+families:
+  simplex --d D
+  cube --d D
+  cross --d D
+  cyclic --d D --n N
+  shyp --d D --s S1,S2,...
+  hyp2 --d D
+  lopsided --d D
+  ass --n N
+  prod --counts M1,M2
+  complex --n N --facets F1,F2,...
+"""
+
+
+def test_zoo_list_is_pinned(capsys):
+    assert run(capsys, "zoo", "list") == (0, ZOO_LIST, "")
+
+
+# one small value per zoo emit option, as typed and as the constructor takes it
+ZOO_VALUES = {"d": ("4", 4), "n": ("5", 5), "s": ("2,4", [2, 4]),
+              "counts": ("2,3", [2, 3]), "facets": ("12,34", [(1, 2), (3, 4)])}
+
+
+@pytest.mark.parametrize("name", sorted(zoo.FAMILIES))
+def test_zoo_emit_family(name, capsys):
+    """Every family emits its constructor's JSON, and a missing option is
+    named as the first one missing in `zoo list` order."""
+    line = next(l for l in ZOO_LIST.splitlines() if l.split()[0] == name)
+    options = [word[2:] for word in line.split() if word.startswith("--")]
+    build, table_options = zoo.FAMILIES[name]
+    assert list(table_options) == options
+    for r in range(1, len(options) + 1):
+        for dropped in combinations(options, r):
+            argv = [x for o in options if o not in dropped for x in (f"--{o}", ZOO_VALUES[o][0])]
+            assert run(capsys, "zoo", "emit", name, *argv) == (
+                1, "", f"input error: zoo emit {name} needs --{dropped[0]}\n")
+    argv = [x for o in options for x in (f"--{o}", ZOO_VALUES[o][0])]
+    expected = build(*(ZOO_VALUES[o][1] for o in options)).to_json() + "\n"
+    assert run(capsys, "zoo", "emit", name, *argv) == (0, expected, "")
+
+
 def test_zoo_list_writes_to_out(tmp_path, capsys):
     listing = tmp_path / "zoo.txt"
     code, out, _ = run(capsys, "zoo", "list", "--out", str(listing))
@@ -459,6 +519,14 @@ def test_floatbody_rejects_eps_outside_the_half_disk(capsys, c0):
                          "--trials", "2", "--c0", c0)
     assert code == 1
     assert out == ""
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_floatbody_rejects_a_nonpositive_n(capsys, n):
+    code, out, err = run(capsys, "floatbody", "--d", "5", "--n", n, "--trials", "2",
+                         "--c0", "1")
+    assert (code, out) == (1, "")
     assert err.startswith("input error:")
 
 

@@ -173,6 +173,16 @@ def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
     assert len(incidences) == len(built)
 
 
+@pytest.mark.parametrize("name", ["cube3", "ass5"])
+def test_coordinates_beyond_doubles_keep_the_facet_route(name, monkeypatch):
+    """Coordinates past the largest double are rescaled exactly before Qhull
+    sees them, so the edge graph is still certified without any LP."""
+    vertices = zoo.fixture(name).polytope.vertices
+    monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
+    P = Polytope([tuple(x * 10 ** 400 for x in v) for v in vertices])
+    assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
+
+
 # square base a, b, c, d, apex e, base centre m and interior point o
 _PYRAMID = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 2), (1, 1, 0), (1, 1, 1)]
 # the four triangles abc, abd, acd, bcd cover the base twice; oriented as the
