@@ -32,7 +32,7 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
 from types import SimpleNamespace
@@ -172,11 +172,12 @@ def _highs():
     through it.
 
     The solver is `_direct_highs` over one `_core._Highs` reused for the
-    whole process: it takes `linprog(method="highs")`'s arguments and returns
-    its `status`, `x` and `ineqlin.marginals`, from the same model and the
-    same options, without `linprog`'s per-call input checks and option
-    handling.  When scipy's private `_core` module cannot be imported it is
-    `scipy.optimize.linprog` itself.  The route taken is logged once at DEBUG.
+    whole process: it takes `linprog(method="highs")`'s arguments, as numpy
+    arrays or as plain lists, and returns its `status`, `x` and
+    `ineqlin.marginals`, from the same model and the same options, without
+    `linprog`'s per-call input checks and option handling.  When scipy's
+    private `_core` module cannot be imported it is `scipy.optimize.linprog`
+    itself.  The route taken is logged once at DEBUG.
     """
     global _highs_handle
     if _highs_handle is None:
@@ -192,15 +193,21 @@ def _highs():
     return _highs_handle
 
 
+def _as_list(x):
+    """An ndarray as nested lists; any other sequence as it is."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
 def _direct_highs(core):
     """A `linprog(method="highs")` stand-in that solves on one reused `_Highs`.
 
     Its options are the ones `linprog` sets, passed once.  Each call builds
     the model as `linprog` does (the A_ub rows column-wise, nonzeros only;
-    infinite bounds as `kHighsInf`) and passes it whole, as lists, so no
-    HiGHS state carries from one call to the next.  Status codes follow
-    `linprog`, including its demotion of an "optimal" point off the
-    constraints by more than 10 * sqrt(1e-9) to 4.
+    infinite bounds as `kHighsInf`) in one Python pass over lists, an ndarray
+    argument first turned into lists, and passes it whole, so no HiGHS state
+    carries from one call to the next.  Status codes follow `linprog`,
+    including its demotion of an "optimal" point off the constraints by more
+    than 10 * sqrt(1e-9) to 4.
     """
     highs = core._Highs()
     options = core.HighsOptions()
@@ -218,23 +225,28 @@ def _direct_highs(core):
     tol = float(np.sqrt(1e-9) * 10)
 
     def solve(c, A_ub=None, b_ub=None, bounds=(0, None), method="highs"):
-        c = np.asarray(c, dtype=float)
+        c = _as_list(c)
         n = len(c)
-        cols = (np.empty((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)).T
-        upper = [] if b_ub is None else np.asarray(b_ub, dtype=float).tolist()
-        box = np.broadcast_to(np.array(bounds, dtype=float), (n, 2))  # None -> nan
-        lb = np.where(np.isnan(box[:, 0]), -inf, box[:, 0]).tolist()
-        ub = np.where(np.isnan(box[:, 1]), inf, box[:, 1]).tolist()
-        nonzero = cols != 0
+        rows = [] if A_ub is None else _as_list(A_ub)
+        upper = [] if b_ub is None else _as_list(b_ub)
+        if len(bounds) == 2 and not hasattr(bounds[0], "__len__"):
+            bounds = [bounds] * n  # one (lower, upper) pair for every column
+        lb = [-inf if lo is None else lo for lo, _ in bounds]
+        ub = [inf if hi is None else hi for _, hi in bounds]
+        # column-wise, nonzeros only: compress keeps the entries that are true
+        start, index, value = [0], [], []
+        numbered = range(len(rows))
+        for col in zip(*rows) if rows else [()] * n:
+            index += compress(numbered, col)
+            value += compress(col, col)
+            start.append(len(index))
         lp = core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
         lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-        # lists: pybind11 copies them into the model faster than numpy arrays,
-        # and the checks below read them faster
-        lp.a_matrix_.start_ = [0] + np.cumsum(nonzero.sum(axis=1)).tolist()
-        lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
-        lp.a_matrix_.value_ = cols[nonzero].tolist()
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         lp.col_cost_ = c
         lp.col_lower_ = lb
         lp.col_upper_ = ub
@@ -297,8 +309,8 @@ def _solve_on_support(columns, support, target):
     """Exact particular solution of the subsystem restricted to `support`
     (free variables zero), or None; each equation is scaled to integer
     coefficients for `_row_reduce`."""
-    aug = [_over_common_denominator([Fraction(columns[k][i]) for k in support]
-                                   + [Fraction(t)])[0] for i, t in enumerate(target)]
+    aug = [_over_common_denominator([columns[k][i] for k in support] + [t])[0]
+           for i, t in enumerate(target)]
     pivots = _row_reduce(aug, len(support))
     if any(row[-1] for row in aug[len(pivots):]):
         return None
@@ -324,6 +336,31 @@ def _certify_support(columns, support, target):
     return lam
 
 
+def _limit_denominator(v, max_den):
+    """(p, q) with p / q = `Fraction(v).limit_denominator(max_den)` for the
+    float v, computed on the integers of `v.as_integer_ratio()`: the last
+    continued-fraction convergent with q <= max_den, or the semiconvergent
+    past it when that lies strictly closer to v."""
+    n, d = v.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # v lies between p1 / q1, at distance d / (q1 den), and the semiconvergent,
+    # 1 / (q1 (q0 + k q1)) from p1 / q1; ties go to p1 / q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _float_row(row):
     """`row` as floats for HiGHS.  A row whose largest |entry| is at least 2^50
     is first divided exactly by 2^k, k the bit length of that entry, so the
@@ -341,11 +378,12 @@ def _strict_interior(rows):
     """One HiGHS LP and an exact certificate for the cone {y : row . y > 0}.
 
     HiGHS maximizes the least slack t of row . y >= t over y in [-1, 1]^d,
-    t in [0, 1], its rows as `_float_row` scales them, written into one
-    array; the exact checks use the unscaled rows.  Returns (y, lam), at
+    t in [0, 1], its rows as `_float_row` scales them, handed over as
+    lists; the exact checks use the unscaled rows.  Returns (y, lam), at
     most one of them set:
-    - t > 0: y = (numerators, den) is the proposal rounded to ever finer
-      denominators until every row . y > 0 holds in exact arithmetic;
+    - t > 0: y = (numerators, den) is the proposal rounded, on integers
+      (`_limit_denominator`), to denominators at most 10^4, then 10^8, then
+      10^12, until every row . y > 0 holds in exact arithmetic;
     - t = 0: by LP duality the multipliers lam_r = -marginal_r of the rows
       satisfy lam >= 0, sum lam >= 1 and sum lam_r row_r = 0, Gordan's
       alternative to a strict y.  Their support is solved exactly for
@@ -353,16 +391,17 @@ def _strict_interior(rows):
     (None, None) means no certificate was found, not that none exists.
     """
     d = len(rows[0])
-    a_ub = np.ones((len(rows), d + 1))
-    np.negative([_float_row(row) for row in rows], out=a_ub[:, :d])
-    res = _highs()[0](np.array([0.0] * d + [-1.0]), A_ub=a_ub, b_ub=np.zeros(len(rows)),
+    a_ub = [[-x for x in _float_row(row)] + [1.0] for row in rows]
+    res = _highs()[0]([0.0] * d + [-1.0], A_ub=a_ub, b_ub=[0.0] * len(rows),
                       bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
     if res.status != 0 or res.x is None:
         return None, None
     if res.x[d] > 1e-9:
-        for denominator in (10**4, 10**8, 10**12):
-            num, den = _over_common_denominator(
-                [Fraction(v).limit_denominator(denominator) for v in res.x[:d]])
+        x = res.x[:d].tolist()
+        for max_den in (10**4, 10**8, 10**12):
+            y = [_limit_denominator(v, max_den) for v in x]
+            den = lcm(*(q for _, q in y))
+            num = [p * (den // q) for p, q in y]
             if all(dot(row, num) > 0 for row in rows):
                 return (num, den), None
         return None, None

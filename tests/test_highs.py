@@ -98,6 +98,7 @@ def test_without_core_the_route_is_linprog(monkeypatch, caplog):
 
 
 def test_infeasible_and_equality_lps_match_linprog():
+    """Each LP, given as numpy arrays and as plain lists, gives linprog's bits."""
     direct, _ = exactgeom._highs()
     lps = [
         # x0 + x1 <= -1 with x >= 0
@@ -110,11 +111,18 @@ def test_infeasible_and_equality_lps_match_linprog():
         # unbounded below
         ((np.array([-1.0]),), dict(A_ub=np.array([[-1.0]]), b_ub=np.array([0.0]),
                                    bounds=(0, None))),
+        # minimize x0 >= -2 with no lower bound of its own
+        ((np.array([1.0]),), dict(A_ub=np.array([[-1.0]]), b_ub=np.array([2.0]),
+                                  bounds=[(None, 3)])),
     ]
-    for (args, kwargs), status in zip(lps, (2, 0, 3)):
-        res = direct(*args, method="highs", **kwargs)
-        assert res.status == status
-        _assert_same(res, linprog(*args, method="highs", **kwargs))
+    for (args, kwargs), status in zip(lps, (2, 0, 3, 0)):
+        ref = linprog(*args, method="highs", **kwargs)
+        # the same LP as arrays and as plain lists
+        as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in kwargs.items()}
+        for a, kw in ((args, kwargs), ([x.tolist() for x in args], as_lists)):
+            res = direct(*a, method="highs", **kw)
+            assert res.status == status
+            _assert_same(res, ref)
 
 
 def _cone_rows(P, c):
@@ -144,8 +152,9 @@ def test_cone_lp_rows_are_the_scaled_float_rows(P, c, monkeypatch):
     big = False
     for rows, (_args, kwargs, _res) in zip(cones, calls):
         want = np.array([[-x for x in exactgeom._float_row(row)] + [1.0] for row in rows])
-        assert kwargs["A_ub"].dtype == want.dtype and kwargs["A_ub"].shape == want.shape
-        assert kwargs["A_ub"].tobytes() == want.tobytes()
+        got = np.asarray(kwargs["A_ub"])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         big |= max(abs(x) for row in rows for x in row) >= 2**50
     assert big == (P.label == "p10-sphere")
 

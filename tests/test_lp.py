@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathspectra import exactgeom
-from pathspectra.exactgeom import lp_maximize
+from pathspectra import coherence, exactgeom
+from pathspectra.exactgeom import dot, lp_maximize
 
 
 def test_single_binding_constraint():
@@ -57,8 +59,8 @@ def test_optimal_solution_is_feasible_exactly(rows):
     assert all(sum(r * w for r, w in zip(row, omega)) >= t for row in rows)
 
 
-def _strict_interior_with_highs_optimum(rows):
-    """`_strict_interior(rows)` and the least slack t of its HiGHS LP."""
+def _strict_interior_and_highs(rows):
+    """`_strict_interior(rows)` and the result of its one HiGHS solve."""
     solve, np_ = exactgeom._highs()
     results = []
 
@@ -69,6 +71,12 @@ def _strict_interior_with_highs_optimum(rows):
         mp.setattr(exactgeom, "_highs_handle", (recorded, np_))
         certificate = exactgeom._strict_interior(rows)
     (res,) = results
+    return certificate, res
+
+
+def _strict_interior_with_highs_optimum(rows):
+    """`_strict_interior(rows)` and the least slack t of its HiGHS LP."""
+    certificate, res = _strict_interior_and_highs(rows)
     assert res.status == 0
     return certificate, res.x[len(rows[0])]
 
@@ -137,3 +145,137 @@ def test_integer_elimination_matches_fraction_elimination(data):
     support = data.draw(st.lists(st.integers(0, len(columns) - 1), unique=True))
     assert (exactgeom._solve_on_support(columns, support, target)
             == _fraction_solve_on_support(columns, support, target))
+
+
+_TIERS = (10**4, 10**8, 10**12)
+
+
+@pytest.mark.parametrize("s, tier, y, route", [
+    pytest.param(10**4, 10**8, ([20001, 20000, -20001], 20001), "HiGHS strict omega", id="1e4"),
+    pytest.param(10**9, 10**12, ([985999918418, 985999917925, -985999918418], 985999918418),
+                 "HiGHS strict omega", id="1e9"),
+    pytest.param(10**12, None, None, "exact simplex", id="1e12"),
+])
+def test_thin_cones_escalate_the_denominator(s, tier, y, route):
+    """Every fixture's proposals certify at denominator 10^4.  The rows
+    (s, -s), (-s, s + 1) leave a cone of width about 1/s around (1, 1), so the
+    proposal needs a finer denominator: 10^8, 10^12, or more than the ladder
+    has, and then the exact simplex decides.  Each HiGHS solve is optimal with
+    t > 0, the first certifying denominator is read with the `Fraction`
+    rounding, and y and the route are pinned as that rounding gives them."""
+    rows = [(s, -s, 0), (-s, s + 1, 0), (1, 1, 0)]
+    certificate, res = _strict_interior_and_highs(rows)
+    assert res.status == 0 and res.x[3] > 1e-9
+    certifying = [
+        max_den for max_den in _TIERS
+        if all(dot(row, exactgeom._over_common_denominator(
+            [Fraction(v).limit_denominator(max_den) for v in res.x[:3]])[0]) > 0
+               for row in rows)]
+    assert certifying[:1] == ([] if tier is None else [tier])
+    assert certificate == (y, None)
+    got_route, coherent = coherence._decide_rows(SimpleNamespace(c=(0, 0, 1)), rows)
+    assert got_route == route and coherent is not None
+
+
+def _farey_right_neighbour(p, q, max_den):
+    """c / e > p / q with c q - p e = 1 and the largest e <= max_den: the
+    fraction next to p / q among those with denominator at most max_den."""
+    e = -pow(p, -1, q) % q if q > 1 else 0
+    e += (max_den - e) // q * q
+    return (1 + p * e) // q, e
+
+
+@st.composite
+def _roundings(draw):
+    """(v, max_den) with v a float in [-1, 1]: any such float, the special
+    values, a dyadic whose denominator is at most max_den, or a float nearest
+    to the midpoint of two neighbouring fractions of denominator at most
+    max_den, where the rounding switches sides, or a step off it.
+
+    For max_den a power of ten no float is an exact tie: the midpoint of
+    neighbours p1/q1 and p2/q2 has denominator q1 q2 or 2 q1 q2, a power of
+    two only when one q is 1 and the other, max_den, is a power of two.  So
+    exact ties are drawn at max_den = 2^j, as m +- 1 / 2^(j+1) for m in
+    {-1, 0, 1}: halfway between m and m +- 1 / 2^j."""
+    kind = draw(st.sampled_from(["any", "special", "dyadic", "midpoint", "tie"]))
+    if kind == "tie":
+        j = draw(st.integers(1, 52))
+        m = draw(st.sampled_from([-1, 0, 1]))
+        half = draw(st.sampled_from([-1, 1])) * 2.0 ** -(j + 1)
+        return (m + half if abs(m + half) <= 1 else m - half), 2**j
+    max_den = draw(st.sampled_from(_TIERS))
+    if kind == "any":
+        return draw(st.floats(-1, 1)), max_den
+    if kind == "special":
+        return draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+                                     2.2250738585072014e-308, 1e-300, 0.5])), max_den
+    if kind == "dyadic":
+        j = draw(st.integers(0, max_den.bit_length() - 1))
+        return draw(st.integers(-2**j, 2**j)) / 2**j, max_den
+    q = draw(st.integers(1, max_den))
+    p = draw(st.integers(-q, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    c, e = _farey_right_neighbour(p, q, max_den)
+    v = float(Fraction(p * e + c * q, 2 * q * e))
+    v = draw(st.sampled_from([v, math.nextafter(v, -2.0), math.nextafter(v, 2.0)]))
+    return max(-1.0, min(1.0, v)), max_den
+
+
+@settings(max_examples=600, deadline=None)
+@given(_roundings())
+@example((0.125, 4))  # halfway between the convergent 0 and the semiconvergent 1/4
+@example((0.875, 4))  # halfway between 3/4 and the convergent 1
+def test_integer_rounding_matches_limit_denominator(case):
+    """`_limit_denominator` on integers against the `Fraction` route it
+    replaced, kept here as the oracle."""
+    v, max_den = case
+    want = Fraction(v).limit_denominator(max_den)
+    assert exactgeom._limit_denominator(v, max_den) == (want.numerator, want.denominator)
+
+
+def _fraction_wrapped_certify_support(columns, support, target):
+    """`exactgeom._certify_support` as it was before integer columns went in
+    unwrapped: every entry becomes a `Fraction` before the elimination.
+    Kept as the oracle of the integer route."""
+    aug = [exactgeom._over_common_denominator([Fraction(columns[k][i]) for k in support]
+                                              + [Fraction(t)])[0]
+           for i, t in enumerate(target)]
+    pivots = exactgeom._row_reduce(aug, len(support))
+    if any(row[-1] for row in aug[len(pivots):]):
+        return None
+    lam_s = [Fraction(0)] * len(support)
+    for row, c in zip(aug, pivots):
+        lam_s[c] = Fraction(row[-1], row[c])
+    if any(x < 0 for x in lam_s):
+        return None
+    num, den = exactgeom._over_common_denominator(lam_s)
+    for i, t in enumerate(target):
+        if sum(n * columns[k][i] for k, n in zip(support, num)) != den * t:
+            return None
+    lam = [Fraction(0)] * len(columns)
+    for k, v in zip(support, lam_s):
+        lam[k] = v
+    return lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_columns_certify_as_fraction_wrapped_columns(data):
+    """Gordan witness solves as `_strict_interior` sets them up, columns
+    (row, 1) and target (0, ..., 0, 1), on integer rows (as coherence
+    passes them) and on `Fraction` rows (as the vertex and edge tests do):
+    the same lam as the `Fraction`-wrapping route, and lam is `Fraction`s."""
+    entry = data.draw(st.sampled_from([st.integers(-9, 9), _ENTRY]))
+    d = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        # minus a nonnegative integer combination: a vanishing combination exists
+        lam = data.draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append(tuple(-sum(l * row[i] for l, row in zip(lam, rows)) for i in range(d)))
+    columns = [tuple(row) + (1,) for row in rows]
+    target = (0,) * d + (1,)
+    support = sorted(data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True,
+                                        min_size=1)))
+    got = exactgeom._certify_support(columns, support, target)
+    assert got == _fraction_wrapped_certify_support(columns, support, target)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
