@@ -173,9 +173,8 @@ def chain_counts(xy) -> tuple:
     two chain edge counts always add up to the vertex count; collinear points
     interior to a hull edge are not counted as vertices.  Non-finite
     coordinates are an InputError.  `exactgeom._monotone_chains` runs on
-    every distinct point: about half a second at 10^5 points, some 100 times
-    what a throwaway filter would cost there.  Simulations hull only a rim of
-    a few hundred points (`_rim_chains`), so none is kept.
+    every distinct point, about half a second at 10^5 points; simulations
+    hull only a rim of a few hundred points (`_rim_chains`).
     """
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:

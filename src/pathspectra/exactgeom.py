@@ -68,7 +68,7 @@ def dot(u: Sequence, v: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Linear programming (two-phase simplex, Bland's rule)
+# Exact linear programming (two-phase simplex, Bland's rule)
 # ---------------------------------------------------------------------------
 
 def _simplex(rows, basis, cost, banned):
@@ -164,20 +164,24 @@ def lp_maximize(rows):
     return omega, values.get(d, zero) - values.get(d + 1, zero)
 
 
+# ---------------------------------------------------------------------------
+# HiGHS, its rounded proposals and exact witness solves
+# ---------------------------------------------------------------------------
+
 _highs_handle = None
 
 
 def _highs():
-    """Cached (linprog-shaped solver, numpy) pair; every HiGHS call goes
-    through it.
+    """Cached (solver, numpy) pair; every HiGHS call goes through it.
 
     The solver is `_direct_highs` over one `_core._Highs` reused for the
-    whole process: it takes `linprog(method="highs")`'s arguments, as numpy
-    arrays or as plain lists, and returns its `status`, `x` and
-    `ineqlin.marginals`, from the same model and the same options, without
-    `linprog`'s per-call input checks and option handling.  When scipy's
-    private `_core` module cannot be imported it is `scipy.optimize.linprog`
-    itself.  The route taken is logged once at DEBUG.
+    whole process.  It takes the one call `_strict_interior` makes, the
+    cone LP as plain lists with `linprog(method="highs")`'s argument names,
+    and returns `linprog`'s `status`, `x` and `ineqlin.marginals`, from the
+    same model and the same options, without `linprog`'s per-call input
+    checks and option handling.  When scipy's private `_core` module cannot
+    be imported it is `scipy.optimize.linprog` itself.  The route taken is
+    logged once at DEBUG.
     """
     global _highs_handle
     if _highs_handle is None:
@@ -193,21 +197,17 @@ def _highs():
     return _highs_handle
 
 
-def _as_list(x):
-    """An ndarray as nested lists; any other sequence as it is."""
-    return x.tolist() if isinstance(x, np.ndarray) else x
-
-
 def _direct_highs(core):
     """A `linprog(method="highs")` stand-in that solves on one reused `_Highs`.
 
-    Its options are the ones `linprog` sets, passed once.  Each call builds
-    the model as `linprog` does (the A_ub rows column-wise, nonzeros only;
-    infinite bounds as `kHighsInf`) in one Python pass over lists, an ndarray
-    argument first turned into lists, and passes it whole, so no HiGHS state
-    carries from one call to the next.  Status codes follow `linprog`,
-    including its demotion of an "optimal" point off the constraints by more
-    than 10 * sqrt(1e-9) to 4.
+    Its options are the ones `linprog` sets, passed once.  `solve` takes
+    lists: at least one A_ub row and one finite (lower, upper) pair per
+    column.  Each call builds the model as `linprog` does (the A_ub rows
+    column-wise, nonzeros only) in one Python pass and passes it whole, so
+    no HiGHS state carries from one call to the next.  Status 0 is an
+    optimum; every other outcome is status 4 with no `x`, except `linprog`'s
+    demotion of an "optimal" point off the constraints by more than
+    10 * sqrt(1e-9), which is status 4 with `x` and the marginals.
     """
     highs = core._Highs()
     options = core.HighsOptions()
@@ -217,54 +217,39 @@ def _direct_highs(core):
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     highs.passOptions(options)
-    model_status = core.HighsModelStatus
-    codes = {model_status.kOptimal: 0, model_status.kTimeLimit: 1,
-             model_status.kIterationLimit: 1, model_status.kInfeasible: 2,
-             model_status.kModelError: 2, model_status.kUnbounded: 3}
-    inf = core.kHighsInf
     tol = float(np.sqrt(1e-9) * 10)
 
-    def solve(c, A_ub=None, b_ub=None, bounds=(0, None), method="highs"):
-        c = _as_list(c)
-        n = len(c)
-        rows = [] if A_ub is None else _as_list(A_ub)
-        upper = [] if b_ub is None else _as_list(b_ub)
-        if len(bounds) == 2 and not hasattr(bounds[0], "__len__"):
-            bounds = [bounds] * n  # one (lower, upper) pair for every column
-        lb = [-inf if lo is None else lo for lo, _ in bounds]
-        ub = [inf if hi is None else hi for _, hi in bounds]
+    def solve(c, A_ub, b_ub, bounds, method="highs"):
         # column-wise, nonzeros only: compress keeps the entries that are true
         start, index, value = [0], [], []
-        numbered = range(len(rows))
-        for col in zip(*rows) if rows else [()] * n:
+        numbered = range(len(A_ub))
+        for col in zip(*A_ub):
             index += compress(numbered, col)
             value += compress(col, col)
             start.append(len(index))
         lp = core.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
         lp.a_matrix_.format_ = core.MatrixFormat.kColwise
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value
         lp.col_cost_ = c
-        lp.col_lower_ = lb
-        lp.col_upper_ = ub
-        lp.row_lower_ = [-inf] * len(upper)
-        lp.row_upper_ = upper
-        if highs.passModel(lp) == core.HighsStatus.kError:
-            status = codes[model_status.kModelError]
-        else:
+        lp.col_lower_ = [lo for lo, _ in bounds]
+        lp.col_upper_ = [hi for _, hi in bounds]
+        lp.row_lower_ = [-core.kHighsInf] * len(b_ub)
+        lp.row_upper_ = b_ub
+        solved = highs.passModel(lp) != core.HighsStatus.kError
+        if solved:
             highs.run()
-            status = codes.get(highs.getModelStatus(), 4)
-        if status != 0:
-            return SimpleNamespace(status=status, x=None, ineqlin=SimpleNamespace(marginals=None))
+            solved = highs.getModelStatus() == core.HighsModelStatus.kOptimal
+        if not solved:
+            return SimpleNamespace(status=4, x=None)
         solution = highs.getSolution()
         x = solution.col_value
-        if not (all(lo - tol <= v <= hi + tol for lo, v, hi in zip(lb, x, ub))
-                and all(b - r >= -tol for b, r in zip(upper, solution.row_value))):
-            status = 4
-        return SimpleNamespace(status=status, x=np.array(x), ineqlin=SimpleNamespace(
+        feasible = (all(lo - tol <= v <= hi + tol for (lo, hi), v in zip(bounds, x))
+                    and all(b - r >= -tol for b, r in zip(b_ub, solution.row_value)))
+        return SimpleNamespace(status=0 if feasible else 4, x=np.array(x), ineqlin=SimpleNamespace(
             marginals=np.array(solution.row_dual)))
 
     return solve

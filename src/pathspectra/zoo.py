@@ -71,7 +71,7 @@ def s_hypersimplex(d: int, S) -> Polytope:
 
     Requires d in S so the all-ones sink is a vertex.  The all-ones direction
     ties exactly on same-level edges (present whenever S skips levels), so this
-    family is counted with level ties dropped; see `fixture`.
+    family is counted with level ties dropped; see `orient(..., drop_level_ties=True)`.
     """
     S = sorted(set(S))
     if not S or S[0] < 1 or S[-1] > d:
@@ -423,7 +423,6 @@ class Fixture:
     expected_monotone: Optional[LengthSpectrum]
     expected_coherent: Optional[LengthSpectrum]
     source: str
-    drop_level_ties: bool = False
 
 
 @dataclass
@@ -483,13 +482,12 @@ def fixture(name: str) -> Fixture:
         expected_monotone=mono,
         expected_coherent=coh,
         source=rec["source"],
-        drop_level_ties=rec.get("drop_level_ties", False),
     )
 
 
 def verify_fixture(F: Fixture) -> FixtureReport:
     """Recompute the fixture's spectra and diff them against its expectations."""
-    G = orient(F.polytope, F.direction, drop_level_ties=F.drop_level_ties)
+    G = orient(F.polytope, F.direction)
     mono = count_paths_by_length(G)
     diffs = []
     coh = None

@@ -38,6 +38,28 @@ def ass6_pack():
             "coherent": LengthSpectrum(counts), "pairs": pairs}
 
 
+def record_highs(mp, substitute=None):
+    """Route every HiGHS call through one recorder, patched in with `mp`;
+    returns its log of (args, kwargs, result).  The result is the solver's
+    own, or `substitute(result)` in its place."""
+    solve, np_ = exactgeom._highs()
+    calls = []
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        if substitute is not None:
+            res = substitute(res)
+        calls.append((args, kwargs, res))
+        return res
+    mp.setattr(exactgeom, "_highs_handle", (recorded, np_))
+    return calls
+
+
+def failed(res):
+    """A failed HiGHS solve (status 4, no solution) in place of `res`."""
+    return SimpleNamespace(status=4, x=None)
+
+
 @pytest.fixture
 def highs_fails(monkeypatch):
     """Make every HiGHS call fail (status 4, no solution); returns the call log.
@@ -45,26 +67,17 @@ def highs_fails(monkeypatch):
     Every float proposal is then missing, so each verdict falls through to
     the exact simplex.
     """
-    calls = []
+    return record_highs(monkeypatch, failed)
 
-    def linprog(*args, **kwargs):
-        calls.append(kwargs)
-        return SimpleNamespace(status=4, x=None)
 
-    monkeypatch.setattr(exactgeom, "_highs_handle", (linprog, np))
-    return calls
+def _without_duals(res):
+    if res.status == 0:
+        res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
+    return res
 
 
 @pytest.fixture
 def highs_without_duals(monkeypatch):
     """Run HiGHS as usual but zero every row dual (`ineqlin.marginals`), so no
     Gordan witness can be read off them."""
-    linprog, _ = exactgeom._highs()
-
-    def zeroed(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        if res.status == 0:
-            res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
-        return res
-
-    monkeypatch.setattr(exactgeom, "_highs_handle", (zeroed, np))
+    record_highs(monkeypatch, _without_duals)

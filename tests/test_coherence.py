@@ -5,7 +5,6 @@ from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +15,7 @@ from pathspectra import (DegeneracyError, GenericityError, InputError,
                          shadow_path, slope_cone)
 from pathspectra import coherence, exactgeom, zoo
 from pathspectra.exactgeom import dot
+from conftest import failed, record_highs
 from test_exactgeom import _point_sets
 
 
@@ -334,18 +334,6 @@ def _log_calls(monkeypatch, owner, name):
     return log
 
 
-def _count_highs(monkeypatch):
-    """Route every HiGHS call through a counter; returns the call log."""
-    linprog, np = exactgeom._highs()
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return linprog(*args, **kwargs)
-    monkeypatch.setattr(exactgeom, "_highs_handle", (counted, np))
-    return calls
-
-
 def _assert_gordan(rows, lam):
     """lam ({row: weight}) is a Gordan witness on `rows`, in `Fraction`s:
     lam >= 0, sum lam = 1 and sum lam_r row_r = 0."""
@@ -361,7 +349,7 @@ def test_one_highs_lp_per_path(P, c, monkeypatch):
     """One HiGHS LP per path that has rows and no witness in hand."""
     G = orient(P, c)
     with_rows = sum(1 for p in enumerate_paths(G) if slope_cone(P, c, p, graph=G).rows)
-    calls = _count_highs(monkeypatch)
+    calls = record_highs(monkeypatch)
     known = _log_calls(monkeypatch, coherence, "_known_witness")
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
     coherent_spectrum(P, c, graph=G)
@@ -417,7 +405,7 @@ def test_without_duals_the_exact_simplex_decides_the_same(P, c, exact_runs, requ
 def test_coherent_only_inputs_ask_one_highs_lp_per_path(P, c, monkeypatch):
     G = orient(P, c)
     paths = sum(1 for _ in enumerate_paths(G))
-    calls = _count_highs(monkeypatch)
+    calls = record_highs(monkeypatch)
     assert len(list(coherent_paths(P, c, graph=G))) == paths
     assert len(calls) == paths
 
@@ -644,8 +632,7 @@ def test_integer_certificate_matches_the_fraction_normal_form(data):
             proposals = _log_calls(mp, coherence, "_strict_interior")
             optima = _log_calls(mp, coherence, "lp_maximize")
             if route == "exact simplex":
-                mp.setattr(exactgeom, "_highs_handle",
-                           (lambda *args, **kwargs: SimpleNamespace(status=4, x=None), np))
+                record_highs(mp, failed)
         found, cert = coherence._decide_rows(SimpleNamespace(c=c), rows)
     if route == "handed in":
         assert found == "HiGHS strict omega"

@@ -13,6 +13,8 @@ from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
                          project2d, upper_path)
 from pathspectra import exactgeom, zoo
 
+from conftest import record_highs
+
 # edge graphs of the fixtures, recorded with the per-pair LP test (p10-sphere's
 # on its float coordinates, with ties up to 1e-9)
 RECORDED_EDGES = json.loads(
@@ -392,25 +394,20 @@ def _route_questions(points):
 def _asked(questions, mp):
     """(verdict, expected, has rows, HiGHS calls, exact-simplex calls) of
     each question."""
-    solve, np_ = exactgeom._highs()
     lp_maximize = exactgeom.lp_maximize
-    calls = [0, 0]
-
-    def highs(*args, **kwargs):
-        calls[0] += 1
-        return solve(*args, **kwargs)
+    exact_calls = [0]
 
     def exact(*args, **kwargs):
-        calls[1] += 1
+        exact_calls[0] += 1
         return lp_maximize(*args, **kwargs)
-    mp.setattr(exactgeom, "_highs_handle", (highs, np_))
+    highs_calls = record_highs(mp)
     mp.setattr(exactgeom, "lp_maximize", exact)
     answers = []
     for ask, expected, has_rows in questions:
-        before = list(calls)
+        before = len(highs_calls), exact_calls[0]
         verdict = ask()
         answers.append((verdict, expected, has_rows,
-                        calls[0] - before[0], calls[1] - before[1]))
+                        len(highs_calls) - before[0], exact_calls[0] - before[1]))
     return answers
 
 

@@ -12,23 +12,11 @@ from scipy.optimize import linprog
 
 from pathspectra import Polytope, coherence, coherent_spectrum, exactgeom, zoo
 
+from conftest import record_highs
 from test_exactgeom import _point_sets
 
 _DIRECT = "HiGHS route: direct scipy.optimize._highspy._core._Highs"
 _FALLBACK = "HiGHS route: scipy.optimize.linprog fallback"
-
-
-def _recorded(mp):
-    """Route every HiGHS call through the direct solver and log (args, kwargs, result)."""
-    direct, np_ = exactgeom._highs()
-    assert direct is not linprog
-    calls = []
-
-    def logged(*args, **kwargs):
-        calls.append((args, kwargs, direct(*args, **kwargs)))
-        return calls[-1][2]
-    mp.setattr(exactgeom, "_highs_handle", (logged, np_))
-    return direct, calls
 
 
 def _assert_same(res, ref):
@@ -43,11 +31,25 @@ def _assert_same(res, ref):
 def _assert_matches_linprog(direct, calls):
     """Each recorded solve equals linprog's, and so does a second solve of the
     same LPs in reverse order on the one reused solver."""
+    assert direct is not linprog
     assert calls
     for args, kwargs, res in calls:
         _assert_same(res, linprog(*args, **kwargs))
     for args, kwargs, res in reversed(calls):
         _assert_same(direct(*args, **kwargs), res)
+
+
+def _assert_cone_lp(args, kwargs):
+    """The one call the direct solver is sized to: the cone LP of
+    `_strict_interior`, as plain lists."""
+    (c,) = args
+    a_ub, b_ub, bounds = kwargs["A_ub"], kwargs["b_ub"], kwargs["bounds"]
+    assert all(type(x) is list for x in (c, a_ub, b_ub, bounds, *a_ub))
+    d, m = len(a_ub[0]) - 1, len(a_ub)
+    assert c == [0.0] * d + [-1.0]
+    assert b_ub == [0.0] * m
+    assert bounds == [(-1, 1)] * d + [(0, 1)]
+    assert kwargs["method"] == "highs"
 
 
 @pytest.mark.parametrize("P, c", [
@@ -59,7 +61,8 @@ def _assert_matches_linprog(direct, calls):
     pytest.param(zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5), id="prod3x4"),
 ])
 def test_coherence_lps_match_linprog(P, c, monkeypatch):
-    direct, calls = _recorded(monkeypatch)
+    direct = exactgeom._highs()[0]
+    calls = record_highs(monkeypatch)
     coherent_spectrum(P, c)
     _assert_matches_linprog(direct, calls)
 
@@ -70,12 +73,15 @@ def test_cone_escape_lps_match_linprog(points):
     """The strict-interior LPs of the vertex and edge tests."""
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     P = Polytope(kept, on_nonvertex="strip")
+    direct = exactgeom._highs()[0]
     with pytest.MonkeyPatch.context() as mp:
-        direct, calls = _recorded(mp)
+        calls = record_highs(mp)
         for i in range(len(kept)):
             exactgeom._is_vertex_lp(kept, i)
         for i, j in combinations(range(len(P.vertices)), 2):
             P._is_edge_pair(i, j)
+    for args, kwargs, _res in calls:
+        _assert_cone_lp(args, kwargs)
     if len(kept) > 1:
         _assert_matches_linprog(direct, calls)
 
@@ -98,31 +104,21 @@ def test_without_core_the_route_is_linprog(monkeypatch, caplog):
 
 
 def test_infeasible_and_equality_lps_match_linprog():
-    """Each LP, given as numpy arrays and as plain lists, gives linprog's bits."""
+    """LPs in the one accepted shape (lists, finite bounds) beyond the cone
+    LP: an equality LP gives linprog's bits, and an infeasible one gives no
+    solution on either route."""
     direct, _ = exactgeom._highs()
-    lps = [
-        # x0 + x1 <= -1 with x >= 0
-        ((np.zeros(2),), dict(A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([-1.0]),
-                              bounds=(0, None))),
-        # x0 + x1 = 1 as two inequalities, x0 - x1 <= 0.5, maximize x0
-        ((np.array([-1.0, 0.0]),), dict(A_ub=np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]]),
-                                        b_ub=np.array([0.5, 1.0, -1.0]),
-                                        bounds=[(0, 1), (None, None)])),
-        # unbounded below
-        ((np.array([-1.0]),), dict(A_ub=np.array([[-1.0]]), b_ub=np.array([0.0]),
-                                   bounds=(0, None))),
-        # minimize x0 >= -2 with no lower bound of its own
-        ((np.array([1.0]),), dict(A_ub=np.array([[-1.0]]), b_ub=np.array([2.0]),
-                                  bounds=[(None, 3)])),
-    ]
-    for (args, kwargs), status in zip(lps, (2, 0, 3, 0)):
-        ref = linprog(*args, method="highs", **kwargs)
-        # the same LP as arrays and as plain lists
-        as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in kwargs.items()}
-        for a, kw in ((args, kwargs), ([x.tolist() for x in args], as_lists)):
-            res = direct(*a, method="highs", **kw)
-            assert res.status == status
-            _assert_same(res, ref)
+    # x0 + x1 = 1 as two inequalities, x0 - x1 <= 0.5, maximize x0
+    c = [-1.0, 0.0]
+    lp = dict(A_ub=[[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]], b_ub=[0.5, 1.0, -1.0],
+              bounds=[(0, 1), (-10, 10)], method="highs")
+    res = direct(c, **lp)
+    assert res.status == 0
+    _assert_same(res, linprog(c, **lp))
+    # x0 <= -1 with x0 in [0, 1]
+    lp = dict(A_ub=[[1.0]], b_ub=[-1.0], bounds=[(0, 1)], method="highs")
+    for res in (direct([0.0], **lp), linprog([0.0], **lp)):
+        assert res.status != 0 and res.x is None
 
 
 def _cone_rows(P, c):
@@ -146,11 +142,12 @@ def _cone_rows(P, c):
 def test_cone_lp_rows_are_the_scaled_float_rows(P, c, monkeypatch):
     """The A_ub handed to HiGHS is, bit for bit, the rows as `_float_row`
     gives them, negated, with a 1 for t."""
-    _, calls = _recorded(monkeypatch)
+    calls = record_highs(monkeypatch)
     cones = _cone_rows(P, c)
     assert len(cones) == len(calls)
     big = False
-    for rows, (_args, kwargs, _res) in zip(cones, calls):
+    for rows, (args, kwargs, _res) in zip(cones, calls):
+        _assert_cone_lp(args, kwargs)
         want = np.array([[-x for x in exactgeom._float_row(row)] + [1.0] for row in rows])
         got = np.asarray(kwargs["A_ub"])
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -166,7 +163,8 @@ def test_cone_lps_of_two_dimensions_alternate_on_the_one_solver(monkeypatch):
     small = _cone_rows(zoo.p10(), (1, 2, 3))
     large = _cone_rows(zoo.cross_polytope(5), (1, 2, 3, 4, 5))
     assert {len(r[0]) for r in small} == {3} and {len(r[0]) for r in large} == {5}
-    direct, calls = _recorded(monkeypatch)
+    direct = exactgeom._highs()[0]
+    calls = record_highs(monkeypatch)
     for a, b in zip(small, large):
         exactgeom._strict_interior(a)
         exactgeom._strict_interior(b)

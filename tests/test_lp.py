@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from pathspectra import coherence, exactgeom
 from pathspectra.exactgeom import dot, lp_maximize
 
+from conftest import record_highs
+
 
 def test_single_binding_constraint():
     # omega >= t binds at the end of the box
@@ -61,16 +63,10 @@ def test_optimal_solution_is_feasible_exactly(rows):
 
 def _strict_interior_and_highs(rows):
     """`_strict_interior(rows)` and the result of its one HiGHS solve."""
-    solve, np_ = exactgeom._highs()
-    results = []
-
-    def recorded(*args, **kwargs):
-        results.append(solve(*args, **kwargs))
-        return results[-1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactgeom, "_highs_handle", (recorded, np_))
+        calls = record_highs(mp)
         certificate = exactgeom._strict_interior(rows)
-    (res,) = results
+    ((_args, _kwargs, res),) = calls
     return certificate, res
 
 

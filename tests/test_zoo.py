@@ -179,4 +179,4 @@ def test_unknown_fixture_name():
 def test_canonical_directions_are_generic_for_fast_fixtures():
     for name in zoo.fixture_names(include_slow=False):
         F = zoo.fixture(name)
-        orient(F.polytope, F.direction, drop_level_ties=F.drop_level_ties)
+        orient(F.polytope, F.direction)
