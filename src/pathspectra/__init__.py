@@ -7,8 +7,7 @@ families, and Monte Carlo machinery for projected random polytopes on spheres.
 
 from .errors import (DegeneracyError, GenericityError, InputError,
                      VerificationMismatch)
-from .exactgeom import (DirectedGraph, Polytope, edge_graph, is_edge, is_generic,
-                        lower_path, orient, project2d, upper_path)
+from .exactgeom import DirectedGraph, Polytope, orient, project2d, upper_path
 from .pathcount import (LengthSpectrum, MonotonePath, count_paths_by_length,
                         enumerate_paths, is_log_concave, is_symmetric,
                         is_ultra_log_concave, is_unimodal, modes,

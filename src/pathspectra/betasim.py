@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -265,8 +264,8 @@ def estimate_growth_exponent(d: int, n_grid, trials: int, seed: int) -> GrowthFi
     resid = ys - (slope * xs + intercept)
     dof = len(grid) - 2
     sxx = float(((xs - xs.mean()) ** 2).sum())
-    stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx) if dof > 0 else 0.0
-    width = special.stdtrit(dof, 0.975) * stderr if dof > 0 else math.inf
+    stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx)
+    width = special.stdtrit(dof, 0.975) * stderr
     return GrowthFit(slope=float(slope), stderr=stderr,
                      ci_low=float(slope - width), ci_high=float(slope + width),
                      points=tuple(zip(grid, means)))
@@ -474,12 +473,12 @@ def clt_check(config: SimConfig) -> CLTResult:
                      reliable=config.trials >= 1000, config=config)
 
 
-def projection_chi_square(d: int, n: int, seed: int, bins: int = 24):
+def projection_chi_square(d: int, n: int, seed: int):
     """Chi-square statistic and p-value of projected sphere samples against the
-    radial law of the beta density, on equiprobable radial bins."""
+    radial law of the beta density, on 24 equiprobable radial bins."""
     if n < 1:
         raise InputError("need at least one point")
-    beta = d / 2 - 2
+    beta, bins = d / 2 - 2, 24
     rng = _rng(seed, 0)
     xy = project_to_disk(sample_sphere(d, n, rng))
     radii = np.hypot(xy[:, 0], xy[:, 1])

@@ -111,15 +111,15 @@ class _DoublePolytope(Polytope):
     """A polytope read with `--backend float`: every coordinate is rounded to
     the nearest double before validation, then everything runs exactly."""
 
-    def __init__(self, points, **kwargs):
-        super().__init__([[_nearest_double(x) for x in p] for p in points], **kwargs)
+    def __init__(self, points, label=""):
+        super().__init__([[_nearest_double(x) for x in p] for p in points], label=label)
 
 
 def _load_polytope(args):
     try:
-        with open(args.polytope) as fh:
+        with open(args.polytope, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.polytope}: {exc}") from exc
     cls = _DoublePolytope if args.backend == "float" else Polytope
     return cls.from_json(text)

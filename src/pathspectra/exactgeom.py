@@ -686,9 +686,6 @@ class Polytope:
                             for tight in facets]
         return vertices
 
-    def __len__(self):
-        return len(self.vertices)
-
     def __repr__(self):
         return f"Polytope({self.label or 'unlabeled'}, n={len(self.vertices)}, d={self.dim})"
 
@@ -700,7 +697,7 @@ class Polytope:
         return json.dumps({"dim": self.dim, "label": self.label, "vertices": verts})
 
     @classmethod
-    def from_json(cls, text: str, **kwargs) -> "Polytope":
+    def from_json(cls, text: str) -> "Polytope":
         try:
             data = json.loads(text)
             dim = data["dim"]
@@ -712,7 +709,7 @@ class Polytope:
                 raise InputError("vertex length disagrees with 'dim'")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InputError(f"bad polytope JSON: {exc}") from exc
-        return cls(verts, label=label, **kwargs)
+        return cls(verts, label=label)
 
     # -- edge graph
 
@@ -756,16 +753,6 @@ class Polytope:
         return adj
 
 
-def is_edge(P: Polytope, i: int, j: int) -> bool:
-    """Whether segment [v_i, v_j] is a 1-face of P, read from `P.edges()`."""
-    n = len(P.vertices)
-    if i == j:
-        raise InputError("is_edge needs two distinct vertex indices")
-    if not (0 <= i < n and 0 <= j < n):
-        raise InputError("vertex index out of range")
-    return (min(i, j), max(i, j)) in P.edges()
-
-
 def _is_vertex_lp(points, i):
     """LP vertex test: some c has c . points[i] > c . q for every other point
     q.  A Gordan witness on the rows points[i] - q writes points[i] as a
@@ -773,10 +760,6 @@ def _is_vertex_lp(points, i):
     p = points[i]
     return _has_interior([tuple(a - b for a, b in zip(p, q))
                           for k, q in enumerate(points) if k != i])
-
-
-def edge_graph(P: Polytope):
-    return P.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -813,15 +796,6 @@ class DirectedGraph:
     @property
     def n(self):
         return len(self.order)
-
-
-def is_generic(P: Polytope, c) -> bool:
-    """True when no edge of P is level for c (endpoints share the c-value)."""
-    try:
-        orient(P, c)
-    except GenericityError:
-        return False
-    return True
 
 
 def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
@@ -919,8 +893,3 @@ def upper_path(points):
             raise DegeneracyError(
                 f"hull vertices {a} and {b} share the first coordinate")
     return upper
-
-
-def lower_path(points):
-    """Companion of `upper_path` for the lower chain (same contracts)."""
-    return upper_path([(p[0], -p[1]) for p in points])

@@ -23,9 +23,6 @@ class MonotonePath:
     def length(self) -> int:
         return len(self.vertex_indices) - 1
 
-    def __iter__(self):
-        return iter(self.vertex_indices)
-
 
 class LengthSpectrum:
     """Map from path length to an exact count, with a contiguous value view."""
@@ -68,8 +65,6 @@ class LengthSpectrum:
     def __eq__(self, other):
         if isinstance(other, LengthSpectrum):
             return self.counts == other.counts
-        if isinstance(other, dict):
-            return self.counts == {k: v for k, v in other.items() if v}
         return NotImplemented
 
     def __hash__(self):
@@ -105,19 +100,23 @@ def count_paths_by_length(G: DirectedGraph) -> LengthSpectrum:
 
 
 def enumerate_paths(G: DirectedGraph) -> Iterator[MonotonePath]:
-    """Every monotone path exactly once, lexicographic in the c-sorted order."""
-    path = [G.source]
+    """Every monotone path exactly once, lexicographic in the c-sorted order.
 
-    def walk(u):
-        if u == G.sink:
+    A depth-first search that keeps one iterator over the remaining arcs of
+    each vertex on the path, so no path is too long for the recursion limit.
+    """
+    sink = G.sink
+    path, todo = [G.source], [iter(G.arcs[G.source])]
+    while todo:
+        if path[-1] == sink:
             yield MonotonePath(tuple(path))
-            return
-        for v in G.arcs[u]:
-            path.append(v)
-            yield from walk(v)
+        v = next(todo[-1], None)
+        if v is None:
+            todo.pop()
             path.pop()
-
-    yield from walk(G.source)
+        else:
+            path.append(v)
+            todo.append(iter(G.arcs[v]))
 
 
 def prism_spectrum(spectrum: LengthSpectrum, k: int) -> LengthSpectrum:
@@ -140,12 +139,11 @@ def prism_spectrum(spectrum: LengthSpectrum, k: int) -> LengthSpectrum:
 Series = Union[LengthSpectrum, list, tuple]
 
 
-def _series(S: Series, positive_support_only: bool):
+def _series(S: Series):
     """Keys and values of the analyzed sequence.
 
     Spectra are read over their contiguous range including internal zeros,
-    which is what makes parity-gapped spectra non-unimodal; the flag restricts
-    to the positive support instead.
+    which is what makes parity-gapped spectra non-unimodal.
     """
     if isinstance(S, LengthSpectrum):
         keys = list(range(S.min_len, S.max_len + 1))
@@ -155,17 +153,11 @@ def _series(S: Series, positive_support_only: bool):
         keys = list(range(len(vals)))
     if not vals:
         raise InputError("empty sequence")
-    if positive_support_only:
-        pairs = [(k, v) for k, v in zip(keys, vals) if v > 0]
-        if not pairs:
-            raise InputError("sequence has no positive entries")
-        keys = [k for k, _ in pairs]
-        vals = [v for _, v in pairs]
     return keys, vals
 
 
-def is_unimodal(S: Series, positive_support_only=False) -> bool:
-    _, a = _series(S, positive_support_only)
+def is_unimodal(S: Series) -> bool:
+    _, a = _series(S)
     i = 0
     while i + 1 < len(a) and a[i] <= a[i + 1]:
         i += 1
@@ -174,29 +166,27 @@ def is_unimodal(S: Series, positive_support_only=False) -> bool:
     return i + 1 == len(a)
 
 
-def modes(S: Series, positive_support_only=False):
+def modes(S: Series):
     """All argmax positions: lengths for a spectrum, 0-based indices otherwise."""
-    keys, a = _series(S, positive_support_only)
+    keys, a = _series(S)
     peak = max(a)
     return [k for k, v in zip(keys, a) if v == peak]
 
 
-def is_log_concave(S: Series, positive_support_only=False) -> bool:
-    _, a = _series(S, positive_support_only)
+def is_log_concave(S: Series) -> bool:
+    _, a = _series(S)
     return all(a[i - 1] * a[i + 1] <= a[i] * a[i] for i in range(1, len(a) - 1))
 
 
-def is_ultra_log_concave(S: Series, positive_support_only=False) -> bool:
-    _, a = _series(S, positive_support_only)
-    r = len(a)
-    for i in range(2, r):  # 1-based interior index
-        lhs = (i + 1) * (r - i + 1) * a[i - 2] * a[i]
-        rhs = i * (r - i) * a[i - 1] * a[i - 1]
-        if lhs > rhs:
-            return False
-    return True
+def is_ultra_log_concave(S: Series) -> bool:
+    """Whether a_k / C(n, k) is log-concave, n = len(a) - 1: clearing the
+    binomials, (k+1)(n-k+1) a_(k-1) a_(k+1) <= k(n-k) a_k^2 for 0 < k < n."""
+    _, a = _series(S)
+    n = len(a) - 1
+    return all((k + 1) * (n - k + 1) * a[k - 1] * a[k + 1] <= k * (n - k) * a[k] * a[k]
+               for k in range(1, n))
 
 
-def is_symmetric(S: Series, positive_support_only=False) -> bool:
-    _, a = _series(S, positive_support_only)
+def is_symmetric(S: Series) -> bool:
+    _, a = _series(S)
     return a == a[::-1]

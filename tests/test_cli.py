@@ -100,6 +100,15 @@ def test_count_bad_file_exits_1(tmp_path, capsys):
     assert err.startswith("input error:")
 
 
+def test_polytope_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b'\xff\xfe{\x00"\x00d\x00')
+    code, out, err = run(capsys, "count", str(bad), "--direction", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: cannot read {bad}:")
+    assert "Traceback" not in err
+
+
 def test_unwritable_out_exits_1(tmp_path, capsys):
     path = write_poly(tmp_path, zoo.simplex(3))
     target = str(tmp_path / "missing" / "x.csv")
@@ -312,6 +321,14 @@ def test_coherent_complex_x4(tmp_path, capsys):
     assert code == 0
     rows, _ = parse_csv(out)
     assert rows[1:] == ["1,1", "2,4", "3,4", "4,5", "5,2"]
+
+
+def test_coherent_on_a_polygon_with_paths_longer_than_the_recursion_limit(tmp_path, capsys):
+    path = write_poly(tmp_path, zoo.cyclic(2, range(1, 1201)))
+    code, out, _ = run(capsys, "coherent", path, "--direction", "1,0")
+    assert code == 0
+    rows, _ = parse_csv(out)
+    assert rows == ["length,count", "1,1", "1199,1"]
 
 
 def test_verify_single_fixture(capsys):

@@ -9,8 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
-                         edge_graph, is_edge, is_generic, lower_path, orient,
-                         project2d, upper_path)
+                         orient, project2d, upper_path)
 from pathspectra import exactgeom, zoo
 
 from conftest import record_highs
@@ -71,36 +70,25 @@ def test_cross_polytope_antipodal_pair_is_not_an_edge():
     P = zoo.cross_polytope(3)
     plus_e1 = P.vertices.index((1, 0, 0))
     minus_e1 = P.vertices.index((-1, 0, 0))
-    assert not is_edge(P, plus_e1, minus_e1)
-    assert len(edge_graph(P)) == 12
+    assert (min(plus_e1, minus_e1), max(plus_e1, minus_e1)) not in P.edges()
+    assert len(P.edges()) == 12
 
 
 def test_cube_edges_are_hamming_one():
     P = zoo.cube(3)
+    edges = P.edges()
     for i, j in combinations(range(8), 2):
         hamming = sum(a != b for a, b in zip(P.vertices[i], P.vertices[j]))
-        assert is_edge(P, i, j) == (hamming == 1)
-    assert len(edge_graph(P)) == 12
+        assert ((i, j) in edges) == (hamming == 1)
+    assert len(edges) == 12
+    # sorted pairs (i, j) with i < j, none twice
+    assert edges == sorted(set(edges)) and all(i < j for i, j in edges)
 
 
 def test_simplex_graph_is_complete():
     for d in (2, 3, 4, 5):
         P = zoo.simplex(d)
-        assert len(edge_graph(P)) == (d + 1) * d // 2
-
-
-def test_is_edge_errors():
-    P = zoo.cube(2)
-    with pytest.raises(InputError):
-        is_edge(P, 1, 1)
-    with pytest.raises(InputError):
-        is_edge(P, 0, 9)
-
-
-def test_edge_test_symmetry():
-    P = zoo.p10()
-    for i, j in combinations(range(len(P.vertices)), 2):
-        assert is_edge(P, i, j) == is_edge(P, j, i)
+        assert len(P.edges()) == (d + 1) * d // 2
 
 
 @pytest.mark.parametrize("builder", [lambda: zoo.cube(3), lambda: zoo.cross_polytope(3),
@@ -109,8 +97,9 @@ def test_edge_test_agrees_with_supporting_hyperplane_margin(builder):
     """The facet-read edge graph against the LP edge test, whose rows ask
     for a c with c . v_i = c . v_j > c . w for every other vertex w."""
     P = builder()
+    edges = P.edges()
     for i, j in combinations(range(len(P.vertices)), 2):
-        assert is_edge(P, i, j) == P._is_edge_pair(i, j)
+        assert ((i, j) in edges) == P._is_edge_pair(i, j)
 
 
 _COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -238,23 +227,25 @@ def test_backend_agreement_on_integer_fixtures():
     for exact in (zoo.cube(3), zoo.cross_polytope(3), zoo.p10(), zoo.p10_spherical()):
         rounded = Polytope([tuple(map(float, v)) for v in exact.vertices])
         n = len(rounded.vertices)
-        assert edge_graph(rounded) == edge_graph(exact)
-        assert edge_graph(rounded) == [(i, j) for i, j in combinations(range(n), 2)
+        assert rounded.edges() == exact.edges()
+        assert rounded.edges() == [(i, j) for i, j in combinations(range(n), 2)
                                        if rounded._is_edge_pair(i, j)]
 
 
 def test_is_generic_on_cube():
     P = zoo.cube(3)
-    assert is_generic(P, (1, 1, 1))       # every edge flips exactly one coordinate
-    assert not is_generic(P, (1, 1, 0))   # edges along the third axis are level
+    orient(P, (1, 1, 1))  # every edge flips exactly one coordinate
+    with pytest.raises(GenericityError):
+        orient(P, (1, 1, 0))  # edges along the third axis are level
     with pytest.raises(InputError):
-        is_generic(P, (0, 0, 0))
+        orient(P, (0, 0, 0))
 
 
 def test_is_generic_on_simplex():
     P = zoo.simplex(4)
-    assert is_generic(P, (1, 2, 3, 4))
-    assert not is_generic(P, (1, 1, 2, 3))
+    orient(P, (1, 2, 3, 4))
+    with pytest.raises(GenericityError):
+        orient(P, (1, 1, 2, 3))
 
 
 def test_orient_square():
@@ -277,7 +268,7 @@ def test_orient_support_equals_edge_graph_and_is_acyclic():
                  (zoo.cross_polytope(4), (1, 2, 3, 4))):
         G = orient(P, c)
         support = {tuple(sorted((u, v))) for u in range(G.n) for v in G.arcs[u]}
-        assert support == set(edge_graph(P))
+        assert support == set(P.edges())
         rank = {v: i for i, v in enumerate(G.order)}
         for u in range(G.n):
             for v in G.arcs[u]:
@@ -327,7 +318,7 @@ def test_project2d_cross_polytope_hull_is_at_most_hexagonal():
     P = zoo.cross_polytope(3)
     pts = project2d(P, (1, 2, 3), (1, 0, 0))
     up = upper_path(pts)
-    low = lower_path(pts)
+    low = upper_path([(x, -y) for x, y in pts])  # the lower chain
     hull = set(up) | set(low)
     assert len(hull) <= 6
     assert up[0] == low[0] and up[-1] == low[-1]
@@ -352,7 +343,7 @@ def test_upper_path_rejects_first_coordinate_ties():
 def test_upper_and_lower_chains_cover_hull():
     pts = [(0, 0), (1, 3), (2, -1), (4, 1), (3, 2), (Fraction(3, 2), Fraction(1, 2))]
     up = upper_path(pts)
-    low = lower_path(pts)
+    low = upper_path([(x, -y) for x, y in pts])  # the lower chain
     assert up[0] == low[0] and up[-1] == low[-1]
     assert set(up) & set(low) == {up[0], up[-1]}
     assert 5 not in set(up) | set(low)  # interior point is on no chain

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from pathspectra import (GenericityError, InputError, LengthSpectrum,
                          is_symmetric, is_ultra_log_concave, is_unimodal, modes,
                          orient, prism_spectrum)
 from pathspectra import zoo
+from pathspectra.exactgeom import DirectedGraph
 
 
 def spectrum_of(P, c, **kw):
@@ -67,6 +69,48 @@ def test_enumeration_is_lexicographic_and_exact():
     assert keyed == sorted(keyed)
 
 
+def _enumerate_recursively(G):
+    """The recursive depth-first enumeration, kept as the oracle of the
+    iterative one: the same paths in the same order."""
+    path = [G.source]
+
+    def walk(u):
+        if u == G.sink:
+            yield tuple(path)
+            return
+        for v in G.arcs[u]:
+            path.append(v)
+            yield from walk(v)
+            path.pop()
+
+    yield from walk(G.source)
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names())
+def test_enumeration_matches_the_recursive_oracle_on_fixtures(name):
+    F = zoo.fixture(name)
+    G = orient(F.polytope, F.direction)
+    assert ([p.vertex_indices for p in enumerate_paths(G)]
+            == list(_enumerate_recursively(G)))
+
+
+@st.composite
+def _layered_graphs(draw):
+    """Acyclic graphs on 1..8 vertices in index order: the arcs u -> u + 1
+    keep the source and the sink unique, the other forward arcs are drawn."""
+    n = draw(st.integers(1, 8))
+    arcs = tuple(tuple(v for v in range(u + 1, n) if v == u + 1 or draw(st.booleans()))
+                 for u in range(n))
+    return DirectedGraph(order=tuple(range(n)), arcs=arcs, c=(1,), source=0, sink=n - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layered_graphs())
+def test_enumeration_matches_the_recursive_oracle_on_drawn_graphs(G):
+    assert ([p.vertex_indices for p in enumerate_paths(G)]
+            == list(_enumerate_recursively(G)))
+
+
 def test_lopsided_3_has_six_paths():
     G = orient(zoo.lopsided_cube(3), (1, 1, 1))
     lengths = Counter(p.length for p in enumerate_paths(G))
@@ -74,7 +118,6 @@ def test_lopsided_3_has_six_paths():
 
 
 def test_count_requires_unique_source_and_sink():
-    from pathspectra.exactgeom import DirectedGraph
     with pytest.raises(GenericityError):
         DirectedGraph(order=(0, 1, 2, 3), arcs=((1,), (), (3,), ()),
                       c=(1,), source=0, sink=1)
@@ -145,6 +188,29 @@ def test_binomial_row_is_ultra_log_concave_and_symmetric():
     assert is_symmetric(row)
 
 
+def _ulc_by_definition(a):
+    """Whether a_k / C(n, k), n = len(a) - 1, is log-concave, in Fractions."""
+    n = len(a) - 1
+    b = [Fraction(x, math.comb(n, k)) for k, x in enumerate(a)]
+    return all(b[k - 1] * b[k + 1] <= b[k] * b[k] for k in range(1, n))
+
+
+def test_ultra_log_concavity_reads_the_same_both_ways():
+    assert not is_ultra_log_concave([1, 3, 4, 1])
+    assert not is_ultra_log_concave([1, 4, 3, 1])
+    # coherent rows that passed while the binomial weights were shifted by one
+    for row in ([6, 12, 8], [2, 9, 16, 10], [1, 4, 7, 4]):
+        assert not is_ultra_log_concave(row)
+    assert is_ultra_log_concave(LengthSpectrum({2: 1, 3: 3, 4: 3, 5: 1}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=9))
+def test_ultra_log_concavity_matches_the_definition(seq):
+    assert is_ultra_log_concave(seq) == _ulc_by_definition(seq)
+    assert is_ultra_log_concave(seq[::-1]) == is_ultra_log_concave(seq)
+
+
 def test_rows_that_fail_log_concavity():
     assert is_unimodal([8, 40, 67, 62, 22, 8])
     assert not is_log_concave([8, 40, 67, 62, 22, 8])
@@ -155,7 +221,7 @@ def test_rows_that_fail_log_concavity():
 def test_internal_zeros_break_unimodality_but_support_view_may_not():
     gap = LengthSpectrum({2: 2, 4: 4})
     assert not is_unimodal(gap)
-    assert is_unimodal(gap, positive_support_only=True)
+    assert is_unimodal([v for v in gap.values() if v])  # the positive support
     assert not is_log_concave(gap)
 
 

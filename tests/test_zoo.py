@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pathspectra import (GenericityError, InputError, count_paths_by_length,
-                         edge_graph, coherent_spectrum, orient)
+                         coherent_spectrum, orient)
 from pathspectra import zoo
 
 
@@ -142,7 +142,7 @@ def test_lopsided_parity_gap():
 
 def test_p10_edge_count_consistent_with_simplicial_f_vector():
     P = zoo.p10()
-    assert len(edge_graph(P)) == 24  # 3n - 6 for a simplicial 3-polytope
+    assert len(P.edges()) == 24  # 3n - 6 for a simplicial 3-polytope
     assert dp(P, (1, 0, 0)).total == 53
 
 
