@@ -18,8 +18,10 @@ strictly interior omega, its duals the vanishing combination.  Both are
 checked in exact arithmetic, and what they leave open is decided by the
 exact simplex on the same LP (`exactgeom.lp_maximize`), the LP behind every
 vertex and edge verdict too.  So every coherent path's certificate comes
-from its own LP.  A float coordinate is taken at its exact binary value, so
-every verdict is exact.
+from its own LP.  That LP is built from one table per enumeration, each
+distinct row's HiGHS entries (`exactgeom._lp_rows`), so a path's model is
+its rows' entries concatenated.  A float coordinate is taken at its exact
+binary value, so every verdict is exact.
 
 Certificates and the shadow walk run on integers: omega is projected off c
 on numerators over one denominator, and each arc's step is a primitive
@@ -37,7 +39,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DegeneracyError, InputError
 from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
-                        _over_common_denominator, _primitive_int_vector,
+                        _lp_rows, _over_common_denominator, _primitive_int_vector,
                         _rational, _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
@@ -181,17 +183,21 @@ def _shadow_walk(G: DirectedGraph, table, omega) -> MonotonePath:
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     """Yield (path, certificate) for every coherent monotone path, in path order.
 
-    One witness store, seeded with every opposite pair of the graph's rows,
-    serves the whole enumeration; the verdict count per route is logged at
+    Everything a path's LP needs but its rows is built once for the whole
+    enumeration: one witness store, seeded with every opposite pair of the
+    graph's rows, each distinct row's HiGHS entries (`_lp_rows`) and the
+    normal-form constants of c.  The verdict count per route is logged at
     DEBUG when the enumeration ends.
     """
     G = graph if graph is not None else orient(P, c)
     blocks = _arc_rows(_arc_table(P, G))
-    witnesses = _witness_store(chain.from_iterable(blocks.values()))
+    rows = set(chain.from_iterable(blocks.values()))
+    witnesses, table, normal = _witness_store(rows), _lp_rows(rows), _normal_form(G.c)
     routes = Counter()
     try:
         for path in enumerate_paths(G):
-            route, cert = _decide_rows(G, _path_rows(blocks, path.vertex_indices), witnesses)
+            route, cert = _decide_rows(G, _path_rows(blocks, path.vertex_indices), witnesses,
+                                       table, normal)
             routes[route] += 1
             if cert is not None:
                 yield path, cert
@@ -228,14 +234,22 @@ def _known_witness(rows, witnesses):
     return None
 
 
-def _decide_rows(G: DirectedGraph, rows, witnesses=None):
+def _normal_form(c):
+    """(cn, cn . cn), cn the integer multiple of c that certificates are
+    projected off."""
+    cn, _ = _over_common_denominator(c)
+    return cn, dot(cn, cn)
+
+
+def _decide_rows(G: DirectedGraph, rows, witnesses=None, table=None, normal=None):
     """(route, certificate) for the cone of `rows`: a certificate iff it has
     an interior point, else None; `route` names what decided it (`_ROUTES`).
 
     A witness in hand (`_known_witness`) settles an incoherent path first;
     then one HiGHS LP, then the exact simplex.  The `witnesses` store
     (default: one seeded from `rows`) keeps each HiGHS witness for later
-    paths.
+    paths; `table` holds the rows' HiGHS entries (`_lp_rows`, default: built
+    for `rows`) and `normal` is `_normal_form(G.c)`, computed when not given.
     """
     d = len(G.c)
     if not rows:
@@ -247,7 +261,7 @@ def _decide_rows(G: DirectedGraph, rows, witnesses=None):
         return known[0], None
     # a Gordan witness lam >= 0, sum lam = 1, sum lam_r row_r = 0 proves the
     # cone has no interior
-    omega, witness = _strict_interior(rows)
+    omega, witness = _strict_interior(rows, table)
     if witness is not None:
         support = {row: x for row, x in zip(rows, witness) if x}
         witnesses.setdefault(min(support), []).append(("shared witness", support))
@@ -262,8 +276,8 @@ def _decide_rows(G: DirectedGraph, rows, witnesses=None):
     # omega = num / den less its c component: with cn an integer multiple of
     # c, that is num (cn . cn) - (num . cn) cn over den (cn . cn)
     num, den = omega
-    cn, _ = _over_common_denominator(G.c)
-    cc, t = dot(cn, cn), dot(num, cn)
+    cn, cc = normal if normal is not None else _normal_form(G.c)
+    t = dot(num, cn)
     num = [x * cc - t * y for x, y in zip(num, cn)]
     den *= cc
     margin = Fraction(min(dot(row, num) for row in rows), den)

@@ -174,40 +174,62 @@ _highs_handle = None
 def _highs():
     """Cached (solver, numpy) pair; every HiGHS call goes through it.
 
-    The solver is `_direct_highs` over one `_core._Highs` reused for the
-    whole process.  It takes the one call `_strict_interior` makes, the
-    cone LP as plain lists with `linprog(method="highs")`'s argument names,
-    and returns `linprog`'s `status`, `x` and `ineqlin.marginals`, from the
-    same model and the same options, without `linprog`'s per-call input
-    checks and option handling.  When scipy's private `_core` module cannot
-    be imported it is `scipy.optimize.linprog` itself.  The route taken is
-    logged once at DEBUG.
+    The solver takes the one call `_strict_interior` makes,
+    `solve(d, start, index, value)`: the cone LP in y in [-1, 1]^d and
+    t in [0, 1] that maximizes t, with one row <= 0 per slope row handed
+    over row-wise, row k's nonzeros at index[start[k]:start[k + 1]] and
+    value[start[k]:start[k + 1]] (`_lp_rows`).  It returns `linprog`'s
+    `status`, `x` and `ineqlin.marginals` for the same model
+    (`_dense_cone_lp`).  The solver is `_direct_highs` over one
+    `_core._Highs` reused for the whole process; when scipy's private
+    `_core` module cannot be imported it is `_linprog_cone`, which hands
+    the dense model to `scipy.optimize.linprog`.  The route taken is logged
+    once at DEBUG.
     """
     global _highs_handle
     if _highs_handle is None:
         try:
             import scipy.optimize._highspy._core as core
         except ImportError:
-            from scipy.optimize import linprog
             _log.debug("HiGHS route: scipy.optimize.linprog fallback")
-            _highs_handle = (linprog, np)
+            _highs_handle = (_linprog_cone, np)
         else:
             _log.debug("HiGHS route: direct scipy.optimize._highspy._core._Highs")
             _highs_handle = (_direct_highs(core), np)
     return _highs_handle
 
 
-def _direct_highs(core):
-    """A `linprog(method="highs")` stand-in that solves on one reused `_Highs`.
+def _dense_cone_lp(d, start, index, value):
+    """The row-wise cone LP of `_highs` as `linprog` keyword arguments: the
+    cost, the dense A_ub rows, b_ub and the bounds."""
+    a_ub = []
+    for lo, hi in zip(start, start[1:]):
+        row = [0.0] * (d + 1)
+        for j, x in zip(index[lo:hi], value[lo:hi]):
+            row[j] = x
+        a_ub.append(row)
+    return dict(c=[0.0] * d + [-1.0], A_ub=a_ub, b_ub=[0.0] * len(a_ub),
+                bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
 
-    Its options are the ones `linprog` sets, passed once.  `solve` takes
-    lists: at least one A_ub row and one finite (lower, upper) pair per
-    column.  Each call builds the model as `linprog` does (the A_ub rows
-    column-wise, nonzeros only) in one Python pass and passes it whole, so
-    no HiGHS state carries from one call to the next.  Status 0 is an
-    optimum; every other outcome is status 4 with no `x`, except `linprog`'s
-    demotion of an "optimal" point off the constraints by more than
-    10 * sqrt(1e-9), which is status 4 with `x` and the marginals.
+
+def _linprog_cone(d, start, index, value):
+    """The cone LP of `_highs` solved by `scipy.optimize.linprog`."""
+    from scipy.optimize import linprog
+    return linprog(**_dense_cone_lp(d, start, index, value))
+
+
+def _direct_highs(core):
+    """The cone LP of `_highs`, solved on one reused `_Highs` as
+    `linprog(method="highs")` solves its dense form.
+
+    Its options are the ones `linprog` sets, passed once.  One model per
+    dimension keeps the columns (cost and bounds), set once; each call puts
+    its rows in, row-wise, and passes the whole model, so no HiGHS state
+    carries from one call to the next.  Status 0 is an optimum, with `x`
+    and the marginals as lists; every other outcome is status 4 with no
+    `x`, except `linprog`'s demotion of an "optimal" point off the
+    constraints by more than 10 * sqrt(1e-9), which is status 4 with `x`
+    and the marginals.
     """
     highs = core._Highs()
     options = core.HighsOptions()
@@ -218,27 +240,24 @@ def _direct_highs(core):
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     highs.passOptions(options)
     tol = float(np.sqrt(1e-9) * 10)
+    models = {}  # d -> (a model with its columns set, their lower and upper bounds)
 
-    def solve(c, A_ub, b_ub, bounds, method="highs"):
-        # column-wise, nonzeros only: compress keeps the entries that are true
-        start, index, value = [0], [], []
-        numbered = range(len(A_ub))
-        for col in zip(*A_ub):
-            index += compress(numbered, col)
-            value += compress(col, col)
-            start.append(len(index))
-        lp = core.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(b_ub)
-        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    def solve(d, start, index, value):
+        if d not in models:
+            lp = core.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = d + 1
+            lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
+            lower, upper = [-1.0] * d + [0.0], [1.0] * (d + 1)
+            lp.col_cost_, lp.col_lower_, lp.col_upper_ = [0.0] * d + [-1.0], lower, upper
+            models[d] = (lp, lower, upper)
+        lp, lower, upper = models[d]
+        m = len(start) - 1
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
         lp.a_matrix_.start_ = start
         lp.a_matrix_.index_ = index
         lp.a_matrix_.value_ = value
-        lp.col_cost_ = c
-        lp.col_lower_ = [lo for lo, _ in bounds]
-        lp.col_upper_ = [hi for _, hi in bounds]
-        lp.row_lower_ = [-core.kHighsInf] * len(b_ub)
-        lp.row_upper_ = b_ub
+        lp.row_lower_ = [-core.kHighsInf] * m
+        lp.row_upper_ = [0.0] * m
         solved = highs.passModel(lp) != core.HighsStatus.kError
         if solved:
             highs.run()
@@ -247,10 +266,10 @@ def _direct_highs(core):
             return SimpleNamespace(status=4, x=None)
         solution = highs.getSolution()
         x = solution.col_value
-        feasible = (all(lo - tol <= v <= hi + tol for (lo, hi), v in zip(bounds, x))
-                    and all(b - r >= -tol for b, r in zip(b_ub, solution.row_value)))
-        return SimpleNamespace(status=0 if feasible else 4, x=np.array(x), ineqlin=SimpleNamespace(
-            marginals=np.array(solution.row_dual)))
+        feasible = (all(lo - tol <= v <= hi + tol for lo, hi, v in zip(lower, upper, x))
+                    and all(r <= tol for r in solution.row_value))
+        return SimpleNamespace(status=0 if feasible else 4, x=x,
+                               ineqlin=SimpleNamespace(marginals=solution.row_dual))
 
     return solve
 
@@ -359,13 +378,27 @@ def _float_row(row):
     return [float(x / scale) for x in row]
 
 
-def _strict_interior(rows):
+def _lp_rows(rows):
+    """{row: (index, value)} for each distinct row of `rows`: the nonzeros, in
+    column order, of the row as HiGHS gets it, `_float_row` negated with 1.0
+    for t appended (row . y >= t as -row . y + t <= 0).  Zeros of either
+    sign are left out, as a sparse matrix leaves them out."""
+    table = {}
+    for row in rows:
+        if row not in table:
+            neg = [-x for x in _float_row(row)] + [1.0]
+            table[row] = (list(compress(range(len(neg)), neg)), list(compress(neg, neg)))
+    return table
+
+
+def _strict_interior(rows, table=None):
     """One HiGHS LP and an exact certificate for the cone {y : row . y > 0}.
 
     HiGHS maximizes the least slack t of row . y >= t over y in [-1, 1]^d,
-    t in [0, 1], its rows as `_float_row` scales them, handed over as
-    lists; the exact checks use the unscaled rows.  Returns (y, lam), at
-    most one of them set:
+    t in [0, 1], each row's entries read from `table` (`_lp_rows`, built
+    here for `rows` when not given) and handed over row-wise; the exact
+    checks use the unscaled rows.  Returns (y, lam), at most one of them
+    set:
     - t > 0: y = (numerators, den) is the proposal rounded, on integers
       (`_limit_denominator`), to denominators at most 10^4, then 10^8, then
       10^12, until every row . y > 0 holds in exact arithmetic;
@@ -375,14 +408,20 @@ def _strict_interior(rows):
       lam >= 0 with sum lam_r (row_r, 1) = (0, ..., 0, 1).
     (None, None) means no certificate was found, not that none exists.
     """
+    if table is None:
+        table = _lp_rows(rows)
     d = len(rows[0])
-    a_ub = [[-x for x in _float_row(row)] + [1.0] for row in rows]
-    res = _highs()[0]([0.0] * d + [-1.0], A_ub=a_ub, b_ub=[0.0] * len(rows),
-                      bounds=[(-1, 1)] * d + [(0, 1)], method="highs")
+    start, index, value = [0], [], []
+    for row in rows:
+        i, v = table[row]
+        index += i
+        value += v
+        start.append(len(index))
+    res = _highs()[0](d, start, index, value)
     if res.status != 0 or res.x is None:
         return None, None
     if res.x[d] > 1e-9:
-        x = res.x[:d].tolist()
+        x = res.x[:d]
         for max_den in (10**4, 10**8, 10**12):
             y = [_limit_denominator(v, max_den) for v in x]
             den = lcm(*(q for _, q in y))
@@ -620,16 +659,24 @@ def _facet_edges(facets, n):
     """Pairs (i, j), i < j, whose tight sets in common meet in {i, j} alone.
 
     That meet is the point set of the smallest face holding both points, so
-    with every point a vertex the pair spans an edge exactly then.
+    with every point a vertex the pair spans an edge exactly then.  Only
+    pairs that share a facet are tried: the empty meet is all n points, so
+    a pair sharing none is an edge only for n = 2, a segment's two ends.
     """
+    if n == 2:
+        return [(0, 1)]
     at = [0] * n
     for f, tight in enumerate(facets):
         for k in _bits(tight):
             at[k] |= 1 << f
     found = []
     for i in range(n):
-        for j in range(i + 1, n):
-            meet = (1 << n) - 1
+        near = 0
+        for f in _bits(at[i]):
+            near |= facets[f]
+        for j in _bits(near >> (i + 1)):
+            j += i + 1
+            meet = -1
             for f in _bits(at[i] & at[j]):
                 meet &= facets[f]
             if meet == (1 << i) | (1 << j):
@@ -681,9 +728,10 @@ class Polytope:
                 index.append(k)
             elif on_nonvertex == "reject":
                 raise InputError(f"point {_plain(p)} is not a vertex of the hull")
-        if facets is not None:
-            self._facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
-                            for tight in facets]
+        if facets is not None and len(index) < len(kept):
+            facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
+                      for tight in facets]
+        self._facets = facets
         return vertices
 
     def __repr__(self):

@@ -173,18 +173,30 @@ def modes(S: Series):
     return [k for k, v in zip(keys, a) if v == peak]
 
 
+def _has_internal_zero(a):
+    """Whether a zero lies strictly between two nonzero entries."""
+    support = [k for k, x in enumerate(a) if x]
+    return bool(support) and not all(a[support[0]:support[-1] + 1])
+
+
 def is_log_concave(S: Series) -> bool:
+    """Whether a_(k-1) a_(k+1) <= a_k^2 for every inner k and no zero lies
+    between two nonzero entries (so that, for a nonnegative sequence,
+    log-concave implies unimodal)."""
     _, a = _series(S)
-    return all(a[i - 1] * a[i + 1] <= a[i] * a[i] for i in range(1, len(a) - 1))
+    return not _has_internal_zero(a) and all(
+        a[i - 1] * a[i + 1] <= a[i] * a[i] for i in range(1, len(a) - 1))
 
 
 def is_ultra_log_concave(S: Series) -> bool:
-    """Whether a_k / C(n, k) is log-concave, n = len(a) - 1: clearing the
-    binomials, (k+1)(n-k+1) a_(k-1) a_(k+1) <= k(n-k) a_k^2 for 0 < k < n."""
+    """Whether a_k / C(n, k) is log-concave, n = len(a) - 1: no internal zero
+    and, clearing the binomials, (k+1)(n-k+1) a_(k-1) a_(k+1) <= k(n-k) a_k^2
+    for 0 < k < n."""
     _, a = _series(S)
     n = len(a) - 1
-    return all((k + 1) * (n - k + 1) * a[k - 1] * a[k + 1] <= k * (n - k) * a[k] * a[k]
-               for k in range(1, n))
+    return not _has_internal_zero(a) and all(
+        (k + 1) * (n - k + 1) * a[k - 1] * a[k + 1] <= k * (n - k) * a[k] * a[k]
+        for k in range(1, n))
 
 
 def is_symmetric(S: Series) -> bool:

@@ -1,6 +1,5 @@
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from pathspectra import count_paths_by_length, exactgeom, orient
@@ -40,16 +39,18 @@ def ass6_pack():
 
 def record_highs(mp, substitute=None):
     """Route every HiGHS call through one recorder, patched in with `mp`;
-    returns its log of (args, kwargs, result).  The result is the solver's
-    own, or `substitute(result)` in its place."""
+    returns its log of (args, model, result): the row-wise arguments, the
+    dense model HiGHS sees rebuilt from them as `linprog` keyword arguments
+    (`exactgeom._dense_cone_lp`), and the result.  The result is the
+    solver's own, or `substitute(result)` in its place."""
     solve, np_ = exactgeom._highs()
     calls = []
 
-    def recorded(*args, **kwargs):
-        res = solve(*args, **kwargs)
+    def recorded(*args):
+        res = solve(*args)
         if substitute is not None:
             res = substitute(res)
-        calls.append((args, kwargs, res))
+        calls.append((args, exactgeom._dense_cone_lp(*args), res))
         return res
     mp.setattr(exactgeom, "_highs_handle", (recorded, np_))
     return calls
@@ -72,7 +73,7 @@ def highs_fails(monkeypatch):
 
 def _without_duals(res):
     if res.status == 0:
-        res.ineqlin.marginals = np.zeros_like(res.ineqlin.marginals)
+        res.ineqlin.marginals = [0.0] * len(res.ineqlin.marginals)
     return res
 
 

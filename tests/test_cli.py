@@ -6,7 +6,6 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from scipy.optimize import linprog
 
 from pathspectra import Polytope, cli, exactgeom, zoo
 from pathspectra.cli import main
@@ -291,9 +290,10 @@ def test_linprog_fallback_matches_recorded_certificates(name, P, direction, tmp_
                                                         capsys, monkeypatch):
     """Without scipy's private HiGHS module every LP goes through linprog,
     with the same output."""
+    import scipy.optimize  # noqa: F401 (linprog itself imports _core: load it first)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     monkeypatch.setattr(exactgeom, "_highs_handle", None)
-    assert exactgeom._highs()[0] is linprog
+    assert exactgeom._highs()[0] is exactgeom._linprog_cone
     test_coherent_output_matches_recorded_certificates(name, P, direction, tmp_path, capsys)
 
 

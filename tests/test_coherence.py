@@ -367,7 +367,7 @@ def test_dual_witnesses_recheck_in_fractions(P, c, monkeypatch):
     known = _log_calls(monkeypatch, coherence, "_known_witness")
     proposals = _log_calls(monkeypatch, coherence, "_strict_interior")
     coherent = {p for p, _ in coherent_paths(P, c, graph=G)}
-    witnesses = [(rows, dict(zip(rows, lam))) for (rows,), (_y, lam) in proposals
+    witnesses = [(rows, dict(zip(rows, lam))) for (rows, _table), (_y, lam) in proposals
                  if lam is not None]
     witnesses += [(args[0], found[1]) for args, found in known if found is not None]
     incoherent = sum(1 for p in enumerate_paths(G) if p not in coherent)
@@ -540,7 +540,7 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
                 _assert_gordan(rows, witness[1])
         proposal = highs(rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coherence, "_strict_interior", lambda rows: proposal)
+            mp.setattr(coherence, "_strict_interior", lambda rows, table=None: proposal)
             mp.setattr(coherence, "lp_maximize", lambda rows: (None, Fraction(0)))
             route, cert = coherence._decide_rows(SimpleNamespace(c=(1,) * d), rows, store)
         assert cert is None
@@ -627,7 +627,7 @@ def test_integer_certificate_matches_the_fraction_normal_form(data):
     with pytest.MonkeyPatch.context() as mp:
         if route == "handed in":
             mp.setattr(coherence, "_strict_interior",
-                       lambda rows: (exactgeom._over_common_denominator(omega), None))
+                       lambda rows, table=None: (exactgeom._over_common_denominator(omega), None))
         else:
             proposals = _log_calls(mp, coherence, "_strict_interior")
             optima = _log_calls(mp, coherence, "lp_maximize")

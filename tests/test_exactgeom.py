@@ -139,6 +139,65 @@ def test_facet_incidence_matches_lp_oracle(points):
     assert Polytope(P.vertices).edges() == lp_edges
 
 
+def _all_pairs_facet_edges(facets, n):
+    """The facet edge rule tried on all n^2 pairs, as `_facet_edges` once
+    ran it, kept as the oracle of its shared-facet pairs."""
+    at = [0] * n
+    for f, tight in enumerate(facets):
+        for k in exactgeom._bits(tight):
+            at[k] |= 1 << f
+    found = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            meet = (1 << n) - 1
+            for f in exactgeom._bits(at[i] & at[j]):
+                meet &= facets[f]
+            if meet == (1 << i) | (1 << j):
+                found.append((i, j))
+    return found
+
+
+def _assert_facets_and_edges(P, kept):
+    """P's facets are `_facet_incidence(kept)` renumbered over its vertices,
+    as `Polytope` renumbered them on every construction, and its facet edges
+    are the all-pairs oracle's, over the vertices and over `kept`."""
+    facets = exactgeom._facet_incidence(kept)
+    if facets is None:
+        assert P._facets is None
+        return
+    assert exactgeom._facet_edges(facets, len(kept)) == _all_pairs_facet_edges(facets, len(kept))
+    index = [kept.index(v) for v in P.vertices]
+    assert P._facets == [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
+                         for tight in facets]
+    n = len(P.vertices)
+    assert exactgeom._facet_edges(P._facets, n) == _all_pairs_facet_edges(P._facets, n)
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names(include_slow=True))
+def test_fixture_facets_and_edges_match_the_all_pairs_oracle(name):
+    P = zoo.fixture(name).polytope
+    assert P._facets is not None
+    _assert_facets_and_edges(P, list(P.vertices))
+
+
+@pytest.mark.parametrize("points", [
+    [(0,), (1,)], [(0,), (1,), (2,)], [(0, 0), (2, 1)], [(0, 0), (1, 1), (2, 2), (3, 3)],
+    [(0, 0, 0), (1, 2, 3)]], ids=["segment", "segment+mid", "segment2", "collinear4", "segment3"])
+def test_segments_keep_their_one_edge(points):
+    """A segment's two ends share no facet, yet they span its one edge."""
+    P = Polytope(points, on_nonvertex="strip")
+    kept = [tuple(Fraction(x) for x in p) for p in points]
+    _assert_facets_and_edges(P, kept)
+    assert P.edges() == [(0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_facets_and_edges_match_the_all_pairs_oracle_on_point_sets(points):
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    _assert_facets_and_edges(Polytope(points, on_nonvertex="strip"), kept)
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED_EDGES))
 def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
     def no_lp(*args):

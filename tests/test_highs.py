@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from pathspectra import Polytope, coherence, coherent_spectrum, exactgeom, zoo
@@ -19,37 +20,49 @@ _DIRECT = "HiGHS route: direct scipy.optimize._highspy._core._Highs"
 _FALLBACK = "HiGHS route: scipy.optimize.linprog fallback"
 
 
+def _bytes(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
 def _assert_same(res, ref):
     assert res.status == ref.status
     if ref.x is None:
         assert res.x is None
         return
-    assert res.x.tobytes() == ref.x.tobytes()
-    assert res.ineqlin.marginals.tobytes() == ref.ineqlin.marginals.tobytes()
+    assert _bytes(res.x) == _bytes(ref.x)
+    assert _bytes(res.ineqlin.marginals) == _bytes(ref.ineqlin.marginals)
 
 
 def _assert_matches_linprog(direct, calls):
-    """Each recorded solve equals linprog's, and so does a second solve of the
-    same LPs in reverse order on the one reused solver."""
-    assert direct is not linprog
+    """Each recorded solve equals linprog's on the same dense model, and so
+    does a second solve of the same LPs in reverse order on the one reused
+    solver."""
+    assert direct is not exactgeom._linprog_cone
     assert calls
-    for args, kwargs, res in calls:
-        _assert_same(res, linprog(*args, **kwargs))
-    for args, kwargs, res in reversed(calls):
-        _assert_same(direct(*args, **kwargs), res)
+    for _args, model, res in calls:
+        _assert_same(res, linprog(**model))
+    for args, _model, res in reversed(calls):
+        _assert_same(direct(*args), res)
 
 
-def _assert_cone_lp(args, kwargs):
-    """The one call the direct solver is sized to: the cone LP of
-    `_strict_interior`, as plain lists."""
-    (c,) = args
-    a_ub, b_ub, bounds = kwargs["A_ub"], kwargs["b_ub"], kwargs["bounds"]
+def _assert_cone_lp(args, model):
+    """The one call the solver is sized to: the cone LP of
+    `_strict_interior`, handed over row-wise as lists, each row's nonzeros
+    in column order and t's 1.0 last; and the dense model rebuilt from it."""
+    d, start, index, value = args
+    assert type(d) is int and all(type(x) is list for x in (start, index, value))
+    assert start[0] == 0 and len(index) == len(value) == start[-1]
+    for lo, hi in zip(start, start[1:]):
+        assert index[lo:hi] == sorted(set(index[lo:hi])) and index[hi - 1] == d
+        assert value[hi - 1] == 1.0 and 0.0 not in value[lo:hi]
+    c, a_ub, b_ub, bounds = (model[k] for k in ("c", "A_ub", "b_ub", "bounds"))
     assert all(type(x) is list for x in (c, a_ub, b_ub, bounds, *a_ub))
-    d, m = len(a_ub[0]) - 1, len(a_ub)
+    m = len(a_ub)
+    assert m == len(start) - 1 and all(len(row) == d + 1 for row in a_ub)
     assert c == [0.0] * d + [-1.0]
     assert b_ub == [0.0] * m
     assert bounds == [(-1, 1)] * d + [(0, 1)]
-    assert kwargs["method"] == "highs"
+    assert model["method"] == "highs"
 
 
 @pytest.mark.parametrize("P, c", [
@@ -80,8 +93,8 @@ def test_cone_escape_lps_match_linprog(points):
             exactgeom._is_vertex_lp(kept, i)
         for i, j in combinations(range(len(P.vertices)), 2):
             P._is_edge_pair(i, j)
-    for args, kwargs, _res in calls:
-        _assert_cone_lp(args, kwargs)
+    for args, model, _res in calls:
+        _assert_cone_lp(args, model)
     if len(kept) > 1:
         _assert_matches_linprog(direct, calls)
 
@@ -91,7 +104,7 @@ def test_direct_route_is_in_use(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="pathspectra.exactgeom"):
         solve, _ = exactgeom._highs()
         assert exactgeom._highs()[0] is solve
-    assert solve is not linprog
+    assert solve is not exactgeom._linprog_cone
     assert [r.getMessage() for r in caplog.records] == [_DIRECT]
 
 
@@ -99,26 +112,8 @@ def test_without_core_the_route_is_linprog(monkeypatch, caplog):
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     monkeypatch.setattr(exactgeom, "_highs_handle", None)
     with caplog.at_level(logging.DEBUG, logger="pathspectra.exactgeom"):
-        assert exactgeom._highs()[0] is linprog
+        assert exactgeom._highs()[0] is exactgeom._linprog_cone
     assert [r.getMessage() for r in caplog.records] == [_FALLBACK]
-
-
-def test_infeasible_and_equality_lps_match_linprog():
-    """LPs in the one accepted shape (lists, finite bounds) beyond the cone
-    LP: an equality LP gives linprog's bits, and an infeasible one gives no
-    solution on either route."""
-    direct, _ = exactgeom._highs()
-    # x0 + x1 = 1 as two inequalities, x0 - x1 <= 0.5, maximize x0
-    c = [-1.0, 0.0]
-    lp = dict(A_ub=[[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]], b_ub=[0.5, 1.0, -1.0],
-              bounds=[(0, 1), (-10, 10)], method="highs")
-    res = direct(c, **lp)
-    assert res.status == 0
-    _assert_same(res, linprog(c, **lp))
-    # x0 <= -1 with x0 in [0, 1]
-    lp = dict(A_ub=[[1.0]], b_ub=[-1.0], bounds=[(0, 1)], method="highs")
-    for res in (direct([0.0], **lp), linprog([0.0], **lp)):
-        assert res.status != 0 and res.x is None
 
 
 def _cone_rows(P, c):
@@ -126,9 +121,9 @@ def _cone_rows(P, c):
     rows = []
     real = coherence._strict_interior
 
-    def logged(r):
+    def logged(r, table=None):
         rows.append(r)
-        return real(r)
+        return real(r, table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coherence, "_strict_interior", logged)
         coherent_spectrum(P, c)
@@ -140,16 +135,18 @@ def _cone_rows(P, c):
     pytest.param(zoo.p10_spherical(), (1, 2, 3), id="p10-sphere"),
 ])
 def test_cone_lp_rows_are_the_scaled_float_rows(P, c, monkeypatch):
-    """The A_ub handed to HiGHS is, bit for bit, the rows as `_float_row`
-    gives them, negated, with a 1 for t."""
+    """The A_ub HiGHS sees is, bit for bit, the rows as `_float_row` gives
+    them, negated, with a 1 for t; its zeros are +0.0, as no zero of either
+    sign is handed over."""
     calls = record_highs(monkeypatch)
     cones = _cone_rows(P, c)
     assert len(cones) == len(calls)
     big = False
-    for rows, (args, kwargs, _res) in zip(cones, calls):
-        _assert_cone_lp(args, kwargs)
-        want = np.array([[-x for x in exactgeom._float_row(row)] + [1.0] for row in rows])
-        got = np.asarray(kwargs["A_ub"])
+    for rows, (args, model, _res) in zip(cones, calls):
+        _assert_cone_lp(args, model)
+        want = np.array([[0.0 if x == 0 else -x for x in exactgeom._float_row(row)] + [1.0]
+                         for row in rows])
+        got = np.asarray(model["A_ub"])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         big |= max(abs(x) for row in rows for x in row) >= 2**50
@@ -168,5 +165,91 @@ def test_cone_lps_of_two_dimensions_alternate_on_the_one_solver(monkeypatch):
     for a, b in zip(small, large):
         exactgeom._strict_interior(a)
         exactgeom._strict_interior(b)
-    assert [len(args[0]) for args, _kwargs, _res in calls[:4]] == [4, 6, 4, 6]
+    assert [len(model["c"]) for _args, model, _res in calls[:4]] == [4, 6, 4, 6]
     _assert_matches_linprog(direct, calls)
+
+
+def _nonzeros(row):
+    """(index, value) of the nonzeros of the row HiGHS gets, in column order:
+    `_float_row` negated, with 1.0 for t."""
+    dense = [-x for x in exactgeom._float_row(row)] + [1.0]
+    index = [j for j, x in enumerate(dense) if x != 0]
+    return index, [dense[j] for j in index]
+
+
+def _assert_entries(table, rows):
+    assert table.keys() == set(rows)
+    for row, (index, value) in table.items():
+        want_index, want_value = _nonzeros(row)
+        assert index == want_index
+        assert [x.hex() for x in value] == [x.hex() for x in want_value]
+
+
+_TABLE_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(-4, 4, max_denominator=9),
+                         st.integers(2**50 - 2, 2**70), st.integers(-2**70, -2**50 + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.tuples(*[_TABLE_ENTRY] * d), min_size=1, max_size=6)))
+def test_row_table_holds_the_nonzeros_of_the_negated_float_rows(rows):
+    """`_lp_rows` keeps, for each distinct row, exactly the nonzeros in
+    column order of the row HiGHS gets, on both branches of `_float_row`
+    (entries below 2^50 and rows scaled by a power of two); the -0.0 that
+    negating a zero entry gives is left out like 0.0."""
+    table = exactgeom._lp_rows(rows + rows[:1])
+    _assert_entries(table, rows)
+    assert all(0.0 not in value for _index, value in table.values())
+
+
+@pytest.mark.parametrize("P, c", [
+    pytest.param(zoo.cross_polytope(5), (1, 2, 3, 4, 5), id="cross5"),
+    pytest.param(zoo.p10_spherical(), (1, 2, 3), id="p10-sphere"),
+])
+def test_enumeration_builds_one_row_table_over_the_graph_rows(P, c, monkeypatch):
+    """`coherent_paths` builds one table, over every distinct row of the
+    graph's arcs, and each path's LP reads its rows from it."""
+    tables = []
+    real = coherence._lp_rows
+
+    def logged(rows):
+        tables.append((set(rows), real(rows)))
+        return tables[-1][1]
+    monkeypatch.setattr(coherence, "_lp_rows", logged)
+    cones = _cone_rows(P, c)
+    ((rows, table),) = tables
+    _assert_entries(table, rows)
+    assert set().union(*cones) <= rows
+
+
+def _record_every_lp(mp):
+    """The HiGHS calls of `verify_fixture` on every recorded fixture, of the
+    coherence spectra of the four inputs the benchmark certifies, and of the
+    fallback vertex and edge tests on a few fixtures."""
+    calls = record_highs(mp)
+    for name in zoo.fixture_names(include_slow=True):
+        assert zoo.verify_fixture(zoo.fixture(name)).passed
+    for P, c in [(zoo.cross_polytope(5), (1, 2, 3, 4, 5)),
+                 (zoo.second_hypersimplex(5), (1, 2, 4, 8, 16)),
+                 (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
+                 (zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5))]:
+        coherent_spectrum(P, c)
+    for name in ("cube3", "lopsided3", "p10-sphere"):
+        P = zoo.fixture(name).polytope
+        for i in range(len(P.vertices)):
+            exactgeom._is_vertex_lp(list(P.vertices), i)
+        for i, j in combinations(range(len(P.vertices)), 2):
+            P._is_edge_pair(i, j)
+    return calls
+
+
+def test_every_recorded_lp_matches_linprog(monkeypatch):
+    """Every LP of the recorded fixtures and the benchmark's inputs, handed
+    over row-wise, gives the status, x and dual bytes `linprog` gives on the
+    same dense model."""
+    assert exactgeom._highs()[0] is not exactgeom._linprog_cone
+    calls = _record_every_lp(monkeypatch)
+    assert len(calls) > 2000
+    for args, model, res in calls:
+        _assert_cone_lp(args, model)
+        _assert_same(res, linprog(**model))

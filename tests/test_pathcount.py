@@ -188,11 +188,21 @@ def test_binomial_row_is_ultra_log_concave_and_symmetric():
     assert is_symmetric(row)
 
 
+def _lc_by_definition(a):
+    """Whether the nonnegative sequence a is log-concave: b_(k-1) b_(k+1) <=
+    b_k^2 for every inner k, in Fractions, and no zero strictly between two
+    nonzero entries."""
+    b = [Fraction(x) for x in a]
+    nonzero = [k for k, x in enumerate(b) if x != 0]
+    internal_zero = any(b[k] == 0 for k in range(nonzero[0], nonzero[-1])) if nonzero else False
+    return not internal_zero and all(b[k - 1] * b[k + 1] <= b[k] * b[k]
+                                     for k in range(1, len(b) - 1))
+
+
 def _ulc_by_definition(a):
     """Whether a_k / C(n, k), n = len(a) - 1, is log-concave, in Fractions."""
     n = len(a) - 1
-    b = [Fraction(x, math.comb(n, k)) for k, x in enumerate(a)]
-    return all(b[k - 1] * b[k + 1] <= b[k] * b[k] for k in range(1, n))
+    return _lc_by_definition([Fraction(x, math.comb(n, k)) for k, x in enumerate(a)])
 
 
 def test_ultra_log_concavity_reads_the_same_both_ways():
@@ -209,6 +219,32 @@ def test_ultra_log_concavity_reads_the_same_both_ways():
 def test_ultra_log_concavity_matches_the_definition(seq):
     assert is_ultra_log_concave(seq) == _ulc_by_definition(seq)
     assert is_ultra_log_concave(seq[::-1]) == is_ultra_log_concave(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(min_value=0, max_value=40)),
+                min_size=1, max_size=9))
+def test_log_concavity_matches_the_definition_and_implies_unimodality(seq):
+    """Zeros drawn often, internal ones included: log-concavity is the
+    definition's, and ultra-log-concave implies log-concave implies
+    unimodal."""
+    assert is_log_concave(seq) == _lc_by_definition(seq)
+    if is_ultra_log_concave(seq):
+        assert is_log_concave(seq)
+    if is_log_concave(seq):
+        assert is_unimodal(seq)
+
+
+def test_internal_zeros_are_neither_log_concave_nor_ultra_log_concave():
+    for seq in ([1, 0, 0, 1], [1, 0, 1], [1] + [0] * 1198 + [1], [2, 0, 4],
+                LengthSpectrum({1: 1, 1199: 1})):
+        assert not is_unimodal(seq)
+        assert not is_log_concave(seq)
+        assert not is_ultra_log_concave(seq)
+    # zeros at either end are not internal
+    for seq in ([0, 1, 2, 1, 0], [0, 0, 3], [0], [0, 0]):
+        assert is_log_concave(seq)
+        assert is_unimodal(seq)
 
 
 def test_rows_that_fail_log_concavity():
