@@ -151,7 +151,7 @@ def cmd_count(args):
 
 def cmd_coherent(args):
     if args.sample < 0:
-        raise InputError("need at least one sample")
+        raise InputError("--sample must be nonnegative")
     P = _load_polytope(args)
     direction = _parse_direction(args.direction, P.dim)
     G = orient(P, direction, drop_level_ties=args.allow_level_ties)

@@ -137,7 +137,8 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
     the same LP settles the rare leftovers.
     """
     G = graph if graph is not None else orient(P, c)
-    return _decide_rows(G, list(slope_cone(P, c, path, graph=G).rows))[1]
+    rows = list(slope_cone(P, c, path, graph=G).rows)
+    return _decide_rows(rows, *_lp_context(G.c, rows))[1]
 
 
 def shadow_path(P: Polytope, c, omega) -> MonotonePath:
@@ -183,21 +184,17 @@ def _shadow_walk(G: DirectedGraph, table, omega) -> MonotonePath:
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     """Yield (path, certificate) for every coherent monotone path, in path order.
 
-    Everything a path's LP needs but its rows is built once for the whole
-    enumeration: one witness store, seeded with every opposite pair of the
-    graph's rows, each distinct row's HiGHS entries (`_lp_rows`) and the
-    normal-form constants of c.  The verdict count per route is logged at
-    DEBUG when the enumeration ends.
+    Everything a path's LP needs but its rows, `_lp_context` over the
+    graph's rows, is built once for the whole enumeration.  The verdict
+    count per route is logged at DEBUG when the enumeration ends.
     """
     G = graph if graph is not None else orient(P, c)
     blocks = _arc_rows(_arc_table(P, G))
-    rows = set(chain.from_iterable(blocks.values()))
-    witnesses, table, normal = _witness_store(rows), _lp_rows(rows), _normal_form(G.c)
+    context = _lp_context(G.c, set(chain.from_iterable(blocks.values())))
     routes = Counter()
     try:
         for path in enumerate_paths(G):
-            route, cert = _decide_rows(G, _path_rows(blocks, path.vertex_indices), witnesses,
-                                       table, normal)
+            route, cert = _decide_rows(_path_rows(blocks, path.vertex_indices), *context)
             routes[route] += 1
             if cert is not None:
                 yield path, cert
@@ -234,28 +231,28 @@ def _known_witness(rows, witnesses):
     return None
 
 
-def _normal_form(c):
-    """(cn, cn . cn), cn the integer multiple of c that certificates are
-    projected off."""
+def _lp_context(c, rows):
+    """(witnesses, table, normal): all that `_decide_rows` needs besides a
+    path's rows, over the slope rows `rows` of direction c.  `witnesses` is
+    the witness store seeded from `rows`, `table` their HiGHS entries
+    (`_lp_rows`) and `normal` is (cn, cn . cn), cn the integer multiple of c
+    that certificates are projected off."""
     cn, _ = _over_common_denominator(c)
-    return cn, dot(cn, cn)
+    return _witness_store(rows), _lp_rows(rows), (cn, dot(cn, cn))
 
 
-def _decide_rows(G: DirectedGraph, rows, witnesses=None, table=None, normal=None):
+def _decide_rows(rows, witnesses, table, normal):
     """(route, certificate) for the cone of `rows`: a certificate iff it has
     an interior point, else None; `route` names what decided it (`_ROUTES`).
 
     A witness in hand (`_known_witness`) settles an incoherent path first;
-    then one HiGHS LP, then the exact simplex.  The `witnesses` store
-    (default: one seeded from `rows`) keeps each HiGHS witness for later
-    paths; `table` holds the rows' HiGHS entries (`_lp_rows`, default: built
-    for `rows`) and `normal` is `_normal_form(G.c)`, computed when not given.
+    then one HiGHS LP, then the exact simplex.  `witnesses`, `table` and
+    `normal` come from `_lp_context` over rows that include `rows`; the
+    store keeps each HiGHS witness for later paths.
     """
-    d = len(G.c)
+    cn, cc = normal
     if not rows:
-        return "no rows", CoherenceCertificate(omega=(Fraction(0),) * d, margin=Fraction(1))
-    if witnesses is None:
-        witnesses = _witness_store(rows)
+        return "no rows", CoherenceCertificate(omega=(Fraction(0),) * len(cn), margin=Fraction(1))
     known = _known_witness(rows, witnesses)
     if known is not None:
         return known[0], None
@@ -276,7 +273,6 @@ def _decide_rows(G: DirectedGraph, rows, witnesses=None, table=None, normal=None
     # omega = num / den less its c component: with cn an integer multiple of
     # c, that is num (cn . cn) - (num . cn) cn over den (cn . cn)
     num, den = omega
-    cn, cc = normal if normal is not None else _normal_form(G.c)
     t = dot(num, cn)
     num = [x * cc - t * y for x, y in zip(num, cn)]
     den *= cc

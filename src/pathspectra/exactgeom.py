@@ -73,26 +73,25 @@ def dot(u: Sequence, v: Sequence):
 
 def _simplex(rows, basis, cost, banned):
     """Maximize cost . x over a dense tableau, pivoting `rows` (coefficients,
-    then the rhs) and `basis` (the basic column of each row) in place; returns
-    (status, objective).
+    then the rhs) and `basis` (the basic column of each row) in place to an
+    optimal basis.
 
     Bland's rule (least-index entering column, least basis index on ratio
     ties) guarantees termination, which exact arithmetic turns into a decision
-    procedure.  Columns in `banned` (the artificials) never enter.
+    procedure.  Columns in `banned` (the artificials) never enter.  The LP
+    must be bounded, as `lp_maximize`'s box makes it.
     """
     ncols = len(cost)
     cr = list(cost)  # reduced costs c_j - c_B . B^-1 A_j
-    obj = Fraction(0)
     for row, b in zip(rows, basis):
         cb = cr[b]
         if cb != 0:
             cr = [a - cb * x for a, x in zip(cr, row)]
-            obj += cb * row[ncols]
             cr[b] = Fraction(0)
     while True:
         enter = next((j for j in range(ncols) if j not in banned and cr[j] > 0), None)
         if enter is None:
-            return "optimal", obj
+            return
         leave, best = None, None
         for i, row in enumerate(rows):
             if row[enter] > 0:
@@ -100,8 +99,7 @@ def _simplex(rows, basis, cost, banned):
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
         if leave is None:
-            return "unbounded", obj
-        obj += cr[enter] * best
+            raise AssertionError("unbounded ray in a boxed LP")
         piv = rows[leave][enter]
         if piv != 1:
             rows[leave] = [x / piv for x in rows[leave]]
@@ -181,10 +179,12 @@ def _highs():
     value[start[k]:start[k + 1]] (`_lp_rows`).  It returns `linprog`'s
     `status`, `x` and `ineqlin.marginals` for the same model
     (`_dense_cone_lp`).  The solver is `_direct_highs` over one
-    `_core._Highs` reused for the whole process; when scipy's private
-    `_core` module cannot be imported it is `_linprog_cone`, which hands
-    the dense model to `scipy.optimize.linprog`.  The route taken is logged
-    once at DEBUG.
+    `_core._Highs` reused for the whole process.  The fallback,
+    `_linprog_cone`, hands the dense model to `scipy.optimize.linprog`; it
+    serves the scipy releases that `pyproject.toml` admits (>= 1.11) but
+    that predate the private `scipy.optimize._highspy._core` module.  (A
+    scipy that has the module cannot import `scipy.optimize` without it.)
+    The route taken is logged once at DEBUG.
     """
     global _highs_handle
     if _highs_handle is None:
@@ -391,14 +391,13 @@ def _lp_rows(rows):
     return table
 
 
-def _strict_interior(rows, table=None):
+def _strict_interior(rows, table):
     """One HiGHS LP and an exact certificate for the cone {y : row . y > 0}.
 
     HiGHS maximizes the least slack t of row . y >= t over y in [-1, 1]^d,
-    t in [0, 1], each row's entries read from `table` (`_lp_rows`, built
-    here for `rows` when not given) and handed over row-wise; the exact
-    checks use the unscaled rows.  Returns (y, lam), at most one of them
-    set:
+    t in [0, 1], each row's entries read from `table` (`_lp_rows` over rows
+    that include `rows`) and handed over row-wise; the exact checks use the
+    unscaled rows.  Returns (y, lam), at most one of them set:
     - t > 0: y = (numerators, den) is the proposal rounded, on integers
       (`_limit_denominator`), to denominators at most 10^4, then 10^8, then
       10^12, until every row . y > 0 holds in exact arithmetic;
@@ -408,8 +407,6 @@ def _strict_interior(rows, table=None):
       lam >= 0 with sum lam_r (row_r, 1) = (0, ..., 0, 1).
     (None, None) means no certificate was found, not that none exists.
     """
-    if table is None:
-        table = _lp_rows(rows)
     d = len(rows[0])
     start, index, value = [0], [], []
     for row in rows:
@@ -418,7 +415,7 @@ def _strict_interior(rows, table=None):
         value += v
         start.append(len(index))
     res = _highs()[0](d, start, index, value)
-    if res.status != 0 or res.x is None:
+    if res.status != 0:
         return None, None
     if res.x[d] > 1e-9:
         x = res.x[:d]
@@ -443,7 +440,7 @@ def _has_interior(rows):
     """
     if not rows:
         return True
-    y, lam = _strict_interior(rows)
+    y, lam = _strict_interior(rows, _lp_rows(rows))
     if y is not None or lam is not None:
         return y is not None
     return lp_maximize(rows)[1] > 0

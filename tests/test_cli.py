@@ -203,6 +203,24 @@ def test_non_finite_number_exits_1(backend, tmp_path, capsys):
     assert err.startswith("input error:")
 
 
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "{cross3}", "--direction", "1,x,3"], "bad direction '1,x,3': "),
+    (["--backend", "float", "count", "{huge}", "--direction", "1"],
+     f"{_HUGE} does not fit a double\n"),
+    (["zoo", "emit", "nosuch"], "unknown zoo name 'nosuch'\n"),
+], ids=["direction", "double", "zoo-name"])
+def test_input_error_exits_1_with_its_message(argv, message, tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"dim": 1, "vertices": [[0], [_HUGE]]}))
+    files = {"cross3": write_poly(tmp_path, zoo.cross_polytope(3)), "huge": str(huge)}
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: " + message)
+
+
 def test_count_dimension_mismatch_exits_1(tmp_path, capsys):
     path = write_poly(tmp_path, zoo.cube(3))
     code, _, _ = run(capsys, "count", path, "--direction", "1,1")
@@ -288,8 +306,10 @@ def test_exact_simplex_matches_recorded_certificates(name, P, direction, tmp_pat
 ])
 def test_linprog_fallback_matches_recorded_certificates(name, P, direction, tmp_path,
                                                         capsys, monkeypatch):
-    """Without scipy's private HiGHS module every LP goes through linprog,
-    with the same output."""
+    """Simulates a scipy without the private `scipy.optimize._highspy._core`
+    (releases before it existed; `pyproject.toml` allows scipy >= 1.11):
+    every LP then goes through linprog, with the same output.  On a scipy
+    whose linprog needs `_core`, linprog is imported before `_core` is hidden."""
     import scipy.optimize  # noqa: F401 (linprog itself imports _core: load it first)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     monkeypatch.setattr(exactgeom, "_highs_handle", None)
@@ -302,7 +322,7 @@ def test_coherent_rejects_a_negative_sample_before_enumerating(tmp_path, capsys,
     monkeypatch.setattr(cli, "coherent_paths", lambda *args, **kwargs: calls.append(args) or iter(()))
     path = write_poly(tmp_path, zoo.cross_polytope(3))
     code, out, err = run(capsys, "coherent", path, "--direction", "1,2,3", "--sample", "-1")
-    assert (code, out, err) == (1, "", "input error: need at least one sample\n")
+    assert (code, out, err) == (1, "", "input error: --sample must be nonnegative\n")
     assert calls == []
 
 

@@ -3,7 +3,6 @@ import logging
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -412,9 +411,8 @@ def test_coherent_only_inputs_ask_one_highs_lp_per_path(P, c, monkeypatch):
 
 def _per_path_route(P, c, G):
     """(path, certificate) of every monotone path, each decided alone by
-    `_decide_rows` on its own rows, with no witness store."""
-    return [(p, coherence._decide_rows(G, list(slope_cone(P, c, p, graph=G).rows))[1])
-            for p in enumerate_paths(G)]
+    `is_coherent`, with a witness store seeded from its own rows only."""
+    return [(p, is_coherent(P, c, p, graph=G)) for p in enumerate_paths(G)]
 
 
 def _assert_matches_per_path_route(P, c, monkeypatch):
@@ -523,7 +521,7 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
         planted.append({a: 1 / (2 + g), b: 1 / (2 + g), c: g / (2 + g)})
         pool.append(c)
     pool = list(dict.fromkeys(pool))
-    store, old = coherence._witness_store(pool), _Witnesses()
+    (store, table, normal), old = coherence._lp_context((1,) * d, pool), _Witnesses()
 
     def highs(rows):
         """The first planted witness the rows hold, as HiGHS duals, or none."""
@@ -540,9 +538,9 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
                 _assert_gordan(rows, witness[1])
         proposal = highs(rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coherence, "_strict_interior", lambda rows, table=None: proposal)
+            mp.setattr(coherence, "_strict_interior", lambda rows, table: proposal)
             mp.setattr(coherence, "lp_maximize", lambda rows: (None, Fraction(0)))
-            route, cert = coherence._decide_rows(SimpleNamespace(c=(1,) * d), rows, store)
+            route, cert = coherence._decide_rows(rows, store, table, normal)
         assert cert is None
         if want is not None:
             assert route in ("opposite rows", "shared witness")
@@ -627,13 +625,13 @@ def test_integer_certificate_matches_the_fraction_normal_form(data):
     with pytest.MonkeyPatch.context() as mp:
         if route == "handed in":
             mp.setattr(coherence, "_strict_interior",
-                       lambda rows, table=None: (exactgeom._over_common_denominator(omega), None))
+                       lambda rows, table: (exactgeom._over_common_denominator(omega), None))
         else:
             proposals = _log_calls(mp, coherence, "_strict_interior")
             optima = _log_calls(mp, coherence, "lp_maximize")
             if route == "exact simplex":
                 record_highs(mp, failed)
-        found, cert = coherence._decide_rows(SimpleNamespace(c=c), rows)
+        found, cert = coherence._decide_rows(rows, *coherence._lp_context(c, rows))
     if route == "handed in":
         assert found == "HiGHS strict omega"
     else:

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
-                         orient, project2d, upper_path)
+                         count_paths_by_length, orient, project2d, upper_path)
 from pathspectra import exactgeom, zoo
 
 from conftest import record_highs
@@ -231,6 +232,34 @@ def test_coordinates_beyond_doubles_keep_the_facet_route(name, monkeypatch):
     monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
     P = Polytope([tuple(x * 10 ** 400 for x in v) for v in vertices])
     assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
+
+
+_TINY = Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize("points, c", [
+    ([(0, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2) + _TINY)], (1, 2)),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + _TINY)],
+     (1, 2, 3)),
+], ids=["triangle", "tetrahedron"])
+def test_flat_initial_simplex_takes_the_lp_route(points, c, monkeypatch):
+    """A simplex with one apex 10^-30 off the opposite face is flat in
+    floats: Qhull raises (QH6154), and every vertex and edge is decided by
+    the LP tests."""
+    with pytest.raises(QhullError, match="QH6154"):
+        exactgeom._propose_simplices(exactgeom._affine_coordinates(points))
+    assert exactgeom._facet_incidence(points) is None
+    lps = []
+    real = exactgeom._has_interior
+    monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: lps.append(rows) or real(rows))
+    P = Polytope(points)
+    n = len(points)
+    assert P.vertices == tuple(tuple(Fraction(x) for x in p) for p in points)
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
+    assert P.edges() == pairs == list(combinations(range(n), 2))
+    assert len(lps) == n + 2 * len(pairs)
+    spectrum = count_paths_by_length(orient(P, c))
+    assert spectrum.total == 2 ** (n - 2)
 
 
 # square base a, b, c, d, apex e, base centre m and interior point o

@@ -121,7 +121,7 @@ def _cone_rows(P, c):
     rows = []
     real = coherence._strict_interior
 
-    def logged(r, table=None):
+    def logged(r, table):
         rows.append(r)
         return real(r, table)
     with pytest.MonkeyPatch.context() as mp:
@@ -163,8 +163,8 @@ def test_cone_lps_of_two_dimensions_alternate_on_the_one_solver(monkeypatch):
     direct = exactgeom._highs()[0]
     calls = record_highs(monkeypatch)
     for a, b in zip(small, large):
-        exactgeom._strict_interior(a)
-        exactgeom._strict_interior(b)
+        exactgeom._strict_interior(a, exactgeom._lp_rows(a))
+        exactgeom._strict_interior(b, exactgeom._lp_rows(b))
     assert [len(model["c"]) for _args, model, _res in calls[:4]] == [4, 6, 4, 6]
     _assert_matches_linprog(direct, calls)
 

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,7 +64,7 @@ def _strict_interior_and_highs(rows):
     """`_strict_interior(rows)` and the result of its one HiGHS solve."""
     with pytest.MonkeyPatch.context() as mp:
         calls = record_highs(mp)
-        certificate = exactgeom._strict_interior(rows)
+        certificate = exactgeom._strict_interior(rows, exactgeom._lp_rows(rows))
     ((_args, _kwargs, res),) = calls
     return certificate, res
 
@@ -169,7 +168,7 @@ def test_thin_cones_escalate_the_denominator(s, tier, y, route):
                for row in rows)]
     assert certifying[:1] == ([] if tier is None else [tier])
     assert certificate == (y, None)
-    got_route, coherent = coherence._decide_rows(SimpleNamespace(c=(0, 0, 1)), rows)
+    got_route, coherent = coherence._decide_rows(rows, *coherence._lp_context((0, 0, 1), rows))
     assert got_route == route and coherent is not None
 
 
