@@ -68,98 +68,60 @@ def dot(u: Sequence, v: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear programming (two-phase simplex, Bland's rule)
+# Exact linear programming (simplex from the slack basis, Bland's rule)
 # ---------------------------------------------------------------------------
 
-def _simplex(rows, basis, cost, banned):
-    """Maximize cost . x over a dense tableau, pivoting `rows` (coefficients,
-    then the rhs) and `basis` (the basic column of each row) in place to an
-    optimal basis.
+def lp_maximize(rows):
+    """(omega, t) maximizing t subject to row . omega >= t for every row and
+    omega in [-1, 1]^d, solved exactly by the simplex method.
 
+    omega = p - q with p, q in [0, 1]^d, and t >= 0 loses nothing, since
+    omega = 0, t = 0 is feasible.  Every constraint is then <= with a
+    nonnegative right-hand side: t - row . p + row . q <= 0 for each row,
+    then p_j <= 1 and q_j <= 1.  The columns are p, q, t and one slack per
+    constraint, so the slack basis is feasible and one phase suffices.
     Bland's rule (least-index entering column, least basis index on ratio
-    ties) guarantees termination, which exact arithmetic turns into a decision
-    procedure.  Columns in `banned` (the artificials) never enter.  The LP
-    must be bounded, as `lp_maximize`'s box makes it.
+    ties) guarantees termination, which exact arithmetic turns into a
+    decision procedure; the box bounds every column, so the ratio test
+    always finds a leaving row.
     """
-    ncols = len(cost)
-    cr = list(cost)  # reduced costs c_j - c_B . B^-1 A_j
-    for row, b in zip(rows, basis):
-        cb = cr[b]
-        if cb != 0:
-            cr = [a - cb * x for a, x in zip(cr, row)]
-            cr[b] = Fraction(0)
+    d, m = len(rows[0]), len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    ncols = 4 * d + 1 + m  # p, q, t, then one slack per row and per box bound
+    tableau = [[zero] * (ncols + 1) for _ in range(m + 2 * d)]
+    for k, row in enumerate(rows):  # t - row . p + row . q <= 0
+        tableau[k][:2 * d + 1] = [-Fraction(x) for x in row] + [Fraction(x) for x in row] + [one]
+    for j in range(2 * d):  # p_j <= 1, then q_j <= 1
+        tableau[m + j][j] = tableau[m + j][ncols] = one
+    for i, line in enumerate(tableau):
+        line[2 * d + 1 + i] = one
+    basis = list(range(2 * d + 1, ncols))
+    cr = [zero] * ncols  # reduced costs: the cost, t's column alone, at the slack basis
+    cr[2 * d] = one
     while True:
-        enter = next((j for j in range(ncols) if j not in banned and cr[j] > 0), None)
+        enter = next((j for j in range(ncols) if cr[j] > 0), None)
         if enter is None:
-            return
+            break
         leave, best = None, None
-        for i, row in enumerate(rows):
+        for i, row in enumerate(tableau):
             if row[enter] > 0:
                 ratio = row[ncols] / row[enter]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave, best = i, ratio
-        if leave is None:
-            raise AssertionError("unbounded ray in a boxed LP")
-        piv = rows[leave][enter]
+        piv = tableau[leave][enter]
         if piv != 1:
-            rows[leave] = [x / piv for x in rows[leave]]
-        top = rows[leave]
-        for i, row in enumerate(rows):
+            tableau[leave] = [x / piv for x in tableau[leave]]
+        top = tableau[leave]
+        for i, row in enumerate(tableau):
             f = row[enter]
             if i != leave and f != 0:
-                rows[i] = [a - f * b for a, b in zip(row, top)]
+                tableau[i] = [a - f * b for a, b in zip(row, top)]
         f = cr[enter]
         cr = [a - f * b for a, b in zip(cr, top)]
         basis[leave] = enter
-
-
-def lp_maximize(rows):
-    """(omega, t) maximizing t subject to row . omega >= t for every row,
-    omega in [-1, 1]^d and t free, solved exactly.  The LP is feasible
-    (omega = 0, t = 0) and bounded (the box on omega).
-
-    The tableau's columns are y = omega + 1 >= 0, then t = t+ - t-, one slack
-    per row (the rows, then the box rows y_j <= 2), then one artificial per
-    row with a positive sum.  In y a row reads row . y - t >= sum(row): with
-    sum(row) > 0 it takes a surplus and an artificial, otherwise its negation
-    takes a slack.  Phase 1 drives the artificials to zero, phase 2
-    maximizes t.
-    """
-    d, m = len(rows[0]), len(rows)
-    zero, one = Fraction(0), Fraction(1)
-    first_artificial = 2 * d + 2 + m
-    width = first_artificial + sum(1 for row in rows if sum(row) > 0)
-    tableau, basis, artificials = [], [], []
-    for k, row in enumerate(rows):
-        coeffs = [Fraction(x) for x in row] + [-one, one]
-        b = sum(coeffs[:d])
-        line = [zero] * (width + 1)
-        if b > 0:
-            line[d + 2 + k] = -one
-            artificials.append(first_artificial + len(artificials))
-            basis.append(artificials[-1])
-        else:
-            coeffs, b = [-x for x in coeffs], -b
-            basis.append(d + 2 + k)
-        line[:d + 2] = coeffs
-        line[basis[-1]] = one
-        line[width] = b
-        tableau.append(line)
-    for j in range(d):
-        line = [zero] * (width + 1)
-        line[j] = line[d + 2 + m + j] = one
-        line[width] = Fraction(2)
-        basis.append(d + 2 + m + j)
-        tableau.append(line)
-    if artificials:
-        _simplex(tableau, basis, [zero] * first_artificial + [-one] * len(artificials),
-                 artificials)
-    cost = [zero] * width
-    cost[d], cost[d + 1] = one, -one
-    _simplex(tableau, basis, cost, artificials)
-    values = {b: row[width] for b, row in zip(basis, tableau)}
-    omega = tuple(values.get(j, zero) - 1 for j in range(d))
-    return omega, values.get(d, zero) - values.get(d + 1, zero)
+    values = {b: row[ncols] for b, row in zip(basis, tableau)}
+    omega = tuple(values.get(j, zero) - values.get(d + j, zero) for j in range(d))
+    return omega, values.get(2 * d, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +397,9 @@ def _has_interior(rows):
     """Whether some y has row . y > 0 for every row, decided exactly.
 
     No rows: yes.  Otherwise `_strict_interior`'s exactly checked strict y
-    says yes and its Gordan witness says no; when it certifies neither, the
-    exact LP's optimum t > 0 says yes.
+    says yes and its Gordan witness says no; when it certifies neither,
+    `lp_maximize` solves the same LP exactly, uncapped in t, and its optimum
+    t > 0 says yes.
     """
     if not rows:
         return True

@@ -221,6 +221,77 @@ def test_exact_simplex_alone_decides_like_the_steered_chain(P, c, request):
     assert counts == steered.counts
 
 
+def _monotone_path_polytope_vertices(P, c, G):
+    """The coherent paths as the vertices of the monotone path polytope, an
+    oracle that shares no code with `coherence`.  Each monotone path maps to
+    phi = sum over its arcs u -> v of (c . v - c . u)(u + v) / 2, and a path
+    is coherent iff its phi is a vertex of the hull of every phi (Billera
+    and Sturmfels, Fiber polytopes).  Returns the vertex paths' index
+    tuples, sorted, after checking that each vertex comes from one path."""
+    V = P.vertices
+    phis = {}
+    for path in enumerate_paths(G):
+        phi = [Fraction(0)] * P.dim
+        for u, v in zip(path.vertex_indices, path.vertex_indices[1:]):
+            rise = dot(c, V[v]) - dot(c, V[u])
+            phi = [x + rise * (a + b) / 2 for x, a, b in zip(phi, V[u], V[v])]
+        phis.setdefault(tuple(phi), []).append(path.vertex_indices)
+    hull = Polytope(list(phis), on_nonvertex="strip")
+    assert all(len(phis[phi]) == 1 for phi in hull.vertices)
+    return sorted(phis[phi][0] for phi in hull.vertices)
+
+
+def _coherent_indices(P, c, G):
+    return sorted(p.vertex_indices for p, _ in coherent_paths(P, c, graph=G))
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names(include_slow=False))
+def test_coherent_paths_are_the_monotone_path_polytope_vertices(name):
+    F = zoo.fixture(name)
+    G = orient(F.polytope, F.direction)
+    assert (_monotone_path_polytope_vertices(F.polytope, F.direction, G)
+            == _coherent_indices(F.polytope, F.direction, G))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets(), st.data())
+def test_coherent_paths_are_the_monotone_path_polytope_vertices_on_point_sets(points, data):
+    P = Polytope(points, on_nonvertex="strip")
+    c = data.draw(st.tuples(*[_COORD] * P.dim))
+    try:
+        G = orient(P, c)
+    except (GenericityError, InputError):
+        assume(False)
+    assert _monotone_path_polytope_vertices(P, c, G) == _coherent_indices(P, c, G)
+
+
+def _every_row_a_witness(res):
+    """A HiGHS answer that claims t = 0 and weight 1 on every row."""
+    res.x[-1] = 0.0
+    res.ineqlin.marginals = [-1.0] * len(res.ineqlin.marginals)
+    return res
+
+
+@pytest.mark.parametrize("substitute", [failed, _every_row_a_witness],
+                         ids=["highs_fails", "highs_lies"])
+@pytest.mark.parametrize("P, c", [
+    (zoo.cross_polytope(4), (1, 2, 3, 4)),
+    (zoo.lopsided_cube(3), (1, 1, 1)),
+    (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
+], ids=["cross4", "lopsided3", "cyclic4-8"])
+def test_exact_checks_alone_find_the_monotone_path_polytope_vertices(P, c, substitute):
+    """The oracle is built while HiGHS works.  Then HiGHS fails on every
+    call, or calls every cone flat with every row in the witness, so each
+    verdict of `coherent_paths` rests on the exact re-check of a witness and
+    on the exact simplex."""
+    G = orient(P, c)
+    vertices = _monotone_path_polytope_vertices(P, c, G)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_highs(mp, substitute)
+        assert _coherent_indices(P, c, G) == vertices
+    assert calls
+
+
 _SAMPLED = {
     "cross4": (lambda: zoo.cross_polytope(4), (1, 2, 3, 4)),
     "lopsided3": (lambda: zoo.lopsided_cube(3), (1, 1, 1)),

@@ -320,7 +320,7 @@ def test_backend_agreement_on_integer_fixtures():
                                        if rounded._is_edge_pair(i, j)]
 
 
-def test_is_generic_on_cube():
+def test_orient_rejects_level_edges_on_cube():
     P = zoo.cube(3)
     orient(P, (1, 1, 1))  # every edge flips exactly one coordinate
     with pytest.raises(GenericityError):
@@ -329,7 +329,7 @@ def test_is_generic_on_cube():
         orient(P, (0, 0, 0))
 
 
-def test_is_generic_on_simplex():
+def test_orient_rejects_level_edges_on_simplex():
     P = zoo.simplex(4)
     orient(P, (1, 2, 3, 4))
     with pytest.raises(GenericityError):

@@ -60,6 +60,102 @@ def test_optimal_solution_is_feasible_exactly(rows):
     assert all(sum(r * w for r, w in zip(row, omega)) >= t for row in rows)
 
 
+def _two_phase_simplex(rows, basis, cost, banned):
+    """Maximize cost . x over a dense tableau, pivoting `rows` (coefficients,
+    then the rhs) and `basis` in place with Bland's rule; columns in `banned`
+    never enter.  The LP must be bounded."""
+    ncols = len(cost)
+    cr = list(cost)  # reduced costs c_j - c_B . B^-1 A_j
+    for row, b in zip(rows, basis):
+        cb = cr[b]
+        if cb != 0:
+            cr = [a - cb * x for a, x in zip(cr, row)]
+            cr[b] = Fraction(0)
+    while True:
+        enter = next((j for j in range(ncols) if j not in banned and cr[j] > 0), None)
+        if enter is None:
+            return
+        leave, best = None, None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[ncols] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        piv = rows[leave][enter]
+        if piv != 1:
+            rows[leave] = [x / piv for x in rows[leave]]
+        top = rows[leave]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if i != leave and f != 0:
+                rows[i] = [a - f * b for a, b in zip(row, top)]
+        f = cr[enter]
+        cr = [a - f * b for a, b in zip(cr, top)]
+        basis[leave] = enter
+
+
+def _two_phase_lp_maximize(rows):
+    """The exact LP of `lp_maximize` as the two-phase simplex solved it, kept
+    as its oracle.  Columns y = omega + 1 >= 0, then t = t+ - t-, one slack
+    per row (the rows, then the box rows y_j <= 2), then one artificial per
+    row with a positive sum; phase 1 drives the artificials to zero, phase 2
+    maximizes t."""
+    d, m = len(rows[0]), len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    first_artificial = 2 * d + 2 + m
+    width = first_artificial + sum(1 for row in rows if sum(row) > 0)
+    tableau, basis, artificials = [], [], []
+    for k, row in enumerate(rows):
+        coeffs = [Fraction(x) for x in row] + [-one, one]
+        b = sum(coeffs[:d])
+        line = [zero] * (width + 1)
+        if b > 0:
+            line[d + 2 + k] = -one
+            artificials.append(first_artificial + len(artificials))
+            basis.append(artificials[-1])
+        else:
+            coeffs, b = [-x for x in coeffs], -b
+            basis.append(d + 2 + k)
+        line[:d + 2] = coeffs
+        line[basis[-1]] = one
+        line[width] = b
+        tableau.append(line)
+    for j in range(d):
+        line = [zero] * (width + 1)
+        line[j] = line[d + 2 + m + j] = one
+        line[width] = Fraction(2)
+        basis.append(d + 2 + m + j)
+        tableau.append(line)
+    if artificials:
+        _two_phase_simplex(tableau, basis,
+                           [zero] * first_artificial + [-one] * len(artificials), artificials)
+    cost = [zero] * width
+    cost[d], cost[d + 1] = one, -one
+    _two_phase_simplex(tableau, basis, cost, artificials)
+    values = {b: row[width] for b, row in zip(basis, tableau)}
+    omega = tuple(values.get(j, zero) - 1 for j in range(d))
+    return omega, values.get(d, zero) - values.get(d + 1, zero)
+
+
+@st.composite
+def _integer_rows(draw):
+    """Integer rows, entries -50..50, in d = 1..6."""
+    d = draw(st.integers(1, 6))
+    return draw(st.lists(st.tuples(*[st.integers(-50, 50)] * d), min_size=1, max_size=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_rows(), _integer_rows()))
+def test_one_phase_optimum_matches_the_two_phase_simplex(rows):
+    """The optimum t is the two-phase simplex's.  omega is checked for
+    feasibility only: where the optimum is not unique the two pivot
+    sequences may end at different optimal vertices."""
+    omega, t = lp_maximize(rows)
+    assert t == _two_phase_lp_maximize(rows)[1]
+    assert all(type(x) is Fraction and -1 <= x <= 1 for x in omega)
+    assert all(dot(row, omega) >= t for row in rows)
+
+
 def _strict_interior_and_highs(rows):
     """`_strict_interior(rows)` and the result of its one HiGHS solve."""
     with pytest.MonkeyPatch.context() as mp:
