@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError
 from .exactgeom import _monotone_chains
@@ -265,6 +264,7 @@ def estimate_growth_exponent(d: int, n_grid, trials: int, seed: int) -> GrowthFi
     dof = len(grid) - 2
     sxx = float(((xs - xs.mean()) ** 2).sum())
     stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx)
+    from scipy import special
     width = special.stdtrit(dof, 0.975) * stderr
     return GrowthFit(slope=float(slope), stderr=stderr,
                      ci_low=float(slope - width), ci_high=float(slope + width),
@@ -291,12 +291,14 @@ def cap_measure(beta: float, R: float) -> float:
         raise InputError("beta must exceed -1")
     if not 0 < R < 1:
         raise InputError("cap radius must be strictly between 0 and 1")
+    from scipy import special
     return 0.5 * float(special.betaincc(0.5, beta + 1.5, R * R))
 
 
 def cap_measure_asymptotic(beta: float, R: float) -> float:
     """Leading term of `cap_measure` as R -> 1:
     2^(beta + 5/2) C / (2 beta + 3) * B(1/2, beta + 1) / 2 * (1 - R)^(beta + 3/2)."""
+    from scipy import special
     c = _density_constant(beta) * special.beta(0.5, beta + 1) / 2
     return 2.0 ** (beta + 2.5) * c / (2 * beta + 3) * (1 - R) ** (beta + 1.5)
 
@@ -309,6 +311,7 @@ def floating_radius(beta: float, eps: float) -> float:
     if not 0 < eps < 0.5:
         raise InputError(f"eps must lie strictly between 0 and 1/2, the half-disk "
                          f"measure; got {eps}")
+    from scipy import special
     return math.sqrt(1 - float(special.betaincinv(beta + 1.5, 0.5, 2 * eps)))
 
 
@@ -440,6 +443,7 @@ def kolmogorov_distance(sample) -> float:
     """Exact empirical Kolmogorov distance to the standard normal."""
     z = np.sort(np.asarray(sample, dtype=float))
     n = len(z)
+    from scipy import special
     cdf = special.ndtr(z)
     steps = np.arange(n, dtype=float)
     d_plus = np.max((steps + 1) / n - cdf)
@@ -487,4 +491,5 @@ def projection_chi_square(d: int, n: int, seed: int):
     counts, _ = np.histogram(radii, bins=np.concatenate(([0.0], edges, [1.0])))
     expected = n / bins
     stat = float(((counts - expected) ** 2 / expected).sum())
+    from scipy import special
     return stat, float(special.chdtrc(bins - 1, stat))

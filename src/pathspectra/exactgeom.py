@@ -11,25 +11,30 @@ exact arithmetic.
 Every polytope is validated when it is built, which computes the one facet
 incidence from which its vertices and its edges are read.  The points are
 projected, exactly, onto coordinates of their affine hull; Qhull
-(`scipy.spatial.ConvexHull`) proposes a triangulated boundary; and
-`_certify_facets` checks it in integer arithmetic: each simplex lies in a
-supporting plane of the hull, the non-degenerate ones are oriented outward, and
-every ridge is shared by exactly two simplices with opposite orientations.
-Those simplices then form a cycle that covers the boundary with the same
-positive degree everywhere, so the certified facets are all the facets.  A pair
-spans an edge iff the facets containing both meet in those two points alone,
-and a point is a vertex iff the facets containing it meet in that point alone.
-When Qhull fails, a coordinate overflows a float, or any check fails, the
-polytope falls back to one question per point and per pair: do its
-difference rows have a strict interior?  That is decided like a path's
+(`scipy.spatial.ConvexHull`, imported at the first hull, so a command that
+builds no polytope never loads `scipy.spatial`) proposes a triangulated
+boundary; and `_certify_facets` checks it in integer arithmetic: each simplex
+lies in a supporting plane of the hull, the non-degenerate ones are oriented
+outward, and every ridge is shared by exactly two simplices with opposite
+orientations.  Those simplices then form a cycle that covers the boundary with
+the same positive degree everywhere, so the certified facets are all the
+facets.  A pair spans an edge iff the facets containing both meet in those two
+points alone, and a point is a vertex iff the facets containing it meet in
+that point alone.  When Qhull fails, a coordinate overflows a float, or any
+check fails, the polytope falls back to one question per point and per pair:
+do its difference rows have a strict interior?  That is decided like a path's
 coherence, on the one max-least-slack LP (`_has_interior`).  A
 `DirectedGraph` checks at construction that its source and sink are the
 only ones.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import logging
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
@@ -39,7 +44,6 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegeneracyError, GenericityError, InputError
 
@@ -141,17 +145,18 @@ def _highs():
     value[start[k]:start[k + 1]] (`_lp_rows`).  It returns `linprog`'s
     `status`, `x` and `ineqlin.marginals` for the same model
     (`_dense_cone_lp`).  The solver is `_direct_highs` over one
-    `_core._Highs` reused for the whole process.  The fallback,
-    `_linprog_cone`, hands the dense model to `scipy.optimize.linprog`; it
-    serves the scipy releases that `pyproject.toml` admits (>= 1.11) but
-    that predate the private `scipy.optimize._highspy._core` module.  (A
-    scipy that has the module cannot import `scipy.optimize` without it.)
-    The route taken is logged once at DEBUG.
+    `_core._Highs` reused for the whole process, on the compiled module
+    that `_highs_core` loads.  The fallback, `_linprog_cone`, hands the
+    dense model to `scipy.optimize.linprog`; it serves the scipy releases
+    that `pyproject.toml` admits (>= 1.11) but that predate the private
+    `scipy.optimize._highspy._core` module.  (A scipy that has the module
+    cannot import `scipy.optimize` without it.)  The route taken is logged
+    once at DEBUG.
     """
     global _highs_handle
     if _highs_handle is None:
         try:
-            import scipy.optimize._highspy._core as core
+            core = _highs_core()
         except ImportError:
             _log.debug("HiGHS route: scipy.optimize.linprog fallback")
             _highs_handle = (_linprog_cone, np)
@@ -159,6 +164,39 @@ def _highs():
             _log.debug("HiGHS route: direct scipy.optimize._highspy._core._Highs")
             _highs_handle = (_direct_highs(core), np)
     return _highs_handle
+
+
+def _highs_core():
+    """`scipy.optimize._highspy._core`, loaded from its file in scipy's
+    `optimize/_highspy` directory without importing `scipy.optimize`.
+
+    Importing it by name runs the `__init__` of `scipy.optimize`, most of a
+    command's start-up time, and the compiled module needs none of it.  The
+    module is registered under its own name before it runs, so a later
+    `import scipy.optimize` (`_linprog_cone`, the tests) reuses it; an entry
+    already there is reused, a `None` entry blocks the load as it blocks an
+    import, and a failed load leaves no entry.  ImportError when the module
+    cannot be found or loaded.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        core = sys.modules[name]
+        if core is None:
+            raise ImportError(f"import of {name} halted; None in sys.modules", name=name)
+        return core
+    import scipy
+    where = [os.path.join(p, "optimize", "_highspy") for p in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"no module named {name!r}", name=name)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[name] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return core
 
 
 def _dense_cone_lp(d, start, index, value):
@@ -491,6 +529,7 @@ def _propose_simplices(coords):
     lo = [min(axis) for axis in zip(*coords)]
     span = [max(axis) - m for axis, m in zip(zip(*coords), lo)]
     pts = np.array([[(x - m) / w for x, m, w in zip(p, lo, span)] for p in coords])
+    from scipy.spatial import ConvexHull
     hull = ConvexHull(pts)
     tri = hull.simplices
     volumes = np.linalg.det(np.concatenate(
@@ -599,6 +638,7 @@ def _facet_incidence(points):
     if r == 1:
         xs = [q[0] for q in coords]
         return [sum(1 << k for k, x in enumerate(xs) if x == end) for end in (min(xs), max(xs))]
+    from scipy.spatial import QhullError
     try:
         simplices = _propose_simplices(coords)
     except (QhullError, ValueError):

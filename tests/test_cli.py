@@ -148,6 +148,27 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cold_start_loads_only_the_scipy_a_command_runs():
+    """The HiGHS handle and `simulate` load none of scipy's heavy packages,
+    and the first polytope loads Qhull's `scipy.spatial` but not
+    `scipy.optimize`."""
+    src = str(Path(exactgeom.__file__).parents[1])
+    probe = ("import contextlib, io, sys\n"
+             "from pathspectra import cli, exactgeom, zoo\n"
+             "exactgeom._highs()\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['--seed', '7', 'simulate', '--d', '5', '--n', '1000',\n"
+             "                     '--trials', '20']) == 0\n"
+             "heavy = ('scipy.optimize', 'scipy.spatial', 'scipy.special', 'scipy.sparse',\n"
+             "         'scipy.linalg')\n"
+             "print([m for m in heavy if m in sys.modules])\n"
+             "zoo.cross_polytope(3)\n"
+             "print([m for m in heavy[:2] if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout == "[]\n['scipy.spatial']\n"
+
+
 def test_float_backend_reads_fraction_strings(tmp_path, capsys):
     path = write_poly(tmp_path, zoo.lopsided_cube(3))
     assert "/" in Path(path).read_text()  # the file holds "p/q" strings

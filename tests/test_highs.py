@@ -1,9 +1,13 @@
 """The direct HiGHS binding behind `exactgeom._highs()` against its oracle,
 `scipy.optimize.linprog(method="highs")`."""
+import json
 import logging
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from pathspectra import Polytope, coherence, coherent_spectrum, exactgeom, zoo
+from pathspectra import Polytope, cli, coherence, coherent_spectrum, exactgeom, zoo
 
 from conftest import record_highs
 from test_exactgeom import _point_sets
@@ -114,6 +118,103 @@ def test_without_core_the_route_is_linprog(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="pathspectra.exactgeom"):
         assert exactgeom._highs()[0] is exactgeom._linprog_cone
     assert [r.getMessage() for r in caplog.records] == [_FALLBACK]
+
+
+@pytest.mark.parametrize("core_source", [None, "raise ImportError('built without HiGHS')\n"],
+                         ids=["no-core", "core-fails"])
+def test_without_core_on_disk_the_route_is_linprog(core_source, tmp_path, monkeypatch, caplog):
+    """A scipy whose `optimize/_highspy` holds no `_core`, or one that fails
+    to load: the route is linprog, and no half-loaded module is left."""
+    import scipy
+    highspy = tmp_path / "optimize" / "_highspy"
+    highspy.mkdir(parents=True)
+    if core_source is not None:
+        (highspy / "_core.py").write_text(core_source)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    monkeypatch.setattr(exactgeom, "_highs_handle", None)
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.exactgeom"):
+        assert exactgeom._highs()[0] is exactgeom._linprog_cone
+    assert [r.getMessage() for r in caplog.records] == [_FALLBACK]
+    assert "scipy.optimize._highspy._core" not in sys.modules
+
+
+# Runs CLI commands (argv lists, JSON in sys.argv[1]) in a fresh interpreter,
+# recording every HiGHS call, and prints a JSON report: each command's exit
+# code and stdout, the HiGHS route logged, whether `scipy.optimize` was
+# loaded, whether a later import finds the same `_core`, and whether
+# `linprog` gives every recorded LP the same bits.
+_COLD_PROBE = """
+import contextlib, io, json, logging, sys
+import numpy as np
+from pathspectra import cli, exactgeom
+
+routes = []
+handler = logging.Handler()
+handler.emit = lambda record: routes.append(record.getMessage())
+logging.getLogger("pathspectra.exactgeom").addHandler(handler)
+logging.getLogger("pathspectra.exactgeom").setLevel(logging.DEBUG)
+solve, np_ = exactgeom._highs()
+calls = []
+
+def recorded(*args):
+    res = solve(*args)
+    calls.append((args, res))
+    return res
+exactgeom._highs_handle = (recorded, np_)
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outputs.append([cli.main(argv)])
+    outputs[-1].append(out.getvalue())
+optimize_loaded = "scipy.optimize" in sys.modules
+core = sys.modules["scipy.optimize._highspy._core"]
+import scipy.optimize._highspy._core as again
+from scipy.optimize import linprog
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+def same(res, ref):
+    if res.status != ref.status or (res.x is None) != (ref.x is None):
+        return False
+    return res.x is None or (bits(res.x) == bits(ref.x)
+                             and bits(res.ineqlin.marginals) == bits(ref.ineqlin.marginals))
+print(json.dumps({"outputs": outputs,
+                  "routes": [m for m in routes if m.startswith("HiGHS route")],
+                  "optimize_loaded": optimize_loaded, "same_core": again is core, "lps": len(calls),
+                  "same_bits": all(same(res, linprog(**exactgeom._dense_cone_lp(*args)))
+                                   for args, res in calls)}))
+"""
+
+
+def test_a_cold_process_loads_core_from_its_file(tmp_path, capsys):
+    """In a fresh interpreter `_highs()` loads `_core` without
+    `scipy.optimize`; the commands print and write what they do in this
+    process (which has imported `scipy.optimize`), a later import finds the
+    same module, and `linprog` solves every recorded LP to the same bits."""
+    poly, certs = tmp_path / "cross5.json", tmp_path / "certs.json"
+    poly.write_text(zoo.cross_polytope(5).to_json())
+    argvs = [["coherent", str(poly), "--direction", "1,2,3,4,5", "--sample", "300",
+              "--seed", "7", "--format", "json", "--certificates", str(certs)],
+             ["verify", "cube3", "--format", "json"]]
+    src = str(Path(exactgeom.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    cold = json.loads(proc.stdout)
+    cold_certs = certs.read_bytes()
+    warm = []
+    for argv in argvs:
+        warm.append([cli.main(argv), capsys.readouterr().out])
+    assert cold["outputs"] == warm
+    assert [code for code, _out in warm] == [0, 0]
+    assert certs.read_bytes() == cold_certs
+    assert cold["routes"] == [_DIRECT]
+    assert cold["optimize_loaded"] is False
+    assert cold["same_core"] is True
+    assert cold["lps"] > 0 and cold["same_bits"] is True
 
 
 def _cone_rows(P, c):
