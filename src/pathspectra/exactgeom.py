@@ -5,24 +5,23 @@ Everything here is deterministic and immutable after construction.  Every
 scalar is a `Fraction`: integers and "p/q" strings are read exactly, and a float
 is taken at its exact binary value (a dyadic rational), so every predicate is
 decided exactly.  Floating point is used only to *steer* exact searches
-(propose a basis, a support or a facet list); verdicts are always certified in
-exact arithmetic.
+(propose a basis or a support); verdicts are always certified in exact
+arithmetic.
 
 Every polytope is validated when it is built, which computes the one facet
 incidence from which its vertices and its edges are read.  The points are
-projected, exactly, onto coordinates of their affine hull; Qhull
-(`scipy.spatial.ConvexHull`, imported at the first hull, so a command that
-builds no polytope never loads `scipy.spatial`) proposes a triangulated
-boundary; and `_certify_facets` checks it in integer arithmetic: each simplex
-lies in a supporting plane of the hull, the non-degenerate ones are oriented
-outward, and every ridge is shared by exactly two simplices with opposite
-orientations.  Those simplices then form a cycle that covers the boundary with
-the same positive degree everywhere, so the certified facets are all the
-facets.  A pair spans an edge iff the facets containing both meet in those two
-points alone, and a point is a vertex iff the facets containing it meet in
-that point alone.  When Qhull fails, a coordinate overflows a float, or any
-check fails, the polytope falls back to one question per point and per pair:
-do its difference rows have a strict interior?  That is decided like a path's
+projected, exactly, onto integer coordinates of their affine hull; an exact
+placing (beneath-beyond) triangulation in lexicographic order proposes a
+triangulated boundary (`_propose_simplices`); and `_certify_facets` checks it
+in integer arithmetic: each simplex lies in a supporting plane of the hull,
+the non-degenerate ones are oriented outward, and every ridge is shared by
+exactly two simplices with opposite orientations.  Those simplices then form
+a cycle that covers the boundary with the same positive degree everywhere,
+so the certified facets are all the facets.  A pair spans an edge iff the
+facets containing both meet in those two points alone, and a point is a
+vertex iff the facets containing it meet in that point alone.  When a check
+fails, the polytope falls back to one question per point and per pair: do
+its difference rows have a strict interior?  That is decided like a path's
 coherence, on the one max-least-slack LP (`_has_interior`).  A
 `DirectedGraph` checks at construction that its source and sink are the
 only ones.
@@ -514,50 +513,97 @@ def _ridges(simplex):
         yield tuple(ordered[:m] + ordered[m + 1:]), -1 if (inversions + m) % 2 else 1
 
 
-def _propose_simplices(coords):
-    """Qhull's boundary simplices of conv(coords), oriented coherently and outward.
+def _cofactor_normal(rows):
+    """The normal a of the oriented simplex with edge rows q2 - q1, ..., qr - q1
+    in R^r: the cofactors of an appended last row, so det[rows, a] = |a|^2."""
+    r = len(rows) + 1
+    return [(-1) ** (r + j + 1) * _det([row[:j] + row[j + 1:] for row in rows])
+            for j in range(r)]
 
-    Qhull lists the vertices of each simplex in no particular order.
-    Orientations spread across shared ridges so that neighbours induce
-    opposite signs; each connected piece is then turned to agree with Qhull's
-    outward normals.  Floats only steer here: `_certify_facets` checks
-    whatever this returns.
+
+def _propose_simplices(coords):
+    """The boundary of the placing triangulation of conv(coords), integer
+    points spanning R^r, r >= 2, as oriented (r-1)-simplices facing outward.
+
+    Points are placed in lexicographic order.  The first r + 1 affinely
+    independent ones form the start simplex; those skipped on the way are
+    placed last, against every plane.  Every other point p is the
+    lexicographic maximum so far, so it lies outside the hull, and it sees a
+    facet through q, the point placed before it: else p - q, lexicographically
+    positive, would be a nonnegative combination of vectors x - q over the
+    hull, one of them positive too, yet q is the hull's lexicographic maximum.
+    The search for the simplices p sees starts there and crosses shared
+    ridges.  A horizon ridge, between a visible F and a hidden G, gives F with
+    its vertex off the ridge replaced by p in the same slot: the ridge keeps
+    its induced sign, so the new simplex faces outward.  With h = a . x - b
+    <= 0 on the hull, its plane h_F(p) h_G - h_G(p) h_F vanishes on the ridge
+    and at p, and is <= 0 on the old hull since h_F(p) > 0 >= h_G(p).
+    `_certify_facets` checks the result.
     """
-    # Qhull's precision is relative to the coordinate range; rescaling each
-    # axis onto [0, 1] changes no face and, with positive scales, no
-    # orientation.  Integer true division rounds once and cannot overflow.
-    lo = [min(axis) for axis in zip(*coords)]
-    span = [max(axis) - m for axis, m in zip(zip(*coords), lo)]
-    pts = np.array([[(x - m) / w for x, m, w in zip(p, lo, span)] for p in coords])
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(pts)
-    tri = hull.simplices
-    volumes = np.linalg.det(np.concatenate(
-        [pts[tri[:, 1:]] - pts[tri[:, :1]], hull.equations[:, None, :-1]], axis=1))
-    simplices = [tuple(int(k) for k in s) for s in tri]
-    ridges = [list(_ridges(s)) for s in simplices]
-    sides = {}
-    for t, pairs in enumerate(ridges):
-        for ridge, sign in pairs:
-            sides.setdefault(ridge, []).append((t, sign))
-    flip = [0] * len(simplices)
-    for root in range(len(simplices)):
-        if flip[root]:
-            continue
-        flip[root] = 1
-        piece, stack = [root], [root]
+    r = len(coords[0])
+    order = iter(sorted(range(len(coords)), key=coords.__getitem__))
+    start, rows, skipped = [next(order)], [], []
+    while len(start) <= r:
+        k = next(order)
+        row = [x - y for x, y in zip(coords[k], coords[start[0]])]
+        if len(_row_reduce(rows + [row], r)) == len(start):
+            start.append(k)
+            rows.append(row)
+        else:
+            skipped.append(k)
+    rest = list(order)
+    planes = {}  # oriented simplex -> (a, b, its ridge in each slot), a . x <= b on the hull
+    sides = {}  # ridge, as a frozenset -> the simplices through it
+
+    def put(s, a, b):
+        g = gcd(*a, b)
+        vertices = frozenset(s)
+        ridges = [vertices - {v} for v in s]
+        planes[s] = ([x // g for x in a], b // g, ridges)
+        for ridge in ridges:
+            sides.setdefault(ridge, []).append(s)
+
+    total = [sum(axis) for axis in zip(*(coords[k] for k in start))]  # (r + 1) x centroid
+    for j in range(r + 1):
+        s = tuple(start[:j] + start[j + 1:])
+        base = coords[s[0]]
+        a = _cofactor_normal([[x - y for x, y in zip(coords[k], base)] for k in s[1:]])
+        b = dot(a, base)
+        if dot(a, total) > (r + 1) * b:
+            s, a, b = (s[1], s[0]) + s[2:], [-x for x in a], -b
+        put(s, a, b)
+    latest = [s for s in planes if start[-1] in s]
+    for i, k in enumerate(rest + skipped):
+        p = coords[k]
+
+        def height(s):
+            a, b, _ = planes[s]
+            return dot(a, p) - b
+
+        stack = [s for s in (latest if i < len(rest) else list(planes)) if height(s) > 0]
+        visible, new = set(stack), []
         while stack:
-            t = stack.pop()
-            for ridge, sign in ridges[t]:
-                for u, usign in sides[ridge]:
-                    if not flip[u]:
-                        flip[u] = -flip[t] * sign * usign
-                        piece.append(u)
-                        stack.append(u)
-        if sum(flip[t] * volumes[t] for t in piece) < 0:
-            for t in piece:
-                flip[t] = -flip[t]
-    return [s if f > 0 else (s[1], s[0]) + s[2:] for s, f in zip(simplices, flip)]
+            f = stack.pop()
+            (af, bf, ridges), hf = planes[f], height(f)
+            for m, ridge in enumerate(ridges):
+                g, other = sides[ridge]
+                g = other if g == f else g
+                if g in visible:
+                    continue
+                (ag, bg, _), hg = planes[g], height(g)
+                if hg > 0:
+                    visible.add(g)
+                    stack.append(g)
+                else:
+                    new.append((f[:m] + (k,) + f[m + 1:],
+                                [hf * y - hg * x for x, y in zip(af, ag)], hf * bg - hg * bf))
+        for f in visible:
+            for ridge in planes.pop(f)[2]:
+                sides[ridge].remove(f)
+        for s, a, b in new:
+            put(s, a, b)
+        latest = [s for s, _, _ in new]
+    return list(planes)
 
 
 def _certify_facets(coords, simplices):
@@ -600,8 +646,7 @@ def _certify_facets(coords, simplices):
             if _det(rows + [normals[home]]) < 0:
                 return None
             continue
-        normal = [(-1) ** (r + j + 1) * _det([row[:j] + row[j + 1:] for row in rows])
-                  for j in range(r)]
+        normal = _cofactor_normal(rows)
         if not any(normal):
             degenerate.append(mask)
             continue
@@ -627,9 +672,9 @@ def _certify_facets(coords, simplices):
 def _facet_incidence(points):
     """Certified tight sets (bitmasks over `points`) of every facet of their hull.
 
-    Qhull proposes the facets in affine-hull coordinates and `_certify_facets`
-    decides them exactly.  None when Qhull fails or the certificate does not
-    hold: the caller then uses the LP tests.
+    `_propose_simplices` triangulates the boundary in affine-hull coordinates
+    and `_certify_facets` decides the proposal.  None when the certificate
+    does not hold: the caller then uses the LP tests.
     """
     coords = _affine_coordinates(points)
     r = len(coords[0])
@@ -638,12 +683,7 @@ def _facet_incidence(points):
     if r == 1:
         xs = [q[0] for q in coords]
         return [sum(1 << k for k, x in enumerate(xs) if x == end) for end in (min(xs), max(xs))]
-    from scipy.spatial import QhullError
-    try:
-        simplices = _propose_simplices(coords)
-    except (QhullError, ValueError):
-        return None
-    return _certify_facets(coords, simplices)
+    return _certify_facets(coords, _propose_simplices(coords))
 
 
 def _vertex_flags(facets, n):

@@ -148,11 +148,12 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_cold_start_loads_only_the_scipy_a_command_runs():
+def test_cold_start_loads_only_the_scipy_a_command_runs(tmp_path):
     """The HiGHS handle and `simulate` load none of scipy's heavy packages,
-    and the first polytope loads Qhull's `scipy.spatial` but not
-    `scipy.optimize`."""
+    and neither do building a polytope, whose facets are proposed in exact
+    arithmetic, and one `count` and one `coherent` on it."""
     src = str(Path(exactgeom.__file__).parents[1])
+    path = tmp_path / "cross3.json"
     probe = ("import contextlib, io, sys\n"
              "from pathspectra import cli, exactgeom, zoo\n"
              "exactgeom._highs()\n"
@@ -162,11 +163,16 @@ def test_cold_start_loads_only_the_scipy_a_command_runs():
              "heavy = ('scipy.optimize', 'scipy.spatial', 'scipy.special', 'scipy.sparse',\n"
              "         'scipy.linalg')\n"
              "print([m for m in heavy if m in sys.modules])\n"
-             "zoo.cross_polytope(3)\n"
-             "print([m for m in heavy[:2] if m in sys.modules])\n")
+             f"path = {str(path)!r}\n"
+             "with open(path, 'w') as fh:\n"
+             "    fh.write(zoo.cross_polytope(3).to_json())\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    for command in ('count', 'coherent'):\n"
+             "        assert cli.main([command, '--direction', '1,2,3', path]) == 0\n"
+             "print([m for m in heavy if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           stdout=subprocess.PIPE, text=True, check=True)
-    assert proc.stdout == "[]\n['scipy.spatial']\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_float_backend_reads_fraction_strings(tmp_path, capsys):

@@ -4,14 +4,16 @@ from functools import partial
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull
 
 from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
                          count_paths_by_length, orient, project2d, upper_path)
 from pathspectra import exactgeom, zoo
+from pathspectra.betasim import sample_sphere
 
 from conftest import record_highs
 
@@ -129,6 +131,10 @@ def _point_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(_point_sets())
 def test_facet_incidence_matches_lp_oracle(points):
+    _assert_facet_incidence_matches_lp_oracle(points)
+
+
+def _assert_facet_incidence_matches_lp_oracle(points):
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     assert len(kept) == 1 or exactgeom._facet_incidence(kept) is not None
     P = Polytope(points, on_nonvertex="strip")
@@ -226,8 +232,8 @@ def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["cube3", "ass5"])
 def test_coordinates_beyond_doubles_keep_the_facet_route(name, monkeypatch):
-    """Coordinates past the largest double are rescaled exactly before Qhull
-    sees them, so the edge graph is still certified without any LP."""
+    """Coordinates past the largest double are integers like any other to
+    the exact proposal, so the edge graph is still certified without any LP."""
     vertices = zoo.fixture(name).polytope.vertices
     monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
     P = Polytope([tuple(x * 10 ** 400 for x in v) for v in vertices])
@@ -235,31 +241,155 @@ def test_coordinates_beyond_doubles_keep_the_facet_route(name, monkeypatch):
 
 
 _TINY = Fraction(1, 10**30)
-
-
-@pytest.mark.parametrize("points, c", [
+_FLAT_SIMPLICES = pytest.mark.parametrize("points, c", [
     ([(0, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2) + _TINY)], (1, 2)),
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + _TINY)],
      (1, 2, 3)),
 ], ids=["triangle", "tetrahedron"])
+
+
+def _assert_simplex_graph(P, points, c):
+    n = len(points)
+    assert P.vertices == tuple(tuple(Fraction(x) for x in p) for p in points)
+    assert P.edges() == list(combinations(range(n), 2))
+    assert count_paths_by_length(orient(P, c)).total == 2 ** (n - 2)
+
+
+@_FLAT_SIMPLICES
+def test_flat_initial_simplex_keeps_the_facet_route(points, c, monkeypatch):
+    """A simplex with one apex 10^-30 off the opposite face, flat in floats,
+    is certified from its exact facets without any LP."""
+    assert exactgeom._facet_incidence(points) is not None
+    monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
+    _assert_simplex_graph(Polytope(points), points, c)
+
+
+@_FLAT_SIMPLICES
 def test_flat_initial_simplex_takes_the_lp_route(points, c, monkeypatch):
-    """A simplex with one apex 10^-30 off the opposite face is flat in
-    floats: Qhull raises (QH6154), and every vertex and edge is decided by
-    the LP tests."""
-    with pytest.raises(QhullError, match="QH6154"):
-        exactgeom._propose_simplices(exactgeom._affine_coordinates(points))
+    """With its proposal short of one simplex, the same flat simplex has
+    every vertex and edge decided by the LP tests, one per question."""
+    real_proposal = exactgeom._propose_simplices
+    monkeypatch.setattr(exactgeom, "_propose_simplices", lambda coords: real_proposal(coords)[1:])
     assert exactgeom._facet_incidence(points) is None
     lps = []
     real = exactgeom._has_interior
     monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: lps.append(rows) or real(rows))
     P = Polytope(points)
-    n = len(points)
-    assert P.vertices == tuple(tuple(Fraction(x) for x in p) for p in points)
-    pairs = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
-    assert P.edges() == pairs == list(combinations(range(n), 2))
-    assert len(lps) == n + 2 * len(pairs)
-    spectrum = count_paths_by_length(orient(P, c))
-    assert spectrum.total == 2 ** (n - 2)
+    pairs = [(i, j) for i, j in combinations(range(len(points)), 2) if P._is_edge_pair(i, j)]
+    _assert_simplex_graph(P, points, c)
+    assert P.edges() == pairs
+    assert len(lps) == len(points) + 2 * len(pairs)
+
+
+def _qhull_simplices(coords):
+    """Qhull's boundary simplices of conv(coords), oriented coherently and
+    outward, kept as the floating-point oracle of the exact proposal.
+
+    Qhull lists the vertices of each simplex in no particular order.
+    Orientations spread across shared ridges so that neighbours induce
+    opposite signs; each connected piece is then turned to agree with
+    Qhull's outward normals.
+    """
+    # Qhull's precision is relative to the coordinate range; rescaling each
+    # axis onto [0, 1] changes no face and, with positive scales, no
+    # orientation.  Integer true division rounds once and cannot overflow.
+    lo = [min(axis) for axis in zip(*coords)]
+    span = [max(axis) - m for axis, m in zip(zip(*coords), lo)]
+    pts = np.array([[(x - m) / w for x, m, w in zip(p, lo, span)] for p in coords])
+    hull = ConvexHull(pts)
+    tri = hull.simplices
+    volumes = np.linalg.det(np.concatenate(
+        [pts[tri[:, 1:]] - pts[tri[:, :1]], hull.equations[:, None, :-1]], axis=1))
+    simplices = [tuple(int(k) for k in s) for s in tri]
+    ridges = [list(exactgeom._ridges(s)) for s in simplices]
+    sides = {}
+    for t, pairs in enumerate(ridges):
+        for ridge, sign in pairs:
+            sides.setdefault(ridge, []).append((t, sign))
+    flip = [0] * len(simplices)
+    for root in range(len(simplices)):
+        if flip[root]:
+            continue
+        flip[root] = 1
+        piece, stack = [root], [root]
+        while stack:
+            t = stack.pop()
+            for ridge, sign in ridges[t]:
+                for u, usign in sides[ridge]:
+                    if not flip[u]:
+                        flip[u] = -flip[t] * sign * usign
+                        piece.append(u)
+                        stack.append(u)
+        if sum(flip[t] * volumes[t] for t in piece) < 0:
+            for t in piece:
+                flip[t] = -flip[t]
+    return [s if f > 0 else (s[1], s[0]) + s[2:] for s, f in zip(simplices, flip)]
+
+
+def _assert_placing_matches_qhull(points, qhull_may_fail=False):
+    """The exact proposal certifies, and its facets are the ones Qhull's
+    proposal certifies, on `points` as given and on their hull's vertices.
+
+    On degenerate point sets Qhull's float triangulation can fail the
+    certificate; with `qhull_may_fail` the exact proposal must still
+    certify there, but its facets are compared with nothing.
+    """
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    vertices = list(Polytope(kept, on_nonvertex="strip").vertices)
+    for pts in (kept, vertices):
+        coords = exactgeom._affine_coordinates(pts)
+        if len(coords[0]) < 2:
+            continue
+        placed = exactgeom._certify_facets(coords, exactgeom._propose_simplices(coords))
+        assert placed is not None
+        qhull = exactgeom._certify_facets(coords, _qhull_simplices(coords))
+        if qhull is not None or not qhull_may_fail:
+            assert sorted(placed) == sorted(qhull)
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names(include_slow=True))
+def test_placing_matches_qhull_on_fixtures(name):
+    _assert_placing_matches_qhull(zoo.fixture(name).polytope.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_placing_matches_qhull_on_point_sets(points):
+    _assert_placing_matches_qhull(points, qhull_may_fail=True)
+
+
+@st.composite
+def _flat_first_point_sets(draw):
+    """Point sets in d = 2..5 whose lexicographically first points, 3 to 6 of
+    them with first coordinate -4, lie on a line or a plane, so the search
+    for the start simplex skips some of them."""
+    d = draw(st.integers(2, 5))
+    base = (-4,) + draw(st.tuples(*[_COORD] * (d - 1)))
+    direction = st.tuples(st.just(0), *[st.integers(-2, 2)] * (d - 1))
+    span = draw(st.lists(direction, min_size=1, max_size=min(2, d - 1)))
+    steps = st.tuples(*[st.integers(-2, 2)] * len(span))
+    flat = [tuple(x + sum(t * u[i] for t, u in zip(ts, span)) for i, x in enumerate(base))
+            for ts in draw(st.lists(steps, min_size=3, max_size=6))]
+    rest = draw(st.lists(st.tuples(*[_COORD] * d), min_size=d, max_size=d + 4))
+    return flat + rest
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_first_point_sets())
+# a set on which Qhull's triangulation fails the certificate (scipy 1.17.1)
+@example([(-4, -1, -1, -1, Fraction(-13, 3)), (-4, 0, 0, 0, Fraction(-7, 3)),
+          (-4, 0, -2, 0, Fraction(-7, 3)), (-4, 1, 0, 1, Fraction(-1, 3)), (0, 0, 0, 0, 0),
+          (0, -1, 0, 0, 2), (0, -1, 0, Fraction(-5, 2), 0), (-1, 0, 0, 2, 0), (0, 0, 0, 1, 0),
+          (0, Fraction(-5, 2), 0, 0, 0)])
+def test_placing_matches_qhull_with_flat_first_points(points):
+    _assert_placing_matches_qhull(points, qhull_may_fail=True)
+    _assert_facet_incidence_matches_lp_oracle(points)
+
+
+@pytest.mark.parametrize("d, n", [(3, 300), (4, 30), (5, 14)])
+def test_placing_matches_qhull_on_sphere_polytopes(d, n):
+    for seed in range(3):
+        _assert_placing_matches_qhull(sample_sphere(d, n, np.random.default_rng(seed)).tolist())
 
 
 # square base a, b, c, d, apex e, base centre m and interior point o
