@@ -25,7 +25,11 @@ binary value, so every verdict is exact.
 
 Certificates and the shadow walk run on integers: omega is projected off c
 on numerators over one denominator, and each arc's step is a primitive
-integer vector and its rise in c an integer, so slopes cross-multiply.
+integer vector and its rise in c an integer.  The walk moves all of its
+omegas at once, vertex by vertex up the orientation: at a vertex each arc's
+step is scaled by lcm(runs) / run, so one integer matrix product puts every
+walker's slopes on one scale, in int64 where a bound from the steps proves
+that exact and on Python ints otherwise.
 """
 from __future__ import annotations
 
@@ -35,7 +39,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DegeneracyError, InputError
 from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
@@ -82,15 +89,20 @@ def _arc_table(P: Polytope, G: DirectedGraph, tails=None):
 
     The slope of omega along the arc is proportional to omega . step / run,
     with run > 0 and one factor for all arcs: step is the primitive integer
-    vector along v - u and run is c . step with c scaled to integers.
+    vector along v - u and run is c . step with c scaled to integers.  The
+    steps are taken on u and its heads over one denominator, since scaling
+    keeps each step's primitive vector.
     """
     c, _ = _over_common_denominator(G.c)
+    d = P.dim
     table = {}
     for u in range(len(G.arcs)) if tails is None else tails:
-        vu = P.vertices[u]
+        ints, _ = _over_common_denominator([x for w in (u, *G.arcs[u]) for x in P.vertices[w]])
         arcs = table[u] = []
-        for v in G.arcs[u]:
-            step = _primitive_int_vector([a - b for a, b in zip(P.vertices[v], vu)])
+        for k, v in enumerate(G.arcs[u], 1):
+            diff = [a - b for a, b in zip(ints[k * d:k * d + d], ints)]
+            g = gcd(*diff)
+            step = tuple(x // g for x in diff)
             arcs.append((v, step, dot(c, step)))
     return table
 
@@ -145,40 +157,90 @@ def shadow_path(P: Polytope, c, omega) -> MonotonePath:
     """Path picked by the steepest-shadow walk: from the source, repeatedly move
     to the improving neighbor maximizing <omega, v - u> / <c, v - u>.
 
-    A slope tie means omega is not generic for this walk: DegeneracyError.
+    One walker of `_walk`, on Python ints, with the forks of the vertices it
+    visits only; a slope tie means omega is not generic for this walk:
+    DegeneracyError.
     """
     G = orient(P, c)
     om = [_rational(x) for x in omega]
     if len(om) != P.dim:
         raise InputError("omega has wrong dimension")
     om, _ = _over_common_denominator(om)  # a positive multiple walks the same
-    return _shadow_walk(G, _arc_table(P, G), om)
+    paths, ties = _walk(G, lambda u: _fork(_arc_table(P, G, tails=(u,))[u]),
+                        np.array([om], dtype=object))
+    if ties:
+        raise DegeneracyError(
+            f"slope tie at vertex {ties[0]}; omega does not capture a unique path")
+    return paths[0]
 
 
-def _shadow_walk(G: DirectedGraph, table, omega) -> MonotonePath:
-    """Walk `table` (from `_arc_table`) along the steepest slope of the
-    integer vector omega; slopes compare exactly, by cross-multiplying rise
-    and run."""
-    u = G.source
-    seq = [u]
-    while u != G.sink:
-        best_v = best_rise = best_run = None
-        tie = False
-        for v, step, run in table[u]:
-            rise = dot(omega, step)
-            if best_v is not None:
-                # sign of slope(v) - slope(best_v); every run is positive
-                gap = rise * best_run - best_rise * run
-            if best_v is None or gap > 0:
-                best_v, best_rise, best_run, tie = v, rise, run, False
-            elif gap == 0:
-                tie = True
-        if tie:
-            raise DegeneracyError(
-                f"slope tie at vertex {u}; omega does not capture a unique path")
-        u = best_v
-        seq.append(u)
-    return MonotonePath(tuple(seq))
+def _fork(arcs):
+    """(heads, columns) for the arcs (v, step, run) of one vertex u in
+    `_arc_table`.
+
+    heads[j] is the head of the j-th arc and columns[j] its step times
+    lcm(runs at u) / its run, so omega . columns[j] is omega's slope along
+    the arc times one positive factor for all of u's arcs; columns is None
+    when u has one arc, which leaves no choice.
+    """
+    heads = np.array([v for v, _, _ in arcs])
+    if len(arcs) == 1:
+        return heads, None
+    scale = lcm(*(run for _, _, run in arcs))
+    return heads, [[x * (scale // run) for x in step] for _, step, run in arcs]
+
+
+def _slope_table(P: Polytope, G: DirectedGraph):
+    """({u: `_fork` of u}, norm) over the vertices u with arcs; norm is the
+    largest 1-norm of a column."""
+    forks = {u: _fork(arcs) for u, arcs in _arc_table(P, G).items() if arcs}
+    norm = max((sum(map(abs, col)) for _, columns in forks.values() if columns
+                for col in columns), default=0)
+    return forks, norm
+
+
+def _walk(G: DirectedGraph, fork, omegas):
+    """(paths, ties): walk every row of the integer array `omegas` up `G`
+    along its steepest slope, all at once; fork(u) is u's `_fork`.
+
+    `paths` are the distinct paths of the walkers that reached the sink and
+    `ties` the vertex where each other walker met its largest slope twice.
+    The vertices are visited in `G.order`, each one that holds walkers once:
+    arcs go up the order, so every walker bound for it has arrived.  At a
+    fork one matrix product, in `omegas`' dtype, gives every walker's slopes.
+    """
+    n = len(omegas)
+    arrived = {G.source: [np.arange(n)]}
+    depth = np.zeros(n, dtype=np.intp)
+    trail = np.full((8, n), -1)  # trail[k, w]: walker w's k-th vertex after the source
+    ties = []
+    for u in G.order:
+        if u == G.sink or u not in arrived:
+            continue
+        idx = np.concatenate(arrived.pop(u))
+        heads, columns = fork(u)
+        pick = np.zeros(len(idx), dtype=np.intp)
+        if columns is not None:
+            slopes = omegas[idx] @ np.array(columns, dtype=omegas.dtype).T
+            # the first and the last column where a row attains its maximum
+            pick = slopes.argmax(axis=1)
+            tied = pick != len(columns) - 1 - slopes[:, ::-1].argmax(axis=1)
+            if tied.any():
+                ties += [u] * int(np.count_nonzero(tied))
+                idx, pick = idx[~tied], pick[~tied]
+        step = depth[idx] + 1
+        if len(step) and step.max() >= len(trail):
+            trail = np.vstack([trail, np.full_like(trail, -1)])
+        trail[step, idx] = heads[pick]
+        depth[idx] = step
+        for j, v in enumerate(heads.tolist()):
+            took = idx[pick == j]
+            if len(took):
+                arrived.setdefault(v, []).append(took)
+    done = np.concatenate(arrived.get(G.sink, [np.arange(0)]))
+    paths = {tuple(col) for col in trail[:, done].T.tolist()}
+    return ([MonotonePath((G.source, *(v for v in col if v >= 0))) for col in paths],
+            ties)
 
 
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
@@ -291,23 +353,57 @@ def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpec
     return LengthSpectrum(counts)
 
 
+# omega's coordinates are drawn uniformly from [-_OMEGA_MAX, _OMEGA_MAX], and
+# `sample_coherent` walks at most _CHUNK of them at once, so its memory does
+# not grow with the sample
+_OMEGA_MAX = 999983
+_CHUNK = 4096
+
+
 def sample_coherent(P: Polytope, G: DirectedGraph, samples: int, seed: int) -> SampleDraw:
     """Shadow-walk the oriented graph `G` of P with `samples` pseudo-random
-    capture vectors.
+    capture vectors, _CHUNK of them at a time through `_walk`.
 
     Every returned path is coherent (its omega captures it); degenerate draws
-    (slope ties) are skipped and counted.  Deterministic under the seed.
+    (slope ties) are skipped and counted.  Deterministic under the seed: the
+    omegas are those of `_draw_omegas`.
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    table = _arc_table(P, G)
+    forks, norm = _slope_table(P, G)
+    # |omega . column| <= _OMEGA_MAX * norm: int64 only where that fits it
+    dtype = np.int64 if _OMEGA_MAX * norm < 2 ** 63 else object
     rng = random.Random(seed)
     found = set()
     degenerate = 0
-    for _ in range(samples):
-        omega = [rng.randint(-999983, 999983) for _ in range(P.dim)]
-        try:
-            found.add(_shadow_walk(G, table, omega))
-        except DegeneracyError:
-            degenerate += 1
+    for start in range(0, samples, _CHUNK):
+        omegas = _draw_omegas(rng, min(_CHUNK, samples - start), P.dim)
+        paths, ties = _walk(G, forks.__getitem__, omegas.astype(dtype, copy=False))
+        found.update(paths)
+        degenerate += len(ties)
     return SampleDraw(paths=frozenset(found), degenerate=degenerate)
+
+
+def _draw_omegas(rng: random.Random, count: int, dim: int):
+    """A count x dim int64 array of the values that `dim` calls per row of
+    rng.randint(-_OMEGA_MAX, _OMEGA_MAX) return, drawn in bulk.
+
+    randint takes the top 21 bits of one 32-bit Mersenne Twister output per
+    try and redraws values past its range, and rng.getrandbits(32 m) returns
+    m such outputs, the first in the low bits.  Python guarantees the
+    sequence of random() only, not randint's or getrandbits'; a test pins
+    this draw to randint.
+    """
+    width = 2 * _OMEGA_MAX + 1
+    shift = 32 - width.bit_length()
+    parts = []
+    need = count * dim
+    while need:
+        # `need` tries keep at most `need` values, so, as with randint, no
+        # output past the last value kept is consumed
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        tries = np.frombuffer(words, dtype="<u4") >> shift
+        kept = tries[tries < width]
+        parts.append(kept)
+        need -= len(kept)
+    return (np.concatenate(parts).astype(np.int64) - _OMEGA_MAX).reshape(count, dim)

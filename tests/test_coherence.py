@@ -1,9 +1,11 @@
 import json
 import logging
+import random
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from pathspectra import (DegeneracyError, GenericityError, InputError,
                          shadow_path, slope_cone)
 from pathspectra import coherence, exactgeom, zoo
 from pathspectra.exactgeom import dot
+from pathspectra.betasim import sample_sphere
 from conftest import failed, record_highs
+from test_betasim import _rng
 from test_exactgeom import _point_sets
 
 
@@ -294,6 +298,8 @@ def test_exact_checks_alone_find_the_monotone_path_polytope_vertices(P, c, subst
 
 _SAMPLED = {
     "cross4": (lambda: zoo.cross_polytope(4), (1, 2, 3, 4)),
+    "cross5": (lambda: zoo.cross_polytope(5), (1, 2, 3, 4, 5)),
+    "hyp2-5": (lambda: zoo.second_hypersimplex(5), (1, 2, 4, 8, 16)),
     "lopsided3": (lambda: zoo.lopsided_cube(3), (1, 1, 1)),
     "cyclic4-8": (lambda: zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
     "prod3x4": (lambda: zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5)),
@@ -303,7 +309,8 @@ _SAMPLED = {
 @pytest.mark.parametrize("seed", [7, 8388608])
 @pytest.mark.parametrize("name", sorted(_SAMPLED))
 def test_sample_coherent_matches_recorded_draws(name, seed):
-    """300 draws per input, recorded with the walk on `Fraction` slopes."""
+    """300 draws per input, recorded with the walk on `Fraction` slopes
+    (cross5 and hyp2-5 with the scalar integer walk, `_scalar_walk`)."""
     recorded = json.loads((Path(__file__).parent / "data" / "sampled_paths.json").read_text())
     build, c = _SAMPLED[name]
     P = build()
@@ -340,11 +347,73 @@ def _fraction_walk(P, G, omega):
     return MonotonePath(tuple(seq))
 
 
+def _scalar_walk(G, table, omega):
+    """The walk of one integer omega on `_arc_table`, arc by arc, slopes
+    compared by cross-multiplying rise and run: the oracle of the batched
+    walk `coherence._walk`."""
+    u = G.source
+    seq = [u]
+    while u != G.sink:
+        best_v = best_rise = best_run = None
+        tie = False
+        for v, step, run in table[u]:
+            rise = dot(omega, step)
+            if best_v is not None:
+                # sign of slope(v) - slope(best_v); every run is positive
+                gap = rise * best_run - best_rise * run
+            if best_v is None or gap > 0:
+                best_v, best_rise, best_run, tie = v, rise, run, False
+            elif gap == 0:
+                tie = True
+        if tie:
+            raise DegeneracyError(
+                f"slope tie at vertex {u}; omega does not capture a unique path")
+        u = best_v
+        seq.append(u)
+    return MonotonePath(tuple(seq))
+
+
+def _fraction_arc_table(P, G):
+    """`coherence._arc_table` with each step read off the `Fraction`
+    difference v - u: the oracles' own table."""
+    c, _ = exactgeom._over_common_denominator(G.c)
+    table = {}
+    for u, heads in enumerate(G.arcs):
+        steps = [exactgeom._primitive_int_vector([a - b for a, b in zip(P.vertices[v], P.vertices[u])])
+                 for v in heads]
+        table[u] = [(v, step, dot(c, step)) for v, step in zip(heads, steps)]
+    return table
+
+
+def _scalar_sample(P, G, samples, seed):
+    """`sample_coherent` one walk and one `randint` at a time: its oracle."""
+    table = _fraction_arc_table(P, G)
+    rng = random.Random(seed)
+    found = set()
+    degenerate = 0
+    for _ in range(samples):
+        omega = [rng.randint(-999983, 999983) for _ in range(P.dim)]
+        try:
+            found.add(_scalar_walk(G, table, omega))
+        except DegeneracyError:
+            degenerate += 1
+    return coherence.SampleDraw(paths=frozenset(found), degenerate=degenerate)
+
+
 def _walk_outcome(walk, *args):
     try:
         return walk(*args)
     except DegeneracyError as exc:
         return str(exc)
+
+
+def _batched_outcome(G, forks, omega, dtype):
+    """`_walk` on the one integer walker omega in `dtype`, as `_walk_outcome`
+    reports it."""
+    paths, ties = coherence._walk(G, forks.__getitem__, np.array([omega], dtype=dtype))
+    if ties:
+        return f"slope tie at vertex {ties[0]}; omega does not capture a unique path"
+    return paths[0]
 
 
 _COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -376,11 +445,134 @@ def test_integer_walk_matches_fraction_walk(data):
         assert dot(omega, row) == 0
     want = _walk_outcome(_fraction_walk, P, G, omega)
     assert _walk_outcome(shadow_path, P, c, omega) == want
-    # the sampler's path: integer omega (a positive multiple), one arc table
+    # the sampler's route: an integer omega (a positive multiple), walked by
+    # the scalar oracle and by the batched walk on both of its dtypes
     scale = 7 * lcm(*(x.denominator for x in omega))
     ints = [int(x * scale) for x in omega]
-    walk = coherence._shadow_walk
-    assert _walk_outcome(walk, G, coherence._arc_table(P, G), ints) == want
+    table = coherence._arc_table(P, G)
+    assert table == _fraction_arc_table(P, G)
+    assert _walk_outcome(_scalar_walk, G, table, ints) == want
+    # (int64 where it is exact: omegas on a tie wall can be too long for it)
+    forks, norm = coherence._slope_table(P, G)
+    for dtype in {object, np.int64 if max(map(abs, ints)) * norm < 2 ** 63 else object}:
+        assert _batched_outcome(G, forks, ints, dtype) == want
+
+
+def _sphere_dyadic(d, n):
+    """`sample_sphere(d, n, _rng(11, 0))` at its exact dyadic values, along
+    e1; its integer steps run far above 2^63."""
+    pts = sample_sphere(d, n, _rng(11, 0))
+    return Polytope([[Fraction(x) for x in p] for p in pts]), (1,) + (0,) * (d - 1)
+
+
+# the 16 fixtures, the bench inputs that are not fixtures (hyp2-5 is one,
+# along the same direction) and three dyadic sphere samples
+_ORACLE_INPUTS = (
+    [pytest.param(("fixture", name), id=name) for name in zoo.fixture_names(include_slow=True)]
+    + [pytest.param(("bench", name), id=name) for name in ("cross5", "cyclic4-8", "prod3x4")]
+    + [pytest.param(("sphere", dn), id="sphere%d-%d" % dn) for dn in ((3, 30), (4, 20), (5, 14))])
+
+
+@pytest.fixture(scope="module")
+def oracle_input():
+    """(kind, name) of `_ORACLE_INPUTS` -> (P, G), each built once per module."""
+    built = {}
+
+    def get(key):
+        if key not in built:
+            kind, name = key
+            if kind == "fixture":
+                F = zoo.fixture(name)
+                P, c = F.polytope, F.direction
+            elif kind == "bench":
+                build, c = _SAMPLED[name]
+                P = build()
+            else:
+                P, c = _sphere_dyadic(*name)
+            built[key] = P, orient(P, c)
+        return built[key]
+    return get
+
+
+@pytest.mark.parametrize("seed", [7, 8388608, 1048576])
+@pytest.mark.parametrize("key", _ORACLE_INPUTS)
+def test_sample_coherent_matches_the_scalar_sampler(key, seed, oracle_input):
+    P, G = oracle_input(key)
+    forks, norm = coherence._slope_table(P, G)
+    # the dyadic inputs (p10-sphere and the sphere samples) take the object route
+    dyadic = key == ("fixture", "p10-sphere") or key[0] == "sphere"
+    assert (norm * coherence._OMEGA_MAX >= 2 ** 63) == dyadic
+    samples = 2000 if key[0] == "sphere" else 300
+    assert sample_coherent(P, G, samples, seed) == _scalar_sample(P, G, samples, seed)
+
+
+def test_sampling_a_point_and_a_segment():
+    for P, c, path in ((Polytope([(0, 1)]), (0, 1), (0,)),
+                       (Polytope([(0, 0), (2, 1)]), (1, 0), (0, 1)),
+                       (Polytope([(0, 0), (2, 1)]), (-1, 0), (1, 0))):
+        G = orient(P, c)
+        for samples in (1, 5):
+            assert sample_coherent(P, G, samples, seed=3) == (frozenset({MonotonePath(path)}), 0)
+        assert shadow_path(P, c, (0, 0)) == MonotonePath(path)
+
+
+def test_one_sample_walks_one_omega():
+    P = zoo.cross_polytope(4)
+    G = orient(P, (1, 2, 3, 4))
+    for seed in range(20):
+        rng = random.Random(seed)
+        omega = [rng.randint(-999983, 999983) for _ in range(4)]
+        draw = sample_coherent(P, G, 1, seed)
+        assert draw == (frozenset({shadow_path(P, (1, 2, 3, 4), omega)}), 0)
+
+
+def test_zero_omega_ties_at_a_forking_source(monkeypatch):
+    P, c = zoo.cross_polytope(3), (1, 2, 3)
+    G = orient(P, c)
+    assert len(G.arcs[G.source]) > 1
+    with pytest.raises(DegeneracyError, match=f"slope tie at vertex {G.source};"):
+        shadow_path(P, c, (0, 0, 0))
+    monkeypatch.setattr(coherence, "_draw_omegas",
+                        lambda rng, count, dim: np.zeros((count, dim), dtype=np.int64))
+    assert sample_coherent(P, G, 50, seed=1) == (frozenset(), 50)
+
+
+def test_a_sample_one_past_the_chunk_walks_in_two_chunks(monkeypatch):
+    P, c = zoo.lopsided_cube(3), (1, 1, 1)
+    G = orient(P, c)
+    samples = coherence._CHUNK + 1
+    sizes = []
+    walk = coherence._walk
+    monkeypatch.setattr(coherence, "_walk",
+                        lambda G, fork, omegas: sizes.append(len(omegas)) or walk(G, fork, omegas))
+    assert sample_coherent(P, G, samples, seed=5) == _scalar_sample(P, G, samples, seed=5)
+    assert sizes == [coherence._CHUNK, 1]
+
+
+class _CountingRandom(random.Random):
+    """random.Random counting the getrandbits calls that randint makes."""
+
+    tries = 0
+
+    def getrandbits(self, k):
+        self.tries += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_bulk_draw_is_randint(dim):
+    """`_draw_omegas` gives randint's values and leaves the generator where
+    randint leaves it, redraws included."""
+    redraws = 0
+    for seed in range(150):
+        for count in (1, 2, 12, 60 // dim):
+            bulk, one = random.Random(seed), _CountingRandom(seed)
+            want = [[one.randint(-999983, 999983) for _ in range(dim)] for _ in range(count)]
+            got = coherence._draw_omegas(bulk, count, dim)
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert bulk.getstate() == one.getstate()
+            redraws += one.tries - count * dim
+    assert redraws > 50
 
 
 _DUAL_CASES = [
