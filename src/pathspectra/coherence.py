@@ -23,6 +23,11 @@ distinct row's HiGHS entries (`exactgeom._lp_rows`), so a path's model is
 its rows' entries concatenated.  A float coordinate is taken at its exact
 binary value, so every verdict is exact.
 
+A spectrum needs no certificate, so `coherent_spectrum` walks a fixed batch
+of omegas first: a path that one of them reached is coherent, with no LP,
+once that omega is strictly positive on every row of the path, and only
+the other paths take the route above.
+
 Certificates and the shadow walk run on integers: omega is projected off c
 on numerators over one denominator, and each arc's step is a primitive
 integer vector and its rise in c an integer.  The walk moves all of its
@@ -46,8 +51,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InputError
 from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
-                        _lp_rows, _over_common_denominator, _primitive_int_vector,
-                        _rational, _strict_interior)
+                        _lp_rows, _over_common_denominator, _rational, _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
 _log = logging.getLogger(__name__)
@@ -112,15 +116,21 @@ def _arc_rows(table):
     arc u -> v beats u's other improving neighbors.
 
     On integer steps and runs each row is a positive multiple of the row on
-    the raw differences, so its primitive vector is the same.
+    the raw differences, so its primitive vector, the row over its gcd, is
+    the same.
     """
     blocks = {}
     for u, arcs in table.items():
         for v, step, run in arcs:
-            blocks[u, v] = tuple(
-                _primitive_int_vector([c_rival * a - run * b for a, b in zip(step, rival)])
-                for w, rival, c_rival in arcs if w != v)
+            blocks[u, v] = tuple(_primitive([c_rival * a - run * b for a, b in zip(step, rival)])
+                                 for w, rival, c_rival in arcs if w != v)
     return blocks
+
+
+def _primitive(row):
+    """The nonzero integer vector `row` over the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row)
 
 
 def _path_rows(blocks, seq):
@@ -166,12 +176,12 @@ def shadow_path(P: Polytope, c, omega) -> MonotonePath:
     if len(om) != P.dim:
         raise InputError("omega has wrong dimension")
     om, _ = _over_common_denominator(om)  # a positive multiple walks the same
-    paths, ties = _walk(G, lambda u: _fork(_arc_table(P, G, tails=(u,))[u]),
-                        np.array([om], dtype=object))
+    reached, ties = _walk(G, lambda u: _fork(_arc_table(P, G, tails=(u,))[u]),
+                          np.array([om], dtype=object))
     if ties:
         raise DegeneracyError(
             f"slope tie at vertex {ties[0]}; omega does not capture a unique path")
-    return paths[0]
+    return next(iter(reached))
 
 
 def _fork(arcs):
@@ -190,21 +200,29 @@ def _fork(arcs):
     return heads, [[x * (scale // run) for x in step] for _, step, run in arcs]
 
 
-def _slope_table(P: Polytope, G: DirectedGraph):
-    """({u: `_fork` of u}, norm) over the vertices u with arcs; norm is the
-    largest 1-norm of a column."""
-    forks = {u: _fork(arcs) for u, arcs in _arc_table(P, G).items() if arcs}
+def _slope_table(table):
+    """({u: `_fork` of u}, norm) over the vertices u with arcs in the arc
+    table `table`; norm is the largest 1-norm of a column."""
+    forks = {u: _fork(arcs) for u, arcs in table.items() if arcs}
     norm = max((sum(map(abs, col)) for _, columns in forks.values() if columns
                 for col in columns), default=0)
     return forks, norm
 
 
+def _walk_dtype(norm):
+    """The dtype `_walk` takes omegas of `_draw_omegas` in, for a slope table
+    of norm `norm`: |omega . column| <= _OMEGA_MAX * norm, so int64 only
+    where that fits it."""
+    return np.int64 if _OMEGA_MAX * norm < 2 ** 63 else object
+
+
 def _walk(G: DirectedGraph, fork, omegas):
-    """(paths, ties): walk every row of the integer array `omegas` up `G`
+    """(reached, ties): walk every row of the integer array `omegas` up `G`
     along its steepest slope, all at once; fork(u) is u's `_fork`.
 
-    `paths` are the distinct paths of the walkers that reached the sink and
-    `ties` the vertex where each other walker met its largest slope twice.
+    `reached` maps each distinct path of the walkers that reached the sink
+    to the row of one of them, whose omega strictly captures it, and `ties`
+    holds the vertex where each other walker met its largest slope twice.
     The vertices are visited in `G.order`, each one that holds walkers once:
     arcs go up the order, so every walker bound for it has arrived.  At a
     fork one matrix product, in `omegas`' dtype, gives every walker's slopes.
@@ -238,9 +256,9 @@ def _walk(G: DirectedGraph, fork, omegas):
             if len(took):
                 arrived.setdefault(v, []).append(took)
     done = np.concatenate(arrived.get(G.sink, [np.arange(0)]))
-    paths = {tuple(col) for col in trail[:, done].T.tolist()}
-    return ([MonotonePath((G.source, *(v for v in col if v >= 0))) for col in paths],
-            ties)
+    reached = dict(zip(map(tuple, trail[:, done].T.tolist()), done.tolist()))
+    return ({MonotonePath((G.source, *(v for v in col if v >= 0))): w
+             for col, w in reached.items()}, ties)
 
 
 def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
@@ -251,22 +269,43 @@ def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
     count per route is logged at DEBUG when the enumeration ends.
     """
     G = graph if graph is not None else orient(P, c)
-    blocks = _arc_rows(_arc_table(P, G))
+    yield from _coherent(G, _arc_table(P, G), {}, "coherent_paths")
+
+
+def _coherent(G: DirectedGraph, table, captures, caller):
+    """Yield (path, certificate) for every coherent monotone path of `G`, in
+    path order, from its arc table `table`.
+
+    A path that `captures` ({path: integer omega}) holds is coherent, with
+    None for its certificate, once its omega rechecks strictly on the path's
+    rows ("shadow walk"); `_decide_rows` decides every other path.  The
+    count per route is logged at DEBUG under `caller` when the enumeration
+    ends.
+    """
+    blocks = _arc_rows(table)
     context = _lp_context(G.c, set(chain.from_iterable(blocks.values())))
     routes = Counter()
     try:
         for path in enumerate_paths(G):
-            route, cert = _decide_rows(_path_rows(blocks, path.vertex_indices), *context)
+            rows = _path_rows(blocks, path.vertex_indices)
+            omega = captures.get(path)
+            if omega is not None and rows and all(dot(row, omega) > 0 for row in rows):
+                routes["shadow walk"] += 1
+                yield path, None
+                continue
+            route, cert = _decide_rows(rows, *context)
             routes[route] += 1
             if cert is not None:
                 yield path, cert
     finally:
-        _log.debug("coherent_paths: %d paths; %s", sum(routes.values()),
+        _log.debug("%s: %d paths; %s", caller, sum(routes.values()),
                    ", ".join(f"{route} {routes[route]}" for route in _ROUTES))
 
 
-_ROUTES = ("no rows", "opposite rows", "shared witness", "HiGHS strict omega",
-           "HiGHS witness", "exact simplex")
+# how each path's verdict was reached: "shadow walk" is the walk-first
+# capture of `coherent_spectrum`, the others are `_decide_rows`'s
+_ROUTES = ("no rows", "shadow walk", "opposite rows", "shared witness",
+           "HiGHS strict omega", "HiGHS witness", "exact simplex")
 _HALF = Fraction(1, 2)
 
 
@@ -346,18 +385,30 @@ def _decide_rows(rows, witnesses, table, normal):
 
 
 def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpectrum:
-    """Exact coherent counts per length; pointwise at most the monotone counts."""
-    counts = {}
-    for path, _cert in coherent_paths(P, c, graph=graph):
-        counts[path.length] = counts.get(path.length, 0) + 1
-    return LengthSpectrum(counts)
+    """Exact coherent counts per length; pointwise at most the monotone counts.
+
+    A count needs no certificate, so the enumeration walks first: _PROBES
+    omegas of `_draw_omegas` under seed 0 go up the graph through `_walk`,
+    and a path one of them reached counts as coherent, with no LP, once that
+    omega rechecks strictly on the path's rows.  Only the other paths go to
+    `_decide_rows`, as in `coherent_paths`.
+    """
+    G = graph if graph is not None else orient(P, c)
+    table = _arc_table(P, G)
+    forks, norm = _slope_table(table)
+    omegas = _draw_omegas(random.Random(0), _PROBES, P.dim)
+    reached, _ties = _walk(G, forks.__getitem__, omegas.astype(_walk_dtype(norm), copy=False))
+    captures = {path: omegas[w].tolist() for path, w in reached.items()}
+    return LengthSpectrum(Counter(
+        path.length for path, _cert in _coherent(G, table, captures, "coherent_spectrum")))
 
 
-# omega's coordinates are drawn uniformly from [-_OMEGA_MAX, _OMEGA_MAX], and
+# omega's coordinates are drawn uniformly from [-_OMEGA_MAX, _OMEGA_MAX];
 # `sample_coherent` walks at most _CHUNK of them at once, so its memory does
-# not grow with the sample
+# not grow with the sample, and `coherent_spectrum` walks _PROBES of them
 _OMEGA_MAX = 999983
 _CHUNK = 4096
+_PROBES = 512
 
 
 def sample_coherent(P: Polytope, G: DirectedGraph, samples: int, seed: int) -> SampleDraw:
@@ -370,16 +421,15 @@ def sample_coherent(P: Polytope, G: DirectedGraph, samples: int, seed: int) -> S
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    forks, norm = _slope_table(P, G)
-    # |omega . column| <= _OMEGA_MAX * norm: int64 only where that fits it
-    dtype = np.int64 if _OMEGA_MAX * norm < 2 ** 63 else object
+    forks, norm = _slope_table(_arc_table(P, G))
+    dtype = _walk_dtype(norm)
     rng = random.Random(seed)
     found = set()
     degenerate = 0
     for start in range(0, samples, _CHUNK):
         omegas = _draw_omegas(rng, min(_CHUNK, samples - start), P.dim)
-        paths, ties = _walk(G, forks.__getitem__, omegas.astype(dtype, copy=False))
-        found.update(paths)
+        reached, ties = _walk(G, forks.__getitem__, omegas.astype(dtype, copy=False))
+        found.update(reached)
         degenerate += len(ties)
     return SampleDraw(paths=frozenset(found), degenerate=degenerate)
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pathspectra import (DegeneracyError, GenericityError, InputError,
+from pathspectra import (DegeneracyError, GenericityError, InputError, LengthSpectrum,
                          MonotonePath, Polytope, coherent_paths, coherent_spectrum, count_paths_by_length,
                          enumerate_paths, is_coherent, orient, sample_coherent,
                          shadow_path, slope_cone)
@@ -249,12 +250,20 @@ def _coherent_indices(P, c, G):
     return sorted(p.vertex_indices for p, _ in coherent_paths(P, c, graph=G))
 
 
+def _assert_coherent_paths_match_the_oracle(P, c, G):
+    """`coherent_paths` names the monotone path polytope's vertex paths, and
+    the walk-first `coherent_spectrum` counts them by length."""
+    vertices = _monotone_path_polytope_vertices(P, c, G)
+    assert vertices == _coherent_indices(P, c, G)
+    lengths = Counter(len(seq) - 1 for seq in vertices)
+    assert coherent_spectrum(P, c, graph=G) == LengthSpectrum(lengths)
+
+
 @pytest.mark.parametrize("name", zoo.fixture_names(include_slow=False))
 def test_coherent_paths_are_the_monotone_path_polytope_vertices(name):
     F = zoo.fixture(name)
     G = orient(F.polytope, F.direction)
-    assert (_monotone_path_polytope_vertices(F.polytope, F.direction, G)
-            == _coherent_indices(F.polytope, F.direction, G))
+    _assert_coherent_paths_match_the_oracle(F.polytope, F.direction, G)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,7 +275,7 @@ def test_coherent_paths_are_the_monotone_path_polytope_vertices_on_point_sets(po
         G = orient(P, c)
     except (GenericityError, InputError):
         assume(False)
-    assert _monotone_path_polytope_vertices(P, c, G) == _coherent_indices(P, c, G)
+    _assert_coherent_paths_match_the_oracle(P, c, G)
 
 
 def _every_row_a_witness(res):
@@ -410,10 +419,11 @@ def _walk_outcome(walk, *args):
 def _batched_outcome(G, forks, omega, dtype):
     """`_walk` on the one integer walker omega in `dtype`, as `_walk_outcome`
     reports it."""
-    paths, ties = coherence._walk(G, forks.__getitem__, np.array([omega], dtype=dtype))
+    reached, ties = coherence._walk(G, forks.__getitem__, np.array([omega], dtype=dtype))
     if ties:
         return f"slope tie at vertex {ties[0]}; omega does not capture a unique path"
-    return paths[0]
+    assert list(reached.values()) == [0]
+    return next(iter(reached))
 
 
 _COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -453,7 +463,7 @@ def test_integer_walk_matches_fraction_walk(data):
     assert table == _fraction_arc_table(P, G)
     assert _walk_outcome(_scalar_walk, G, table, ints) == want
     # (int64 where it is exact: omegas on a tie wall can be too long for it)
-    forks, norm = coherence._slope_table(P, G)
+    forks, norm = coherence._slope_table(coherence._arc_table(P, G))
     for dtype in {object, np.int64 if max(map(abs, ints)) * norm < 2 ** 63 else object}:
         assert _batched_outcome(G, forks, ints, dtype) == want
 
@@ -498,7 +508,7 @@ def oracle_input():
 @pytest.mark.parametrize("key", _ORACLE_INPUTS)
 def test_sample_coherent_matches_the_scalar_sampler(key, seed, oracle_input):
     P, G = oracle_input(key)
-    forks, norm = coherence._slope_table(P, G)
+    forks, norm = coherence._slope_table(coherence._arc_table(P, G))
     # the dyadic inputs (p10-sphere and the sphere samples) take the object route
     dyadic = key == ("fixture", "p10-sphere") or key[0] == "sphere"
     assert (norm * coherence._OMEGA_MAX >= 2 ** 63) == dyadic
@@ -575,6 +585,173 @@ def test_bulk_draw_is_randint(dim):
     assert redraws > 50
 
 
+# the walk-first coherent spectrum
+
+def _primitive_arc_rows(table):
+    """`coherence._arc_rows` with each row put through
+    `exactgeom._primitive_int_vector`, as it was built before: its oracle."""
+    blocks = {}
+    for u, arcs in table.items():
+        for v, step, run in arcs:
+            blocks[u, v] = tuple(
+                exactgeom._primitive_int_vector([c_rival * a - run * b for a, b in zip(step, rival)])
+                for w, rival, c_rival in arcs if w != v)
+    return blocks
+
+
+@pytest.mark.parametrize("key", _ORACLE_INPUTS)
+def test_arc_rows_are_the_primitive_int_vectors(key, oracle_input):
+    P, G = oracle_input(key)
+    blocks = coherence._arc_rows(coherence._arc_table(P, G))
+    assert blocks == _primitive_arc_rows(_fraction_arc_table(P, G))
+    assert all(type(x) is int for rows in blocks.values() for row in rows for x in row)
+
+
+def _tied_omegas(G, multiples):
+    """The omegas k c, c scaled to integers, for k in `multiples`: every
+    slope of the walk ties on them."""
+    cn, _ = exactgeom._over_common_denominator(G.c)
+    return np.array([[k * x for x in cn] for k in multiples], dtype=np.int64)
+
+
+def _draw_tied(monkeypatch, G, tied):
+    """Make `_draw_omegas` return omegas at 0 or along c only."""
+    multiples = [0] * coherence._PROBES if tied == "zero" else range(1, coherence._PROBES + 1)
+    omegas = _tied_omegas(G, multiples)
+    monkeypatch.setattr(coherence, "_draw_omegas", lambda rng, count, dim: omegas[:count])
+
+
+@pytest.mark.parametrize("key", _ORACLE_INPUTS)
+def test_walkers_reach_only_paths_their_omegas_capture(key, oracle_input):
+    """Each path `_walk` reaches maps to a walker whose scalar walk is that
+    path and whose omega is strictly positive on every row of it; the
+    walkers that meet a tie, here those at 0 and along c, reach nothing."""
+    P, G = oracle_input(key)
+    table = coherence._arc_table(P, G)
+    forks, norm = coherence._slope_table(table)
+    drawn = coherence._draw_omegas(random.Random(0), coherence._PROBES, P.dim)
+    omegas = np.vstack([drawn, _tied_omegas(G, (0, 1, -2))])
+    # within the range the dtype rule is read for
+    assert abs(omegas).max() <= coherence._OMEGA_MAX
+    reached, ties = coherence._walk(G, forks.__getitem__,
+                                    omegas.astype(coherence._walk_dtype(norm)))
+    blocks = coherence._arc_rows(table)
+    walked, tied = set(), 0
+    for omega in omegas.tolist():
+        try:
+            walked.add(_scalar_walk(G, table, omega))
+        except DegeneracyError:
+            tied += 1
+    assert reached.keys() == walked and len(ties) == tied
+    for path, w in reached.items():
+        assert w < len(drawn)
+        omega = omegas[w].tolist()
+        assert _scalar_walk(G, table, omega) == path
+        rows = coherence._path_rows(blocks, path.vertex_indices)
+        assert all(dot(row, omega) > 0 for row in rows)
+
+
+def _logged_routes(caplog, caller):
+    """(paths, {route: count}) from the one DEBUG route line of `caller`;
+    the counts sum to the paths."""
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "pathspectra.coherence" and r.getMessage().startswith(caller)]
+    head, tail = message.split("; ")
+    routes = {}
+    for part in tail.split(", "):
+        route, count = part.rsplit(" ", 1)
+        routes[route] = int(count)
+    assert tuple(routes) == coherence._ROUTES
+    paths = int(head.split()[1])
+    assert sum(routes.values()) == paths
+    return paths, routes
+
+
+def _spectra_and_routes(P, c, G, caplog):
+    """The walk-first spectrum and the one counted over `coherent_paths`,
+    each with its logged (paths, routes)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
+        walked = coherent_spectrum(P, c, graph=G)
+        counted = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(P, c, graph=G)))
+    return ((walked, _logged_routes(caplog, "coherent_spectrum")),
+            (counted, _logged_routes(caplog, "coherent_paths")))
+
+
+@pytest.mark.parametrize("P, c, spectrum", [
+    pytest.param(Polytope([(0, 1)]), (0, 1), {0: 1}, id="point"),
+    pytest.param(zoo.simplex(1), (1,), {1: 1}, id="simplex1-up"),
+    pytest.param(zoo.simplex(1), (-1,), {1: 1}, id="simplex1-down"),
+    pytest.param(Polytope([(0, 0), (2, 1)]), (1, 0), {1: 1}, id="segment"),
+    pytest.param(Polytope([(0, 0), (2, 1)]), (-1, 3), {1: 1}, id="segment-down"),
+])
+def test_paths_without_rows_keep_their_route(P, c, spectrum, caplog):
+    """A point, a 1-simplex and a segment: their one path has no rows, and
+    both enumerations count it on the "no rows" route."""
+    G = orient(P, c)
+    walked, counted = _spectra_and_routes(P, c, G, caplog)
+    assert walked[0] == counted[0] == LengthSpectrum(spectrum)
+    assert walked[1] == counted[1] == (1, {**dict.fromkeys(coherence._ROUTES, 0), "no rows": 1})
+
+
+@pytest.mark.parametrize("tied", ["zero", "along c"])
+def test_tied_draws_leave_every_path_to_decide_rows(tied, caplog, monkeypatch):
+    """With every drawn omega at 0 or along c, no walker reaches the sink,
+    and the spectrum and every route count are those of `coherent_paths`."""
+    P, c = zoo.cross_polytope(4), (1, 2, 3, 4)
+    G = orient(P, c)
+    _draw_tied(monkeypatch, G, tied)
+    walks = _log_calls(monkeypatch, coherence, "_walk")
+    walked, counted = _spectra_and_routes(P, c, G, caplog)
+    ((_args, (reached, ties)),) = walks
+    assert reached == {} and len(ties) == coherence._PROBES
+    assert walked == counted
+    assert walked[1][1]["shadow walk"] == 0
+
+
+@pytest.mark.parametrize("tied", ["zero", "along c"])
+def test_captures_are_rechecked_on_the_path_rows(tied, caplog, monkeypatch):
+    """A walk that claims every path for an omega at 0 or along c captures
+    none of them: each path goes to `_decide_rows`."""
+    P, c = zoo.cross_polytope(4), (1, 2, 3, 4)
+    G = orient(P, c)
+    _draw_tied(monkeypatch, G, tied)
+    monkeypatch.setattr(coherence, "_walk",
+                        lambda G, fork, omegas: (dict.fromkeys(enumerate_paths(G), 0), []))
+    walked, counted = _spectra_and_routes(P, c, G, caplog)
+    assert walked == counted
+    assert walked[1][1]["shadow walk"] == 0
+
+
+@pytest.mark.parametrize("dn", [(3, 30), (4, 20), (5, 14)], ids=["3-30", "4-20", "5-14"])
+def test_walk_first_spectrum_on_sphere_polytopes(dn, caplog):
+    """Dyadic sphere polytopes, whose steps run past int64, so the walk
+    takes Python ints: the spectrum matches both oracles, and the walk
+    decides some paths."""
+    P, c = _sphere_dyadic(*dn)
+    G = orient(P, c)
+    _forks, norm = coherence._slope_table(coherence._arc_table(P, G))
+    assert coherence._walk_dtype(norm) is object
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
+        _assert_coherent_paths_match_the_oracle(P, c, G)
+    assert _logged_routes(caplog, "coherent_spectrum")[1]["shadow walk"] > 0
+
+
+@pytest.mark.parametrize("d, S", [(4, (2, 4)), (4, (1, 3, 4)), (5, (2, 5)), (5, (1, 3, 5)),
+                                  (6, (2, 6)), (6, (2, 4, 6)), (7, (3, 7)), (7, (1, 4, 7))])
+def test_walk_first_spectrum_on_s_hypersimplices(d, S):
+    """Graphs with their level ties dropped (`orient(..., drop_level_ties=True)`)."""
+    P, c = zoo.s_hypersimplex(d, S), (1,) * d
+    _assert_coherent_paths_match_the_oracle(P, c, orient(P, c, drop_level_ties=True))
+
+
+def test_walk_first_spectrum_on_ass6(ass6_pack):
+    """ass6 is too large for the monotone path polytope oracle; the pack's
+    spectrum is counted over `coherent_paths`."""
+    P, c, G = ass6_pack["P"], ass6_pack["c"], ass6_pack["G"]
+    assert coherent_spectrum(P, c, graph=G) == ass6_pack["coherent"]
+
+
 _DUAL_CASES = [
     pytest.param(zoo.cross_polytope(4), (1, 2, 3, 4), id="cross4"),
     pytest.param(zoo.cross_polytope(5), (1, 2, 3, 4, 5), id="cross5"),
@@ -614,7 +791,7 @@ def test_one_highs_lp_per_path(P, c, monkeypatch):
     calls = record_highs(monkeypatch)
     known = _log_calls(monkeypatch, coherence, "_known_witness")
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
-    coherent_spectrum(P, c, graph=G)
+    list(coherent_paths(P, c, graph=G))
     decided = sum(1 for _args, found in known if found is not None)
     assert len(known) == with_rows
     assert len(calls) == with_rows - decided
@@ -817,10 +994,13 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
 def test_route_counts_are_logged_once_per_enumeration(caplog):
     P, c = zoo.cross_polytope(4), (1, 2, 3, 4)
     with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
+        list(coherent_paths(P, c))
         coherent_spectrum(P, c)
     assert [r.getMessage() for r in caplog.records if r.name == "pathspectra.coherence"] == [
-        "coherent_paths: 42 paths; no rows 0, opposite rows 16, shared witness 0, "
-        "HiGHS strict omega 26, HiGHS witness 0, exact simplex 0"]
+        "coherent_paths: 42 paths; no rows 0, shadow walk 0, opposite rows 16, "
+        "shared witness 0, HiGHS strict omega 26, HiGHS witness 0, exact simplex 0",
+        "coherent_spectrum: 42 paths; no rows 0, shadow walk 26, opposite rows 16, "
+        "shared witness 0, HiGHS strict omega 0, HiGHS witness 0, exact simplex 0"]
 
 
 @pytest.fixture(scope="module")

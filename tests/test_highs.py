@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from pathspectra import Polytope, cli, coherence, coherent_spectrum, exactgeom, zoo
+from pathspectra import LengthSpectrum, Polytope, cli, coherence, coherent_paths, exactgeom, zoo
 
 from conftest import record_highs
 from test_exactgeom import _point_sets
@@ -80,7 +81,7 @@ def _assert_cone_lp(args, model):
 def test_coherence_lps_match_linprog(P, c, monkeypatch):
     direct = exactgeom._highs()[0]
     calls = record_highs(monkeypatch)
-    coherent_spectrum(P, c)
+    list(coherent_paths(P, c))
     _assert_matches_linprog(direct, calls)
 
 
@@ -227,7 +228,7 @@ def _cone_rows(P, c):
         return real(r, table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coherence, "_strict_interior", logged)
-        coherent_spectrum(P, c)
+        list(coherent_paths(P, c))
     return rows
 
 
@@ -324,17 +325,22 @@ def test_enumeration_builds_one_row_table_over_the_graph_rows(P, c, monkeypatch)
 
 
 def _record_every_lp(mp):
-    """The HiGHS calls of `verify_fixture` on every recorded fixture, of the
-    coherence spectra of the four inputs the benchmark certifies, and of the
-    fallback vertex and edge tests on a few fixtures."""
+    """The HiGHS calls of building every recorded fixture and of
+    `coherent_paths` on those with a coherent spectrum (a superset of the
+    LPs `verify_fixture` pays), of the coherent paths of the four inputs the
+    benchmark certifies, and of the fallback vertex and edge tests on a few
+    fixtures."""
     calls = record_highs(mp)
     for name in zoo.fixture_names(include_slow=True):
-        assert zoo.verify_fixture(zoo.fixture(name)).passed
+        F = zoo.fixture(name)
+        if F.expected_coherent is not None:
+            lengths = Counter(p.length for p, _ in coherent_paths(F.polytope, F.direction))
+            assert LengthSpectrum(lengths) == F.expected_coherent
     for P, c in [(zoo.cross_polytope(5), (1, 2, 3, 4, 5)),
                  (zoo.second_hypersimplex(5), (1, 2, 4, 8, 16)),
                  (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
                  (zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5))]:
-        coherent_spectrum(P, c)
+        list(coherent_paths(P, c))
     for name in ("cube3", "lopsided3", "p10-sphere"):
         P = zoo.fixture(name).polytope
         for i in range(len(P.vertices)):
