@@ -19,8 +19,9 @@ checked in exact arithmetic, and what they leave open is decided by the
 exact simplex on the same LP (`exactgeom.lp_maximize`), the LP behind every
 vertex and edge verdict too.  So every coherent path's certificate comes
 from its own LP.  That LP is built from one table per enumeration, each
-distinct row's HiGHS entries (`exactgeom._lp_rows`), so a path's model is
-its rows' entries concatenated.  A float coordinate is taken at its exact
+distinct row's HiGHS entries (`exactgeom._lp_rows`), made at the
+enumeration's first LP, so a path's model is its rows' entries
+concatenated.  A float coordinate is taken at its exact
 binary value, so every verdict is exact.
 
 A spectrum needs no certificate, so `coherent_spectrum` walks a fixed batch
@@ -43,6 +44,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple, Optional
@@ -94,20 +96,15 @@ def _arc_table(P: Polytope, G: DirectedGraph, tails=None):
     The slope of omega along the arc is proportional to omega . step / run,
     with run > 0 and one factor for all arcs: step is the primitive integer
     vector along v - u and run is c . step with c scaled to integers.  The
-    steps are taken on u and its heads over one denominator, since scaling
-    keeps each step's primitive vector.
+    steps are taken on the polytope's integer vertices (`Polytope._ints`),
+    since scaling keeps each step's primitive vector.
     """
     c, _ = _over_common_denominator(G.c)
-    d = P.dim
+    ints = P._ints
     table = {}
     for u in range(len(G.arcs)) if tails is None else tails:
-        ints, _ = _over_common_denominator([x for w in (u, *G.arcs[u]) for x in P.vertices[w]])
-        arcs = table[u] = []
-        for k, v in enumerate(G.arcs[u], 1):
-            diff = [a - b for a, b in zip(ints[k * d:k * d + d], ints)]
-            g = gcd(*diff)
-            step = tuple(x // g for x in diff)
-            arcs.append((v, step, dot(c, step)))
+        steps = [_primitive([a - b for a, b in zip(ints[v], ints[u])]) for v in G.arcs[u]]
+        table[u] = [(v, step, dot(c, step)) for v, step in zip(G.arcs[u], steps)]
     return table
 
 
@@ -163,15 +160,15 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
     return _decide_rows(rows, *_lp_context(G.c, rows))[1]
 
 
-def shadow_path(P: Polytope, c, omega) -> MonotonePath:
+def shadow_path(P: Polytope, c, omega, graph: DirectedGraph = None) -> MonotonePath:
     """Path picked by the steepest-shadow walk: from the source, repeatedly move
     to the improving neighbor maximizing <omega, v - u> / <c, v - u>.
 
     One walker of `_walk`, on Python ints, with the forks of the vertices it
     visits only; a slope tie means omega is not generic for this walk:
-    DegeneracyError.
+    DegeneracyError.  `graph`, when given, is `orient(P, c)`.
     """
-    G = orient(P, c)
+    G = graph if graph is not None else orient(P, c)
     om = [_rational(x) for x in omega]
     if len(om) != P.dim:
         raise InputError("omega has wrong dimension")
@@ -335,11 +332,12 @@ def _known_witness(rows, witnesses):
 def _lp_context(c, rows):
     """(witnesses, table, normal): all that `_decide_rows` needs besides a
     path's rows, over the slope rows `rows` of direction c.  `witnesses` is
-    the witness store seeded from `rows`, `table` their HiGHS entries
-    (`_lp_rows`) and `normal` is (cn, cn . cn), cn the integer multiple of c
-    that certificates are projected off."""
+    the witness store seeded from `rows`, `table()` their HiGHS entries
+    (`_lp_rows`), built at its first call, so an enumeration that runs no
+    LP builds none, and `normal` is (cn, cn . cn), cn the integer multiple
+    of c that certificates are projected off."""
     cn, _ = _over_common_denominator(c)
-    return _witness_store(rows), _lp_rows(rows), (cn, dot(cn, cn))
+    return _witness_store(rows), cache(lambda: _lp_rows(rows)), (cn, dot(cn, cn))
 
 
 def _decide_rows(rows, witnesses, table, normal):
@@ -359,7 +357,7 @@ def _decide_rows(rows, witnesses, table, normal):
         return known[0], None
     # a Gordan witness lam >= 0, sum lam = 1, sum lam_r row_r = 0 proves the
     # cone has no interior
-    omega, witness = _strict_interior(rows, table)
+    omega, witness = _strict_interior(rows, table())
     if witness is not None:
         support = {row: x for row, x in zip(rows, witness) if x}
         witnesses.setdefault(min(support), []).append(("shared witness", support))

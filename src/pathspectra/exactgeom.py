@@ -4,17 +4,20 @@ oriented edge graphs, and planar projection with upper-chain extraction.
 Everything here is deterministic and immutable after construction.  Every
 scalar is a `Fraction`: integers and "p/q" strings are read exactly, and a float
 is taken at its exact binary value (a dyadic rational), so every predicate is
-decided exactly.  Floating point is used only to *steer* exact searches
-(propose a basis or a support); verdicts are always certified in exact
-arithmetic.
+decided exactly.  Floating point is used to *steer* exact searches (propose a
+basis or a support), and it decides a sign only where a proven bound on its
+rounding error settles it (`_tight_sets`); every other sign, and every
+verdict, is certified in exact arithmetic.
 
 Every polytope is validated when it is built, which computes the one facet
 incidence from which its vertices and its edges are read.  The points are
-projected, exactly, onto integer coordinates of their affine hull; an exact
-placing (beneath-beyond) triangulation in lexicographic order proposes a
-triangulated boundary (`_propose_simplices`); and `_certify_facets` checks it
-in integer arithmetic: each simplex lies in a supporting plane of the hull,
-the non-degenerate ones are oriented outward, and every ridge is shared by
+scaled to integers over one common denominator, which the polytope keeps for
+`orient`, and projected, exactly, onto integer coordinates of their affine
+hull; an exact placing (beneath-beyond) triangulation in lexicographic order
+proposes a triangulated boundary, each simplex with its outward plane
+(`_propose_simplices`); and `_certify_facets` checks it in integer
+arithmetic: each simplex lies on its plane, the plane supports the hull, the
+non-degenerate simplices are oriented outward, and every ridge is shared by
 exactly two simplices with opposite orientations.  Those simplices then form
 a cycle that covers the boundary with the same positive degree everywhere,
 so the certified facets are all the facets.  A pair spans an edge iff the
@@ -37,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 from types import SimpleNamespace
 from typing import Sequence
@@ -491,17 +494,23 @@ def _det(rows):
     return sign * m[-1][-1]
 
 
-def _affine_coordinates(points):
-    """Integer coordinates of the points in r = dim aff(points) pivot coordinates.
+def _integer_points(points):
+    """The rational points times the lcm of their denominators, as integer
+    tuples: one positive scale for all, so every face, order and primitive
+    difference is kept."""
+    d = len(points[0])
+    flat, _ = _over_common_denominator([x for p in points for x in p])
+    return [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
+
+
+def _affine_coordinates(ints):
+    """The integer points `ints` in r = dim aff(ints) pivot coordinates.
 
     Exact row reduction of the differences v_k - v_0 picks r coordinates on
     which the affine hull projects injectively; the projection therefore maps
-    faces to faces, and clearing denominators keeps that so.
+    faces to faces.
     """
-    d = len(points[0])
-    flat, _ = _over_common_denominator([x for p in points for x in p])
-    ints = [flat[k:k + d] for k in range(0, len(flat), d)]
-    pivots = _row_reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]], d)
+    pivots = _row_reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]], len(ints[0]))
     return [tuple(p[c] for c in pivots) for p in ints]
 
 
@@ -513,17 +522,23 @@ def _ridges(simplex):
         yield tuple(ordered[:m] + ordered[m + 1:]), -1 if (inversions + m) % 2 else 1
 
 
+def _cofactor(rows, j):
+    """Cofactor j of an appended last row under the edge rows q2 - q1, ...,
+    qr - q1 of an oriented simplex in R^r: one (r-1)-minor, signed."""
+    return (-1) ** (len(rows) + j) * _det([row[:j] + row[j + 1:] for row in rows])
+
+
 def _cofactor_normal(rows):
     """The normal a of the oriented simplex with edge rows q2 - q1, ..., qr - q1
     in R^r: the cofactors of an appended last row, so det[rows, a] = |a|^2."""
-    r = len(rows) + 1
-    return [(-1) ** (r + j + 1) * _det([row[:j] + row[j + 1:] for row in rows])
-            for j in range(r)]
+    return [_cofactor(rows, j) for j in range(len(rows) + 1)]
 
 
 def _propose_simplices(coords):
     """The boundary of the placing triangulation of conv(coords), integer
-    points spanning R^r, r >= 2, as oriented (r-1)-simplices facing outward.
+    points spanning R^r, r >= 2, as (s, a, b): an oriented (r-1)-simplex s
+    facing outward and its plane a . x = b, gcd-reduced, with a . x <= b on
+    the hull.
 
     Points are placed in lexicographic order.  The first r + 1 affinely
     independent ones form the start simplex; those skipped on the way are
@@ -538,7 +553,7 @@ def _propose_simplices(coords):
     its induced sign, so the new simplex faces outward.  With h = a . x - b
     <= 0 on the hull, its plane h_F(p) h_G - h_G(p) h_F vanishes on the ridge
     and at p, and is <= 0 on the old hull since h_F(p) > 0 >= h_G(p).
-    `_certify_facets` checks the result.
+    `_certify_facets` checks the result, planes and all.
     """
     r = len(coords[0])
     order = iter(sorted(range(len(coords)), key=coords.__getitem__))
@@ -603,21 +618,26 @@ def _propose_simplices(coords):
         for s, a, b in new:
             put(s, a, b)
         latest = [s for s, _, _ in new]
-    return list(planes)
+    return [(s, a, b) for s, (a, b, _) in planes.items()]
 
 
-def _certify_facets(coords, simplices):
+def _certify_facets(coords, planes):
     """Tight sets (bitmasks over coords) of all facets of conv(coords), or None.
 
-    `coords` are integer points spanning R^r; `simplices` are oriented
-    (r-1)-simplices proposed as a triangulation of the boundary.  Certified in
-    integer arithmetic:
-    - each non-degenerate simplex q1..qr lies in a plane a.x = b with
-      a.x <= b at every point and det[q2-q1, ..., qr-q1, a] > 0: the plane
-      supports the hull, holds an (r-1)-simplex (so it is a facet), and the
-      simplex is oriented outward.  A new plane takes the simplex's cofactor
-      normal, whose determinant is |a|^2; later simplices in the same tight
-      set reuse it;
+    `coords` are integer points spanning R^r; `planes` are (s, a, b): an
+    oriented (r-1)-simplex s proposed in a triangulation of the boundary,
+    and its plane a . x = b.  Certified in integer arithmetic:
+    - every vertex of s lies on its plane, and a is not zero;
+    - with j the first index of a nonzero a_j, the cofactor n_j of the
+      appended last row under the edge rows of s (one (r-1)-minor) is
+      zero exactly when s is degenerate: else the cofactor normal n spans
+      the plane's normal line, n = lam a with lam != 0.  A non-degenerate s
+      is oriented outward, det[edge rows, a] = lam |a|^2 > 0, iff
+      a_j n_j > 0;
+    - the distinct planes of the non-degenerate simplices, each divided by
+      the gcd of (a, b), have a . x <= b at every point: each supports the
+      hull and holds an (r-1)-simplex, so it is a facet, and each facet has
+      one such reduced outward plane;
     - every degenerate simplex lies inside some certified tight set;
     - every ridge lies in exactly two simplices, with opposite induced signs.
     The last check makes the simplices a cycle mapped into the boundary
@@ -625,58 +645,120 @@ def _certify_facets(coords, simplices):
     counts the outward, non-degenerate simplices covering the point, so it is
     at least one: the simplices cover the boundary, and a facet missing from
     the list would contain a generic point that no certified facet holds.
-    None means the proposal failed a check, not that the hull is special.
+    The facets come in the order of their first simplex.  None means the
+    proposal failed a check, not that the hull is special.
+
+    Every point meets every facet in `_tight_sets`, which reads each sign of
+    h = a . x - b off one float product of the planes (a, -b) against the
+    points (x, 1) where a proven bound on its rounding error decides it.
+    With u = 2^-53 and gamma_k = k u / (1 - k u), an inner product of m
+    terms, summed in any order, with or without fused multiply-adds, is off
+    by at most gamma_m times the sum of its terms' magnitudes (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, (3.5)).  Here
+    m = r + 1, and rounding each integer a_j, x_j and b to a double adds at
+    most two factors (1 + u) to each term, so the float value is off by at
+    most gamma_{r+3} T, with T = sum_j |a_j x_j| + |b| <= ||a||_1 M + |b|
+    and M the largest |coordinate| of any point.  Evaluated in doubles from
+    the rounded entries, ||a||_1 M + |b| and its product with 2 (r + 3) u
+    come out at least (1 - u)^(r+4) times their exact values, and
+    gamma_{r+3} < 2 (r + 3) u (1 - u)^(r+4) for any r below 2^40.  So the
+    bound 2 (r + 3) u (||a||_1 M + |b|), computed in doubles, is at least
+    the error, and a float value past it has the sign of h.  No entry
+    underflows, since every one is an integer, and an integer past the
+    largest double reads as infinite: every sign it touches comes out
+    infinite or nan, which no bound decides.  Exact integer dots decide
+    every sign the bound leaves open, the tight points among them.
     """
     r = len(coords[0])
-    normals, tights = [], []
-    through = [0] * len(coords)  # bitmask of the certified facets at each point
+    facets = {}  # reduced plane -> None, in the order of first appearance
     degenerate = []
     ridges = {}
-    for s in simplices:
-        if len(s) != r or len(set(s)) != r:
+    for s, a, b in planes:
+        if len(s) != r or len(set(s)) != r or any(dot(a, coords[k]) != b for k in s):
             return None
         for ridge, sign in _ridges(s):
             count, total = ridges.get(ridge, (0, 0))
             ridges[ridge] = (count + 1, total + sign)
+        j = next((j for j, x in enumerate(a) if x), None)
+        if j is None:
+            return None
         base = coords[s[0]]
-        rows = [[a - b for a, b in zip(coords[k], base)] for k in s[1:]]
-        mask = sum(1 << k for k in s)
-        home = next((f for f in _bits(through[s[0]]) if tights[f] & mask == mask), None)
-        if home is not None:
-            if _det(rows + [normals[home]]) < 0:
-                return None
-            continue
-        normal = _cofactor_normal(rows)
-        if not any(normal):
-            degenerate.append(mask)
-            continue
-        offset = dot(normal, base)
-        tight = 0
-        for k, q in enumerate(coords):
-            value = dot(normal, q)
-            if value > offset:
-                return None
-            if value == offset:
-                tight |= 1 << k
-        for k in _bits(tight):
-            through[k] |= 1 << len(tights)
-        normals.append(normal)
-        tights.append(tight)
-    if not tights or any(count != 2 or total for count, total in ridges.values()):
+        minor = _cofactor([[x - y for x, y in zip(coords[k], base)] for k in s[1:]], j)
+        if minor == 0:
+            degenerate.append(sum(1 << k for k in s))
+        elif (minor > 0) != (a[j] > 0):
+            return None
+        else:
+            g = gcd(*a, b)
+            facets[tuple(x // g for x in a), b // g] = None
+    if not facets or any(count != 2 or total for count, total in ridges.values()):
         return None
-    if any(all(m & t != m for t in tights) for m in degenerate):
+    tights = _tight_sets(coords, list(facets))
+    if tights is None or any(all(m & t != m for t in tights) for m in degenerate):
         return None
     return tights
 
 
-def _facet_incidence(points):
-    """Certified tight sets (bitmasks over `points`) of every facet of their hull.
+# `_tight_sets`' products take at most this many multiply-adds each (one
+# facet at least): OpenBLAS runs a product up to 2^18 of them on one thread,
+# and on a shared 2-vCPU host a 2^20 one ran 16 times slower on two
+_BLOCK = 1 << 18
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an infinity or a nan is left undecided
+def _tight_sets(coords, planes):
+    """Tight sets (bitmasks over coords) of the planes (a, b), or None if a
+    point has a . x > b for one of them: each sign from the float product
+    where its bound decides it, else from the exact dot (`_certify_facets`
+    derives the bound).  The product runs over blocks of facets of at most
+    _BLOCK multiply-adds, so its memory does not grow with the facet
+    count."""
+    r = len(coords[0])
+    points = _floats([q + (1,) for q in coords])
+    normals = _floats([(*a, -b) for a, b in planes])
+    scale = np.abs(normals[:, :r]).sum(axis=1) * np.abs(points[:, :r]).max()
+    bound = 2 * (r + 3) * 2.0 ** -53 * (scale + np.abs(normals[:, r]))
+    tights = []
+    step = max(1, _BLOCK // (len(coords) * (r + 1)))
+    for lo in range(0, len(planes), step):
+        values = normals[lo:lo + step] @ points.T
+        margin = bound[lo:lo + step, None]
+        if (values > margin).any():
+            return None
+        block = [0] * len(values)
+        for f, k in zip(*(i.tolist() for i in np.nonzero(~(np.abs(values) > margin)))):
+            a, b = planes[lo + f]
+            h = dot(a, coords[k]) - b
+            if h > 0:
+                return None
+            if h == 0:
+                block[f] |= 1 << k
+        tights += block
+    return tights
+
+
+def _floats(rows):
+    """The integer `rows` as a float array, an entry past the largest double
+    as an infinity of its sign."""
+    return np.array([[_float(x) for x in row] for row in rows])
+
+
+def _float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
+def _facet_incidence(ints):
+    """Certified tight sets (bitmasks over the integer points `ints`) of every
+    facet of their hull.
 
     `_propose_simplices` triangulates the boundary in affine-hull coordinates
     and `_certify_facets` decides the proposal.  None when the certificate
     does not hold: the caller then uses the LP tests.
     """
-    coords = _affine_coordinates(points)
+    coords = _affine_coordinates(ints)
     r = len(coords[0])
     if r == 0:
         return None
@@ -746,6 +828,7 @@ class Polytope:
         self.dim = d
         self.label = label
         self._facets = None  # certified facet tight sets over the vertices, if known
+        self._ints = None  # the vertices times one positive integer, as integer tuples
         self.vertices = tuple(self._validated(pts, on_nonvertex))
         self._edges = None
 
@@ -756,7 +839,8 @@ class Polytope:
                 raise InputError(f"duplicate vertex {_plain(p)}")
             kept[p] = None
         kept = list(kept)
-        facets = _facet_incidence(kept)
+        ints = _integer_points(kept)
+        facets = _facet_incidence(ints)
         if facets is None:
             flags = (_is_vertex_lp(kept, i) for i in range(len(kept)))
         else:
@@ -772,6 +856,7 @@ class Polytope:
             facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
                       for tight in facets]
         self._facets = facets
+        self._ints = tuple(ints[k] for k in index)
         return vertices
 
     def __repr__(self):
@@ -899,7 +984,9 @@ def orient(P: Polytope, c, drop_level_ties=False) -> DirectedGraph:
         raise InputError("direction has wrong dimension")
     if not any(cv):
         raise InputError("direction must be nonzero")
-    vals = [dot(v, cv) for v in P.vertices]
+    # the levels on integers: c and the vertices, each scaled by one positive number
+    cn, _ = _over_common_denominator(cv)
+    vals = [dot(v, cn) for v in P._ints]
     n = len(P.vertices)
     succ = [[] for _ in range(n)]
     for i, j in P.edges():

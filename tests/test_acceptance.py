@@ -249,11 +249,13 @@ def test_sampler_contained_in_exact_coherent_set(ass5_pack):
 def test_certificate_round_trips(ass5_pack, spectra_collection):
     checked = 0
     for P, c, _mono, _coh in spectra_collection[:6]:
-        for path, cert in coherent_paths(P, c):
-            assert shadow_path(P, c, cert.omega) == path, (P.label, path)
+        G = orient(P, c)
+        for path, cert in coherent_paths(P, c, graph=G):
+            assert shadow_path(P, c, cert.omega, graph=G) == path, (P.label, path)
             checked += 1
     for path, cert in ass5_pack["pairs"]:
-        assert shadow_path(ass5_pack["P"], ass5_pack["c"], cert.omega) == path
+        assert shadow_path(ass5_pack["P"], ass5_pack["c"], cert.omega,
+                           graph=ass5_pack["G"]) == path
         checked += 1
     report("certificate round trip shadow_path(omega) == certified path", True,
            f"{checked} certificates")

@@ -100,10 +100,11 @@ def test_certificate_round_trip():
              (zoo.lopsided_cube(3), (1, 1, 1)),
              (zoo.loday_associahedron(4), (1, 2, 3, 4))]
     for P, c in cases:
-        for path, cert in coherent_paths(P, c):
+        G = orient(P, c)
+        for path, cert in coherent_paths(P, c, graph=G):
             assert cert.margin > 0
             assert dot(cert.omega, c) == 0  # certificate reported without its c-component
-            assert shadow_path(P, c, cert.omega) == path
+            assert shadow_path(P, c, cert.omega, graph=G) == path
 
 
 def test_opposite_capture_vectors_give_internally_disjoint_paths():
@@ -180,9 +181,10 @@ def test_translation_and_scaling_invariance():
 def test_certificate_scale_invariance():
     P = zoo.cross_polytope(3)
     c = (1, 2, 3)
-    for path, cert in coherent_paths(P, c):
+    G = orient(P, c)
+    for path, cert in coherent_paths(P, c, graph=G):
         doubled = tuple(2 * x for x in cert.omega)
-        assert shadow_path(P, c, doubled) == path
+        assert shadow_path(P, c, doubled, graph=G) == path
 
 
 def test_double_rounded_degenerate_cones_decide_incoherent():

@@ -136,7 +136,7 @@ def test_facet_incidence_matches_lp_oracle(points):
 
 def _assert_facet_incidence_matches_lp_oracle(points):
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
-    assert len(kept) == 1 or exactgeom._facet_incidence(kept) is not None
+    assert len(kept) == 1 or exactgeom._facet_incidence(exactgeom._integer_points(kept)) is not None
     P = Polytope(points, on_nonvertex="strip")
     lp_vertices = [p for i, p in enumerate(kept) if exactgeom._is_vertex_lp(kept, i)]
     assert list(P.vertices) == lp_vertices
@@ -168,7 +168,7 @@ def _assert_facets_and_edges(P, kept):
     """P's facets are `_facet_incidence(kept)` renumbered over its vertices,
     as `Polytope` renumbered them on every construction, and its facet edges
     are the all-pairs oracle's, over the vertices and over `kept`."""
-    facets = exactgeom._facet_incidence(kept)
+    facets = exactgeom._facet_incidence(exactgeom._integer_points(kept))
     if facets is None:
         assert P._facets is None
         return
@@ -234,10 +234,13 @@ def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
 def test_coordinates_beyond_doubles_keep_the_facet_route(name, monkeypatch):
     """Coordinates past the largest double are integers like any other to
     the exact proposal, so the edge graph is still certified without any LP."""
-    vertices = zoo.fixture(name).polytope.vertices
+    vertices = [tuple(x * 10 ** 400 for x in v) for v in zoo.fixture(name).polytope.vertices]
     monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
-    P = Polytope([tuple(x * 10 ** 400 for x in v) for v in vertices])
+    P = Polytope(vertices)
     assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
+    coords = exactgeom._affine_coordinates(exactgeom._integer_points(vertices))
+    assert _assert_certificate_matches_the_oracle(
+        coords, exactgeom._propose_simplices(coords)) is not None
 
 
 _TINY = Fraction(1, 10**30)
@@ -259,7 +262,7 @@ def _assert_simplex_graph(P, points, c):
 def test_flat_initial_simplex_keeps_the_facet_route(points, c, monkeypatch):
     """A simplex with one apex 10^-30 off the opposite face, flat in floats,
     is certified from its exact facets without any LP."""
-    assert exactgeom._facet_incidence(points) is not None
+    assert exactgeom._facet_incidence(exactgeom._integer_points(points)) is not None
     monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
     _assert_simplex_graph(Polytope(points), points, c)
 
@@ -270,7 +273,7 @@ def test_flat_initial_simplex_takes_the_lp_route(points, c, monkeypatch):
     every vertex and edge decided by the LP tests, one per question."""
     real_proposal = exactgeom._propose_simplices
     monkeypatch.setattr(exactgeom, "_propose_simplices", lambda coords: real_proposal(coords)[1:])
-    assert exactgeom._facet_incidence(points) is None
+    assert exactgeom._facet_incidence(exactgeom._integer_points(points)) is None
     lps = []
     real = exactgeom._has_interior
     monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: lps.append(rows) or real(rows))
@@ -326,9 +329,94 @@ def _qhull_simplices(coords):
     return [s if f > 0 else (s[1], s[0]) + s[2:] for s, f in zip(simplices, flip)]
 
 
+def _all_points_certificate(coords, simplices):
+    """Tight sets (bitmasks over coords) of all facets of conv(coords), or
+    None: the certificate `_certify_facets` once was, kept as the oracle of
+    its planes and its float filter.
+
+    `coords` are integer points spanning R^r; `simplices` are oriented
+    (r-1)-simplices proposed as a triangulation of the boundary.  Certified in
+    integer arithmetic:
+    - each non-degenerate simplex q1..qr lies in a plane a.x = b with
+      a.x <= b at every point and det[q2-q1, ..., qr-q1, a] > 0: the plane
+      supports the hull, holds an (r-1)-simplex (so it is a facet), and the
+      simplex is oriented outward.  A new plane takes the simplex's cofactor
+      normal, whose determinant is |a|^2; later simplices in the same tight
+      set reuse it;
+    - every degenerate simplex lies inside some certified tight set;
+    - every ridge lies in exactly two simplices, with opposite induced signs.
+    """
+    r = len(coords[0])
+    normals, tights = [], []
+    through = [0] * len(coords)  # bitmask of the certified facets at each point
+    degenerate = []
+    ridges = {}
+    for s in simplices:
+        if len(s) != r or len(set(s)) != r:
+            return None
+        for ridge, sign in exactgeom._ridges(s):
+            count, total = ridges.get(ridge, (0, 0))
+            ridges[ridge] = (count + 1, total + sign)
+        base = coords[s[0]]
+        rows = [[a - b for a, b in zip(coords[k], base)] for k in s[1:]]
+        mask = sum(1 << k for k in s)
+        home = next((f for f in exactgeom._bits(through[s[0]]) if tights[f] & mask == mask), None)
+        if home is not None:
+            if exactgeom._det(rows + [normals[home]]) < 0:
+                return None
+            continue
+        normal = exactgeom._cofactor_normal(rows)
+        if not any(normal):
+            degenerate.append(mask)
+            continue
+        offset = exactgeom.dot(normal, base)
+        tight = 0
+        for k, q in enumerate(coords):
+            value = exactgeom.dot(normal, q)
+            if value > offset:
+                return None
+            if value == offset:
+                tight |= 1 << k
+        for k in exactgeom._bits(tight):
+            through[k] |= 1 << len(tights)
+        normals.append(normal)
+        tights.append(tight)
+    if not tights or any(count != 2 or total for count, total in ridges.values()):
+        return None
+    if any(all(m & t != m for t in tights) for m in degenerate):
+        return None
+    return tights
+
+
+def _with_planes(coords, simplices):
+    """(s, a, b) for each simplex s of a proposal that brings no planes
+    (Qhull's, or a tampered one): a is its cofactor normal and b = a . q1.
+    A degenerate simplex, whose cofactor normal is zero, borrows the plane
+    of the first non-degenerate simplex through all of its vertices, and
+    keeps its zero plane when there is none."""
+    out = []
+    for s in simplices:
+        base = coords[s[0]]
+        a = exactgeom._cofactor_normal([[x - y for x, y in zip(coords[k], base)] for k in s[1:]])
+        out.append((s, a, exactgeom.dot(a, base)))
+    return [(s, a, b) if any(a) else
+            next(((s, a2, b2) for _, a2, b2 in out
+                  if any(a2) and all(exactgeom.dot(a2, coords[k]) == b2 for k in s)), (s, a, b))
+            for s, a, b in out]
+
+
+def _assert_certificate_matches_the_oracle(coords, proposal):
+    """`_certify_facets` on the proposal (s, a, b) gives the all-points
+    oracle's verdict and tight sets, in the same order; returns them."""
+    tights = exactgeom._certify_facets(coords, proposal)
+    assert tights == _all_points_certificate(coords, [s for s, _, _ in proposal])
+    return tights
+
+
 def _assert_placing_matches_qhull(points, qhull_may_fail=False):
     """The exact proposal certifies, and its facets are the ones Qhull's
-    proposal certifies, on `points` as given and on their hull's vertices.
+    proposal certifies, on `points` as given and on their hull's vertices;
+    on both proposals the certificate agrees with the all-points oracle.
 
     On degenerate point sets Qhull's float triangulation can fail the
     certificate; with `qhull_may_fail` the exact proposal must still
@@ -337,12 +425,14 @@ def _assert_placing_matches_qhull(points, qhull_may_fail=False):
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     vertices = list(Polytope(kept, on_nonvertex="strip").vertices)
     for pts in (kept, vertices):
-        coords = exactgeom._affine_coordinates(pts)
+        coords = exactgeom._affine_coordinates(exactgeom._integer_points(pts))
         if len(coords[0]) < 2:
             continue
-        placed = exactgeom._certify_facets(coords, exactgeom._propose_simplices(coords))
+        placed = _assert_certificate_matches_the_oracle(
+            coords, exactgeom._propose_simplices(coords))
         assert placed is not None
-        qhull = exactgeom._certify_facets(coords, _qhull_simplices(coords))
+        qhull = _assert_certificate_matches_the_oracle(
+            coords, _with_planes(coords, _qhull_simplices(coords)))
         if qhull is not None or not qhull_may_fail:
             assert sorted(placed) == sorted(qhull)
 
@@ -415,13 +505,15 @@ def _flip(s):
     lambda honest: honest + _INTERIOR_SLIVER,
 ], ids=["dropped", "reoriented", "square-twice", "inner-tetrahedron", "interior-sliver"])
 def test_tampered_proposal_is_rejected_and_falls_back(tamper, monkeypatch):
-    honest = exactgeom._propose_simplices(_PYRAMID)
-    assert exactgeom._certify_facets(_PYRAMID, honest) is not None
-    assert exactgeom._certify_facets(_PYRAMID, tamper(honest)) is None
+    honest = [s for s, _, _ in exactgeom._propose_simplices(_PYRAMID)]
+    tampered = _with_planes(_PYRAMID, tamper(honest))
+    assert exactgeom._certify_facets(_PYRAMID, _with_planes(_PYRAMID, honest)) is not None
+    assert exactgeom._certify_facets(_PYRAMID, tampered) is None
+    assert _all_points_certificate(_PYRAMID, tamper(honest)) is None
     expected = Polytope(_PYRAMID, on_nonvertex="strip").edges()
     # the stripped vertex list that edges() certifies gets an empty proposal
     monkeypatch.setattr(exactgeom, "_propose_simplices",
-                        lambda coords: tamper(honest) if len(coords) == len(_PYRAMID) else [])
+                        lambda coords: tampered if len(coords) == len(_PYRAMID) else [])
     P = Polytope(_PYRAMID, on_nonvertex="strip")
     assert P._facets is None
     assert len(P.vertices) == 5
@@ -434,8 +526,80 @@ def test_square_covered_twice_fails_only_the_orientation_check():
         for ridge, sign in exactgeom._ridges(s):
             total[ridge] = total.get(ridge, ()) + (sign,)
     assert all(len(signs) == 2 and sum(signs) == 0 for signs in total.values())
-    assert exactgeom._certify_facets(_PYRAMID, _SQUARE_TWICE) is None
-    assert exactgeom._certify_facets(_PYRAMID, [_flip(s) for s in _SQUARE_TWICE]) is None
+    for simplices in (_SQUARE_TWICE, [_flip(s) for s in _SQUARE_TWICE]):
+        assert exactgeom._certify_facets(_PYRAMID, _with_planes(_PYRAMID, simplices)) is None
+        assert _all_points_certificate(_PYRAMID, simplices) is None
+
+
+def _cube_proposal():
+    """The integer unit cube's points and placing proposal (s, a, b), which
+    certifies and splits each square in two."""
+    coords = exactgeom._integer_points(zoo.cube(3).vertices)
+    honest = exactgeom._propose_simplices(coords)
+    planes = [(tuple(a), b) for _, a, b in honest]
+    assert len(planes) == 12 and all(planes.count(p) == 2 for p in planes)
+    assert exactgeom._certify_facets(coords, honest) is not None
+    return coords, honest
+
+
+@pytest.mark.parametrize("misplace", [
+    # the plane of a neighbouring facet, at right angles to its own: the
+    # simplex is degenerate against it, and its own facet is still
+    # certified by the square's other half
+    lambda honest, a, b: next((a2, b2) for _, a2, b2 in honest
+                              if not any(x and y for x, y in zip(a, a2))),
+    # its own plane moved one unit outward, which no point touches
+    lambda honest, a, b: (a, b + 1),
+], ids=["neighbour-plane", "shifted-plane"])
+def test_a_simplex_off_its_plane_is_rejected(misplace):
+    coords, honest = _cube_proposal()
+    s, a, b = honest[0]
+    tampered = [(s, *misplace(honest, a, b))] + honest[1:]
+    assert any(exactgeom.dot(tampered[0][1], coords[k]) != tampered[0][2] for k in s)
+    assert exactgeom._certify_facets(coords, tampered) is None
+
+
+def test_a_surface_facing_inward_is_rejected():
+    """Every simplex flipped, each keeping its outward plane, still pairs
+    its ridges with opposite signs and has every point below its plane;
+    only the orientation against the plane refuses it.  So does the base
+    covered twice with opposite orientations, every triangle given the
+    base's outward plane z >= 0."""
+    coords, honest = _cube_proposal()
+    flipped = [(_flip(s), a, b) for s, a, b in honest]
+    assert exactgeom._certify_facets(coords, flipped) is None
+    assert _all_points_certificate(coords, [s for s, _, _ in flipped]) is None
+    base = [(s, (0, 0, -1), 0) for s in _SQUARE_TWICE]
+    assert exactgeom._certify_facets(_PYRAMID, base) is None
+
+
+_N = 2 ** 60
+# a tetrahedron whose top facet x + y + z = 3N - 1786 holds three vertices
+# 2^40 apart around (N, N, N - 1786), and the apex below it
+_TOP = 3 * _N - 1786
+_TETRAHEDRON = [(_N + 2 ** 40, _N - 2 ** 40, _N - 1786), (_N, _N + 2 ** 40, _N - 2 ** 40 - 1786),
+                (_N - 2 ** 40, _N, _N + 2 ** 40 - 1786), (_N - 2 ** 40, _N - 2 ** 40, _N - 2 ** 40)]
+
+
+@pytest.mark.parametrize("rise", [0, 1], ids=["on-the-facet", "one-unit-above"])
+def test_signs_within_the_float_bound_are_decided_exactly(rise):
+    """A point near the top facet's centre, on it or one unit above it: as
+    doubles, its coordinates round by 2^8 and 2^7 steps, and its float
+    value is -512 either way, in every order of summation, inside the
+    float bound (about 9200).  Only the exact recheck decides it: tight, or
+    outside the hull."""
+    q = (_N + 340, _N + 1912, _N - 4038 + rise)
+    assert sum(q) - _TOP == rise
+    point = np.array([*q, 1.0]) @ np.array([1.0, 1.0, 1.0, -float(_TOP)])
+    assert point == -512
+    coords = _TETRAHEDRON + [q]
+    proposal = exactgeom._propose_simplices(_TETRAHEDRON)
+    assert ((1, 1, 1), _TOP) in [(tuple(a), b) for _, a, b in proposal]
+    tights = _assert_certificate_matches_the_oracle(coords, proposal)
+    if rise:
+        assert tights is None
+    else:
+        assert 0b10111 in tights
 
 
 def test_backend_agreement_on_integer_fixtures():
@@ -457,6 +621,64 @@ def test_orient_rejects_level_edges_on_cube():
         orient(P, (1, 1, 0))  # edges along the third axis are level
     with pytest.raises(InputError):
         orient(P, (0, 0, 0))
+
+
+def _fraction_orient(P, c, drop_level_ties=False):
+    """`orient` as it once read its levels, c . v on the `Fraction`
+    vertices: the oracle of its integer levels."""
+    cv = tuple(Fraction(x) for x in c)
+    vals = [exactgeom.dot(v, cv) for v in P.vertices]
+    succ = [[] for _ in P.vertices]
+    for i, j in P.edges():
+        if vals[i] == vals[j]:
+            if drop_level_ties:
+                continue
+            raise GenericityError(
+                f"direction {exactgeom._plain(c)} is level on edge {(i, j)}", edge=(i, j))
+        lo, hi = (i, j) if vals[i] < vals[j] else (j, i)
+        succ[lo].append(hi)
+    order = sorted(range(len(vals)), key=lambda k: (vals[k], k))
+    rank = {v: r for r, v in enumerate(order)}
+    arcs = tuple(tuple(sorted(s, key=rank.__getitem__)) for s in succ)
+    return exactgeom.DirectedGraph(order=tuple(order), arcs=arcs, c=cv,
+                                   source=order[0], sink=order[-1])
+
+
+def _assert_orient_matches_fraction_levels(P, c):
+    """`orient` on P's integer vertices gives the `Fraction` levels' graph,
+    or the same GenericityError text and edge, with level edges kept or
+    dropped; P's integer vertices are its vertices times one positive
+    number."""
+    ratios = {Fraction(i) / x for v, w in zip(P.vertices, P._ints) for x, i in zip(v, w) if x}
+    assert len(ratios) <= 1 and all(x > 0 for x in ratios)
+    assert all((i == 0) == (x == 0) for v, w in zip(P.vertices, P._ints) for x, i in zip(v, w))
+    for drop in (False, True):
+        try:
+            want = _fraction_orient(P, c, drop)
+        except GenericityError as exc:
+            with pytest.raises(GenericityError) as err:
+                orient(P, c, drop_level_ties=drop)
+            assert (str(err.value), err.value.edge) == (str(exc), exc.edge)
+        else:
+            assert orient(P, c, drop_level_ties=drop) == want
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names(include_slow=True))
+def test_integer_levels_match_fraction_levels_on_fixtures(name):
+    F = zoo.fixture(name)
+    d = F.polytope.dim
+    for c in (F.direction, (1,) * d, (1,) + (0,) * (d - 1), tuple(Fraction(k, 3) for k in range(1, d + 1))):
+        _assert_orient_matches_fraction_levels(F.polytope, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets(), st.data())
+def test_integer_levels_match_fraction_levels_on_point_sets(points, data):
+    """Directions with small entries tie many levels, across edges and not."""
+    P = Polytope(points, on_nonvertex="strip")
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4))
+    c = data.draw(st.tuples(*[entry] * P.dim).filter(any))
+    _assert_orient_matches_fraction_levels(P, c)
 
 
 def test_orient_rejects_level_edges_on_simplex():

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from pathspectra import LengthSpectrum, Polytope, cli, coherence, coherent_paths, exactgeom, zoo
+from pathspectra import (LengthSpectrum, Polytope, cli, coherence, coherent_paths,
+                         coherent_spectrum, exactgeom, zoo)
 
 from conftest import record_highs
 from test_exactgeom import _point_sets
@@ -322,6 +323,18 @@ def test_enumeration_builds_one_row_table_over_the_graph_rows(P, c, monkeypatch)
     ((rows, table),) = tables
     _assert_entries(table, rows)
     assert set().union(*cones) <= rows
+
+
+@pytest.mark.parametrize("name", ["cube3", "cross4"])
+def test_spectrum_builds_no_row_table_when_no_path_needs_an_lp(name, monkeypatch):
+    """On these fixtures the walk captures every coherent path and the
+    seeded witness store decides every other one, so `coherent_spectrum`
+    runs no LP and builds no row table."""
+    F = zoo.fixture(name)
+    monkeypatch.setattr(coherence, "_lp_rows", lambda rows: pytest.fail("row table built"))
+    calls = record_highs(monkeypatch)
+    assert coherent_spectrum(F.polytope, F.direction) == F.expected_coherent
+    assert calls == []
 
 
 def _record_every_lp(mp):
