@@ -11,8 +11,9 @@ and every simulated hull is a rim hull (`_rim_chains`): it reads only the outer
 shells, and stops at the first one whose inner disk the hull so far holds,
 since every later point lies inside that disk.  `sample_sphere` draws every
 shell from the same stream, then permutes the rows, so a trial's hull is that
-of the full sample.  A rim holds a few hundred points, so the monotone chain
-runs on them directly.
+of the full sample.  Each new shell first loses, by one vectorized sector
+test, the points that the hull so far already holds; the monotone chain runs
+on the rest and on the hull's vertices.
 
 Reproducibility: every trial draws from a counter-based Philox stream keyed by
 the pair (seed mod 2^64, trial index), and a retry jumps that stream ahead, so
@@ -171,8 +172,8 @@ def chain_counts(xy) -> tuple:
     two chain edge counts always add up to the vertex count; collinear points
     interior to a hull edge are not counted as vertices.  Non-finite
     coordinates are an InputError.  `exactgeom._monotone_chains` runs on
-    every distinct point, about half a second at 10^5 points; simulations
-    hull only a rim of a few hundred points (`_rim_chains`).
+    every distinct point, about a quarter of a second at 10^5 points on a
+    shared 2-vCPU Xeon; simulations hull only the rim (`_rim_chains`).
     """
     xy = np.asarray(xy, dtype=float)
     if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) < 2:
@@ -197,14 +198,63 @@ def _rim_chains(shells):
     the origin (times 1 + 1e-9, against rounding), every later point lies
     strictly inside the hull, which is then the hull of all the points.  Only
     the hull's vertices are carried on to the next shell.
+
+    Of the next shell, only the points that the hull so far may not hold go to
+    the chain.  When the origin lies left of every edge by the margin (the
+    cross product of the edge's ends exceeds it), it is strictly inside, and
+    the rays through the vertices v_0, ..., v_m-1, in increasing angle, cut
+    the hull into the triangles (0, v_s, v_s+1), indices mod m.  One
+    `np.searchsorted` of each point's angle gives its sector s, and one cross
+    product drops the point when it lies left of the edge v_s v_s+1 by more
+    than the margin: it lies in that triangle, so strictly inside every later
+    hull, and is never one of its vertices.  A point whose angle rounds across
+    a vertex's ray is tested against the neighbouring edge.  The part of that
+    edge's left side which lies across the ray but outside the hull is a
+    sliver at the vertex, within rounding of the edge's line, so the margin
+    keeps its points.  Otherwise (the origin on or outside the hull, or within
+    the margin of an edge) nothing is dropped.
     """
-    chains = ([], [])
+    chains, sectors = ([], []), None
     for points, r_in in shells:
-        hull = set(chains[0] + chains[1]).union(map(tuple, points[:, :2].tolist()))
+        xy = points[:, :2] if sectors is None else points[~_held(sectors, points), :2]
+        hull = set(chains[0] + chains[1]).union(map(tuple, xy.tolist()))
         chains = _monotone_chains(sorted(hull))
         if _disk_in_hull(chains, r_in * (1 + 1e-9)):
             break
+        sectors = _sectors(chains)
     return chains
+
+
+# The cross product by which `_rim_chains` needs a point inside an edge, and
+# the origin inside every edge: far above the rounding of one (coordinates are
+# at most 1 in size, so about 1e-15), and so above that of a sector misread.
+_HELD_MARGIN = 1e-12
+
+
+def _sectors(chains):
+    """The hull's vertices in increasing angle about the origin, with their
+    angles, or None unless the origin lies inside every edge by the margin."""
+    lower, upper = chains
+    cycle = lower[:-1] + upper[:-1]  # counterclockwise
+    if len(cycle) < 3:
+        return None
+    ring = np.array(cycle + cycle[:1])
+    x, y = ring[:, 0], ring[:, 1]
+    if not (x[:-1] * y[1:] - y[:-1] * x[1:] > _HELD_MARGIN).all():
+        return None
+    cycle, angles = ring[:-1], np.arctan2(y[:-1], x[:-1])
+    first = int(angles.argmin())
+    return (np.concatenate((cycle[first:], cycle[:first])),
+            np.concatenate((angles[first:], angles[:first])))
+
+
+def _held(sectors, points):
+    """Which points lie inside their sector's edge by more than the margin."""
+    cycle, angles = sectors
+    s = np.searchsorted(angles, np.arctan2(points[:, 1], points[:, 0]), side="right") - 1
+    a, b = cycle[s], cycle[(s + 1) % len(cycle)]
+    return ((b[:, 0] - a[:, 0]) * (points[:, 1] - a[:, 1])
+            - (b[:, 1] - a[:, 1]) * (points[:, 0] - a[:, 0])) > _HELD_MARGIN
 
 
 def _trial_counts(config: SimConfig, trial: int):

@@ -231,13 +231,10 @@ def _spectrum_cell(spec):
 
 
 def cmd_verify(args):
-    names = args.names or None
-    if args.all or not names:
-        names = zoo.fixture_names(include_slow=args.include_slow)
+    names = None if args.all else args.names or None
     rows = []
     failures = []
-    for n in names:
-        F = zoo.fixture(n)
+    for F in zoo.fixtures(names, include_slow=args.include_slow):
         r = zoo.verify_fixture(F)
         expected = _spectrum_cell(F.expected_monotone) + (
             " | coh " + _spectrum_cell(F.expected_coherent) if F.expected_coherent else "")

@@ -1033,9 +1033,12 @@ def _monotone_chains(points):
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and (
-                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+            x, y = p[0], p[1]
+            while len(out) >= 2:
+                q, o = out[-1], out[-2]
+                ox, oy = o[0], o[1]
+                if (q[0] - ox) * (y - oy) - (q[1] - oy) * (x - ox) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out

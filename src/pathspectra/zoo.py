@@ -172,20 +172,21 @@ def modified_lopsided_3() -> Polytope:
     return Q
 
 
+_P10 = ((0, 0, 0), (1, -5, -5), (2, 0, -5), (3, -5, 0), (4, -6, 0),
+        (5, -3, 5), (6, 5, 5), (7, 0, 5), (8, 5, 2), (9, 0, 0))
+
+
 def p10() -> Polytope:
     """Ten-vertex simplicial 3-polytope with non-unimodal counts along e1."""
-    verts = [(0, 0, 0), (1, -5, -5), (2, 0, -5), (3, -5, 0), (4, -6, 0),
-             (5, -3, 5), (6, 5, 5), (7, 0, 5), (8, 5, 2), (9, 0, 0)]
-    return Polytope(verts, label="p10")
+    return Polytope(_P10, label="p10")
 
 
 def p10_spherical() -> Polytope:
     """The p10 vertices recentred at their barycenter and pushed to the unit
     sphere in floating point; each coordinate is the exact value of its double."""
-    base = p10().vertices
-    bary = [sum(v[k] for v in base) / Fraction(len(base)) for k in range(3)]
+    bary = [sum(v[k] for v in _P10) / Fraction(len(_P10)) for k in range(3)]
     verts = []
-    for v in base:
+    for v in _P10:
         w = [float(v[k] - bary[k]) for k in range(3)]
         norm = math.sqrt(sum(x * x for x in w))
         verts.append(tuple(Fraction(x / norm) for x in w))
@@ -461,14 +462,27 @@ def _expectations():
     return json.loads(text)
 
 
+def _names(data, include_slow):
+    return sorted(n for n in data if include_slow or not data[n].get("slow", False))
+
+
 def fixture_names(include_slow=True):
-    data = _expectations()
-    names = [n for n in data if include_slow or not data[n].get("slow", False)]
-    return sorted(names)
+    return _names(_expectations(), include_slow)
 
 
-def fixture(name: str) -> Fixture:
+def fixtures(names=None, include_slow=True):
+    """The named fixtures in order, or with no names every recorded one (the
+    slow ones only with `include_slow`), from one parse of the expectations."""
     data = _expectations()
+    for name in _names(data, include_slow) if names is None else names:
+        yield fixture(name, data)
+
+
+def fixture(name: str, data=None) -> Fixture:
+    """The named fixture; `data` is the parsed expectations, read here when
+    the caller has not."""
+    if data is None:
+        data = _expectations()
     if name not in data or name not in _BUILDERS:
         raise InputError(f"unknown fixture {name!r}; known: {', '.join(sorted(_BUILDERS))}")
     rec = data[name]

@@ -19,7 +19,8 @@ from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
                                  project_to_disk, projection_chi_square,
                                  radial_cdf, sample_sphere, simulate_Qn)
 from pathspectra.betasim import (_disk_in_hull, _f0_with_and_without_first_row,
-                                 _rim_chains, _rng, _shells, _trial_counts)
+                                 _held, _rim_chains, _rng, _sectors, _shells,
+                                 _trial_counts)
 from pathspectra.errors import InputError
 from pathspectra.exactgeom import _monotone_chains
 
@@ -165,6 +166,88 @@ def test_floating_flags_match_the_full_sample(d, n, c0):
         assert flag == bool((-ConvexHull(xy).equations[:, 2] >= rep.radius).all())
 
 
+def _plain_rim_chains(shells):
+    """The rim loop without `_held`: every point of each shell goes to the
+    monotone chain with the hull so far."""
+    chains = ([], [])
+    for points, r_in in shells:
+        hull = set(chains[0] + chains[1]).union(map(tuple, points[:, :2].tolist()))
+        chains = _monotone_chains(sorted(hull))
+        if _disk_in_hull(chains, r_in * (1 + 1e-9)):
+            break
+    return chains
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 65, 129, 2000, 100000])
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 22])
+def test_rim_chains_match_the_unfiltered_loop(d, n):
+    """Differential oracle for the sector test: the chains, as lists, equal
+    those of the rim loop that keeps every point of every shell."""
+    for seed, trial in ((1, 0), (1, 1), (29, 0), (29, 3), (7, 5)):
+        assert (_rim_chains(_shells(d, n, _rng(seed, trial)))
+                == _plain_rim_chains(_shells(d, n, _rng(seed, trial))))
+
+
+def _diamond():
+    return np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+
+
+# a hull (one of the five points is inside) whose vertex v_2 = (-0.794...,
+# 0.591...), in angular order, has the same rounded angle as the point 1 and 4
+# units in the last place off it, which lies outside the edge v_1 v_2 and left
+# of the edge v_2 v_3 by 9.5e-17: a sector misread at a vertex's ray, found by
+# a search over such offsets
+_MISREAD_HULL = np.array([(-0.22666976231495137, 0.5944298148332128),
+                          (-0.34558955569781674, 0.37283517010194417),
+                          (-0.7940929859555396, 0.5913450350419314),
+                          (-0.4760069220881577, 0.1717709686251795),
+                          (0.38467970943015706, -0.6238247013728209)])
+_MISREAD_POINT = (-0.7940929859555397, 0.5913450350419318)
+
+_EDGE_OUT = 1e-12 / math.sqrt(2)
+
+
+@pytest.mark.parametrize("hull, points, held", [
+    # exactly on the edge (1, 0) (0, 1), and deep inside
+    (_diamond(), [(0.5, 0.5), (0.125, -0.25)], [False, True]),
+    # on the ray through the vertex (1, 0): inside, inside by less than the
+    # margin, and outside
+    (_diamond(), [(0.5, 0.0), (1 - 1e-14, 0.0), (1.5, 0.0)], [True, False, False]),
+    # 1e-12 outside the edge (1, 0) (0, 1), a hull vertex afterwards
+    (_diamond(), [(0.5 + _EDGE_OUT, 0.5 + _EDGE_OUT), (0.25, 0.25)], [False, True]),
+    (_MISREAD_HULL, [_MISREAD_POINT, (-0.25, 0.25)], [False, True]),
+])
+def test_sector_test_on_crafted_shells(hull, points, held):
+    """A point is dropped only when it is inside its sector's edge by more
+    than the margin; on an edge, along a vertex's ray and across it by
+    rounding, and just outside an edge, it is kept, and the chains equal
+    those of the unfiltered loop."""
+    points = np.array(points)
+    shells = [(hull, 1.0), (points, 1.0)]
+    sectors = _sectors(_monotone_chains(sorted(map(tuple, hull.tolist()))))
+    assert sectors is not None
+    assert _held(sectors, points).tolist() == held
+    chains = _rim_chains(iter(shells))
+    assert chains == _plain_rim_chains(iter(shells))
+    dropped = {p for p, h in zip(map(tuple, points.tolist()), held) if h}
+    assert not dropped & set(chains[0] + chains[1])
+
+
+def test_sector_test_is_off_unless_the_origin_is_inside():
+    """With the origin outside the hull so far, or on its boundary, no point
+    is dropped, not even one inside the hull."""
+    triangle = np.array([(0.25, 0.125), (0.875, 0.25), (0.5, 0.75)])
+    assert _sectors(_monotone_chains(sorted(map(tuple, triangle.tolist())))) is None
+    through = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 0.0)])
+    assert _sectors(_monotone_chains(sorted(map(tuple, through.tolist())))) is None
+    points = np.array([(-0.5, 0.5), (0.0, 0.875), (0.0625, 0.75), (0.5, 0.375),
+                       (-0.75, -0.5)])
+    for hull in (triangle, through):
+        shells = [(hull, 1.0), (points, 1.0)]
+        chains = _rim_chains(iter(shells))
+        assert chains == _plain_rim_chains(iter(shells))
+
+
 _GRID = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 
@@ -226,6 +309,43 @@ def test_filter_keeps_counts_on_degenerate_clouds(xy):
     """`chain_counts` against the exact oracle above.  (The name is kept from
     the throwaway filter this once tested.)"""
     assert chain_counts(xy) == _exact_counts(xy)
+
+
+def _plain_monotone_chains(points):
+    """Andrew's monotone chain with every stack entry indexed anew at each
+    test: the oracle of `_monotone_chains`' loop, which evaluates the same
+    float expression in the same order."""
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(points), half(points[::-1])
+
+
+@pytest.mark.parametrize("d, n", [(3, 3000), (5, 2000), (22, 500)])
+def test_monotone_chains_match_the_indexed_loop_on_floats(d, n):
+    for trial in range(3):
+        xy = project_to_disk(sample_sphere(d, n, _rng(3, trial)))
+        for shift in ((0, 0), (2.5, -1)):
+            points = sorted(set(map(tuple, (xy + shift).tolist())))
+            assert _monotone_chains(points) == _plain_monotone_chains(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degenerate_clouds())
+def test_monotone_chains_match_the_indexed_loop_on_degenerate_clouds(xy):
+    """Float pairs with repeats and collinear runs, and the exact
+    (x, y, index) triples that `upper_path` passes."""
+    pairs = sorted(set(map(tuple, xy.tolist())))
+    assert _monotone_chains(pairs) == _plain_monotone_chains(pairs)
+    triples = sorted((Fraction(x), Fraction(y), k) for k, (x, y) in enumerate(xy.tolist()))
+    assert _monotone_chains(triples) == _plain_monotone_chains(triples)
 
 
 @pytest.mark.parametrize("n", [8, 15, 30])

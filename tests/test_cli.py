@@ -392,8 +392,8 @@ def test_verify_corrupted_expectation_exits_3(capsys, monkeypatch):
     import pathspectra.zoo as zoomod
     real = zoomod.fixture
 
-    def tampered(name):
-        F = real(name)
+    def tampered(name, data=None):
+        F = real(name, data)
         F.expected_monotone = LengthSpectrum({2: 123456})
         return F
 
@@ -401,6 +401,20 @@ def test_verify_corrupted_expectation_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "lopsided3")
     assert code == 3
     assert "expected" in out or "expected" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "cube3", "p10"], ["verify"],
+                                  ["verify", "--all", "cube3"]])
+def test_verify_parses_the_expectations_once(argv, capsys, monkeypatch):
+    """One parse of `data/expectations.json` per command, and a fresh one
+    for the next command."""
+    real = zoo._expectations
+    parses = []
+    monkeypatch.setattr(zoo, "_expectations", lambda: parses.append(1) or real())
+    for expected in (1, 2):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(parses) == expected
 
 
 def test_zoo_list_and_emit(tmp_path, capsys):
@@ -575,6 +589,28 @@ def test_diffmoment_and_cltcheck_and_floatbody(capsys):
     assert code == 0
     rows, _ = parse_csv(out)
     assert len(rows) == 21
+
+
+_MC_GOLDENS = {
+    "mc_simulate_d3": "simulate --d 3 --n 100000 --trials 40",
+    "mc_simulate_d5": "simulate --d 5 --n 10000 --trials 100",
+    "mc_simulate_d8": "simulate --d 8 --n 100000 --trials 50",
+    "mc_simulate_d22": "simulate --d 22 --n 100000 --trials 40",
+    "mc_cltcheck_d5": "cltcheck --d 5 --n 100000 --trials 300",
+    "mc_floatbody_d5": "floatbody --d 5 --n 10000 --trials 200 --c0 1.25",
+    "mc_diffmoment_d5": "diffmoment --d 5 --n 400 --trials 300",
+}
+
+
+@pytest.mark.parametrize("stem", _MC_GOLDENS)
+def test_monte_carlo_output_matches_recorded(stem, capsys):
+    """Each Monte Carlo command at `--seed 7` prints `tests/data/<stem>.csv`,
+    less its manifest line, byte for byte."""
+    code, out, _ = run(capsys, "--seed", "7", *_MC_GOLDENS[stem].split())
+    assert code == 0
+    table = "".join(line + "\n" for line in out.splitlines()
+                    if not line.startswith("# manifest:"))
+    assert table == (Path(__file__).parent / "data" / f"{stem}.csv").read_text()
 
 
 @pytest.mark.parametrize("c0", ["nan", "inf", "0", "-1"])

@@ -171,6 +171,28 @@ def test_verify_reports_mismatch_without_masking():
     assert "expected" in report.diffs[0]
 
 
+def test_fixtures_yield_each_named_fixture():
+    names = ["p10-sphere", "cube3", "lopsided3"]
+    for F, name in zip(zoo.fixtures(names), names):
+        G = zoo.fixture(name)
+        assert (F.name, F.polytope.vertices, F.direction, F.expected_monotone,
+                F.expected_coherent, F.source) == (
+            G.name, G.polytope.vertices, G.direction, G.expected_monotone,
+            G.expected_coherent, G.source)
+    assert ([F.name for F in zoo.fixtures(include_slow=False)]
+            == zoo.fixture_names(include_slow=False))
+
+
+def test_p10_spherical_builds_no_p10(monkeypatch):
+    """p10-sphere reads the p10 vertex table, not a built p10 polytope; its
+    coordinates are the recorded ones (the p10-sphere goldens pin them)."""
+    expected = zoo.p10_spherical().vertices
+    monkeypatch.setattr(zoo, "p10", None)
+    assert zoo.p10_spherical().vertices == expected
+    monkeypatch.undo()
+    assert zoo.p10().vertices == tuple(tuple(Fraction(x) for x in v) for v in zoo._P10)
+
+
 def test_unknown_fixture_name():
     with pytest.raises(InputError):
         zoo.fixture("does-not-exist")
