@@ -202,8 +202,10 @@ def cmd_zoo(args):
 
 def _zoo_build(args):
     name = args.name
-    if name in zoo.fixture_names():
-        return zoo.fixture(name).polytope
+    try:
+        return next(zoo.fixtures([name])).polytope
+    except InputError:  # not a recorded fixture
+        pass
     if name not in zoo.FAMILIES:
         raise InputError(f"unknown zoo name {name!r}")
     build, options = zoo.FAMILIES[name]

@@ -6,8 +6,9 @@ scalar is a `Fraction`: integers and "p/q" strings are read exactly, and a float
 is taken at its exact binary value (a dyadic rational), so every predicate is
 decided exactly.  Floating point is used to *steer* exact searches (propose a
 basis or a support), and it decides a sign only where a proven bound on its
-rounding error settles it (`_tight_sets`); every other sign, and every
-verdict, is certified in exact arithmetic.
+rounding error settles it (`_tight_sets`) or where it computes an integer
+provably exactly (`_minors`); every other sign, and every verdict, is
+certified in exact arithmetic.
 
 Every polytope is validated when it is built, which computes the one facet
 incidence from which its vertices and its edges are read.  The points are
@@ -38,9 +39,10 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, compress
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, nan
 from operator import mul
 from types import SimpleNamespace
 from typing import Sequence
@@ -568,12 +570,12 @@ def _propose_simplices(coords):
             skipped.append(k)
     rest = list(order)
     planes = {}  # oriented simplex -> (a, b, its ridge in each slot), a . x <= b on the hull
-    sides = {}  # ridge, as a frozenset -> the simplices through it
+    sides = {}  # ridge, as a sorted tuple -> the simplices through it
 
     def put(s, a, b):
         g = gcd(*a, b)
-        vertices = frozenset(s)
-        ridges = [vertices - {v} for v in s]
+        ordered = tuple(sorted(s))
+        ridges = [ordered[:i] + ordered[i + 1:] for i in map(ordered.index, s)]
         planes[s] = ([x // g for x in a], b // g, ridges)
         for ridge in ridges:
             sides.setdefault(ridge, []).append(s)
@@ -589,11 +591,14 @@ def _propose_simplices(coords):
         put(s, a, b)
     latest = [s for s in planes if start[-1] in s]
     for i, k in enumerate(rest + skipped):
-        p = coords[k]
+        p, heights = coords[k], {}
 
         def height(s):
-            a, b, _ = planes[s]
-            return dot(a, p) - b
+            h = heights.get(s)
+            if h is None:
+                a, b, _ = planes[s]
+                h = heights[s] = dot(a, p) - b
+            return h
 
         stack = [s for s in (latest if i < len(rest) else list(planes)) if height(s) > 0]
         visible, new = set(stack), []
@@ -668,11 +673,29 @@ def _certify_facets(coords, planes):
     largest double reads as infinite: every sign it touches comes out
     infinite or nan, which no bound decides.  Exact integer dots decide
     every sign the bound leaves open, the tight points among them.
+
+    The minors n_j come off one float evaluation too (`_minors`) where it
+    is provably exact; exact integer arithmetic gives the rest.  With
+    m = r - 1, it expands each m x m minor along its rows: the minor of rows
+    1..k on a set S of k columns is the signed sum, over c in S, of row k's
+    entry in column c times the minor of rows 1..k-1 on S less c, and the
+    permanent of the entries' magnitudes follows the same recursion with
+    every sign +.  When every |coordinate| is below 2^52, every entry
+    x_k - x_1 is an integer below 2^53, exact as a double.  Say a computed
+    permanent on rows 1..k is below 2^53.  Each term with a nonzero entry,
+    of magnitude at least 1, rounds to at least the sub-permanent it
+    multiplies, and a sum of nonnegative doubles to at least each summand,
+    so that sub-permanent is below 2^53 too and, by induction, exact with
+    its sub-minor.  Then every such product and every partial sum, of the
+    permanent and of the minor alike, is an integer of magnitude at most the
+    permanent's (any past 2^53 would round to at least 2^53), so exact.  A
+    term with a zero entry is exactly 0 when its sub-minor is finite, and an
+    infinite or nan sub-minor leaves the whole minor infinite or nan.  So a
+    finite float minor whose permanent comes out below 2^52 is the exact
+    minor.
     """
     r = len(coords[0])
-    facets = {}  # reduced plane -> None, in the order of first appearance
-    degenerate = []
-    ridges = {}
+    degenerate, ridges, columns = [], {}, []
     for s, a, b in planes:
         if len(s) != r or len(set(s)) != r or any(dot(a, coords[k]) != b for k in s):
             return None
@@ -682,8 +705,13 @@ def _certify_facets(coords, planes):
         j = next((j for j, x in enumerate(a) if x), None)
         if j is None:
             return None
-        base = coords[s[0]]
-        minor = _cofactor([[x - y for x, y in zip(coords[k], base)] for k in s[1:]], j)
+        columns.append(j)
+    if not planes or any(count != 2 or total for count, total in ridges.values()):
+        return None
+    points = _floats([q + (1,) for q in coords])
+    minors = _minors(coords, points, [s for s, _, _ in planes], columns)
+    facets = {}  # reduced plane -> None, in the order of first appearance
+    for (s, a, b), j, minor in zip(planes, columns, minors):
         if minor == 0:
             degenerate.append(sum(1 << k for k in s))
         elif (minor > 0) != (a[j] > 0):
@@ -691,30 +719,34 @@ def _certify_facets(coords, planes):
         else:
             g = gcd(*a, b)
             facets[tuple(x // g for x in a), b // g] = None
-    if not facets or any(count != 2 or total for count, total in ridges.values()):
+    if not facets:
         return None
-    tights = _tight_sets(coords, list(facets))
+    tights = _tight_sets(coords, points, list(facets))
     if tights is None or any(all(m & t != m for t in tights) for m in degenerate):
         return None
     return tights
 
 
+# `_minors` trusts a float minor only where every |coordinate| and the
+# minor's float permanent are below this bound
+_EXACT = 2.0 ** 52
+
 # `_tight_sets`' products take at most this many multiply-adds each (one
-# facet at least): OpenBLAS runs a product up to 2^18 of them on one thread,
-# and on a shared 2-vCPU host a 2^20 one ran 16 times slower on two
+# facet at least), and `_minors`' expansions this many products: OpenBLAS
+# runs a product up to 2^18 multiply-adds on one thread, and on a shared
+# 2-vCPU host a 2^20 one ran 16 times slower on two
 _BLOCK = 1 << 18
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an infinity or a nan is left undecided
-def _tight_sets(coords, planes):
+def _tight_sets(coords, points, planes):
     """Tight sets (bitmasks over coords) of the planes (a, b), or None if a
     point has a . x > b for one of them: each sign from the float product
     where its bound decides it, else from the exact dot (`_certify_facets`
-    derives the bound).  The product runs over blocks of facets of at most
-    _BLOCK multiply-adds, so its memory does not grow with the facet
-    count."""
+    derives the bound).  `points` are the rows (x, 1) as floats.  The product
+    runs over blocks of facets of at most _BLOCK multiply-adds, so its memory
+    does not grow with the facet count."""
     r = len(coords[0])
-    points = _floats([q + (1,) for q in coords])
     normals = _floats([(*a, -b) for a, b in planes])
     scale = np.abs(normals[:, :r]).sum(axis=1) * np.abs(points[:, :r]).max()
     bound = 2 * (r + 3) * 2.0 ** -53 * (scale + np.abs(normals[:, r]))
@@ -735,6 +767,58 @@ def _tight_sets(coords, planes):
                 block[f] |= 1 << k
         tights += block
     return tights
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an infinity or a nan takes the exact route
+def _minors(coords, points, simplices, columns):
+    """`_cofactor` of the edge rows of each simplex at its column j in
+    `columns`: the float expansion where it is provably exact
+    (`_certify_facets` proves the rule), else the exact integer.  `points`
+    are the rows (x, 1) as floats.  An m x m minor's expansion takes fewer
+    than m 2^(m-1) products; it runs over blocks of simplices of at most
+    _BLOCK of them, and when one simplex alone takes more, every minor is
+    exact."""
+    r = len(coords[0])
+    m = r - 1
+    step = _BLOCK // (m << m - 1)
+    values = [nan] * len(simplices)
+    if step and np.abs(points[:, :r]).max() < _EXACT:
+        others = np.array([[c for c in range(r) if c != j] for j in range(r)])  # but column j
+        flip = (-1.0) ** (m + np.arange(r))
+        values = []
+        for lo in range(0, len(simplices), step):
+            s, j = np.array(simplices[lo:lo + step]), np.array(columns[lo:lo + step])
+            edges = points[s[:, 1:]] - points[s[:, :1]]  # (B, m, r + 1)
+            square = edges[np.arange(len(s))[:, None, None], np.arange(m)[:, None],
+                           others[j][:, None, :]]  # (B, m, m)
+            minor = square[:, 0]
+            permanent = np.abs(minor)
+            for k, (sub, cols, signs) in enumerate(_laplace(m), 1):
+                entries = square[:, k][:, cols]  # (B, C(m, k + 1), k + 1)
+                minor = (entries * signs * minor[:, sub]).sum(axis=2)
+                permanent = (np.abs(entries) * permanent[:, sub]).sum(axis=2)
+            minor = minor[:, 0] * flip[j]
+            exact = (permanent[:, 0] < _EXACT) & np.isfinite(minor)
+            values += np.where(exact, minor, nan).tolist()
+    return [_cofactor([[x - y for x, y in zip(coords[k], coords[s[0]])] for k in s[1:]], j)
+            if value != value else value  # nan: not provably exact
+            for value, s, j in zip(values, simplices, columns)]
+
+
+@cache
+def _laplace(m):
+    """The Laplace expansion of an m x m determinant along its rows, one
+    level per row k = 1..m-1, counted from 0: for each (k+1)-subset S of
+    the columns, in `combinations` order, the index of each S less one
+    column among the k-subsets, those columns, and the signs (-1)^(k+t) of
+    their positions t in S."""
+    levels, index = [], {(c,): c for c in range(m)}
+    for k in range(1, m):
+        subsets = list(combinations(range(m), k + 1))
+        levels.append((np.array([[index[S[:t] + S[t + 1:]] for t in range(k + 1)] for S in subsets]),
+                       np.array(subsets), (-1.0) ** (k + np.arange(k + 1))))
+        index = {S: i for i, S in enumerate(subsets)}
+    return levels
 
 
 def _floats(rows):

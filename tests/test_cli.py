@@ -417,6 +417,19 @@ def test_verify_parses_the_expectations_once(argv, capsys, monkeypatch):
         assert len(parses) == expected
 
 
+@pytest.mark.parametrize("argv", [["zoo", "emit", "cube3"], ["zoo", "emit", "cyclic", "--d", "4", "--n", "7"],
+                                  ["zoo", "list"]])
+def test_zoo_parses_the_expectations_once(argv, capsys, monkeypatch):
+    """`zoo emit` reads a fixture, or finds that the name is a family, from
+    one parse of `data/expectations.json`, and `zoo list` lists from one."""
+    real = zoo._expectations
+    parses = []
+    monkeypatch.setattr(zoo, "_expectations", lambda: parses.append(1) or real())
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(parses) == 1
+
+
 def test_zoo_list_and_emit(tmp_path, capsys):
     code, out, _ = run(capsys, "zoo", "list")
     assert code == 0

@@ -602,6 +602,129 @@ def test_signs_within_the_float_bound_are_decided_exactly(rise):
         assert 0b10111 in tights
 
 
+# every recorded fixture and the four `coherent-spectra` benchmark inputs
+_BUILDS = pytest.mark.parametrize("build", [
+    *[pytest.param(partial(lambda name: zoo.fixture(name).polytope, name), id=name)
+      for name in zoo.fixture_names(include_slow=True)],
+    pytest.param(lambda: zoo.cross_polytope(5), id="cross5"),
+    pytest.param(lambda: zoo.second_hypersimplex(5), id="hypersimplex2-5"),
+    pytest.param(lambda: zoo.cyclic(4, range(1, 9)), id="cyclic4-8"),
+    pytest.param(lambda: zoo.product_of_simplices((3, 4)), id="prod3x4"),
+])
+# p10-sphere's integer coordinates reach 2^55, past `_minors`' exactness bound
+_EXACT_ONLY = {"p10-sphere"}
+
+
+def _first_columns(proposal):
+    return [next(j for j, x in enumerate(a) if x) for _, a, _ in proposal]
+
+
+def _checked_minors(coords, simplices, columns):
+    """How many of the simplices' `_minors` took the exact route, each minor
+    checked against `_cofactor`, its oracle."""
+    real = exactgeom._cofactor
+    exact = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactgeom, "_cofactor", lambda rows, j: exact.append(j) or real(rows, j))
+        minors = exactgeom._minors(coords, exactgeom._floats([q + (1,) for q in coords]),
+                                   simplices, columns)
+    assert minors == [real([[x - y for x, y in zip(coords[k], coords[s[0]])] for k in s[1:]], j)
+                      for s, j in zip(simplices, columns)]
+    return len(exact)
+
+
+@_BUILDS
+def test_float_minors_match_the_cofactors(build):
+    coords = exactgeom._affine_coordinates(exactgeom._integer_points(build().vertices))
+    proposal = exactgeom._propose_simplices(coords)
+    _checked_minors(coords, [s for s, _, _ in proposal], _first_columns(proposal))
+
+
+@_BUILDS
+def test_building_computes_no_proposed_minor_exactly(build, request, monkeypatch):
+    """A change that sent every minor to the exact route would pass every
+    verdict; here `_det` may run inside `_certify_facets` only for the
+    simplices of a polytope whose coordinates pass the exactness bound."""
+    real_certify, real_det = exactgeom._certify_facets, exactgeom._det
+    proposed, dets, certifying = [], [], []
+
+    def certify(coords, planes):
+        proposed.append(len(planes))
+        certifying.append(True)
+        try:
+            return real_certify(coords, planes)
+        finally:
+            certifying.pop()
+    monkeypatch.setattr(exactgeom, "_certify_facets", certify)
+    monkeypatch.setattr(exactgeom, "_det", lambda rows: (dets.append(1) if certifying else None)
+                        or real_det(rows))
+    build()
+    assert proposed
+    assert len(dets) == (sum(proposed) if request.node.callspec.id in _EXACT_ONLY else 0)
+
+
+@st.composite
+def _integer_point_sets(draw):
+    """Integer points in d = 2..5, each set's coordinates below a bound on
+    either side of 2^26 (whose 2 x 2 permanents pass 2^52), 2^52 or 2^53."""
+    d = draw(st.integers(2, 5))
+    bound = draw(st.sampled_from([4, 2 ** 20, 2 ** 26, 2 ** 27, 2 ** 52, 2 ** 53 + 2]))
+    coord = st.integers(-bound + 1, bound - 1)
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 6, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_point_sets())
+def test_float_minors_match_the_cofactors_on_integer_point_sets(points):
+    coords = exactgeom._affine_coordinates(points)
+    if len(coords[0]) < 2:
+        return
+    proposal = exactgeom._propose_simplices(coords)
+    _checked_minors(coords, [s for s, _, _ in proposal], _first_columns(proposal))
+    assert _assert_certificate_matches_the_oracle(coords, proposal) is not None
+
+
+def _square(rows):
+    """A triangle in R^3 at the origin whose edge rows are `rows`, 2 x 2
+    entries with a zero third column: its minor at column 2 is det(rows)."""
+    return [(0, 0, 0)] + [(*row, 0) for row in rows]
+
+
+@pytest.mark.parametrize("coords, exact", [
+    # permanent 2^52 - 2^26 + 1, just below the bound: the float route
+    (_square([(2 ** 26 - 1, 2 ** 13), (2 ** 13, 2 ** 26 - 1)]), 0),
+    # permanent 2^52 + 1, just above it: exact, though doubles would hold it
+    (_square([(2 ** 26, 1), (1, 2 ** 26)]), 1),
+    # permanent about 2^55, and det -1, which doubles round to 0
+    (_square([(2 ** 27 + 1, 2 ** 27), (2 ** 27, 2 ** 27 - 1)]), 1),
+    # a coordinate at 2^52, with a small minor
+    ([(2 ** 52, 0, 0), (2 ** 52 + 1, 0, 0), (2 ** 52, 1, 0)], 1),
+    # coordinates past 2^53, whose edge rows doubles round to (0, 0) and (0, 1)
+    ([(2 ** 53, 0, 0), (2 ** 53 + 1, 0, 0), (2 ** 53, 1, 0)], 1),
+], ids=["permanent-below-2^52", "permanent-above-2^52", "permanent-past-2^53",
+        "coordinate-at-2^52", "coordinates-past-2^53"])
+def test_minors_are_trusted_only_below_the_exactness_bound(coords, exact):
+    assert _checked_minors(coords, [(0, 1, 2)], [2]) == exact
+
+
+@pytest.mark.parametrize("scale", [3 ** 40, 10 ** 400], ids=["3^40", "10^400"])
+def test_coordinates_past_the_exactness_bound_certify_through_exact_minors(scale, monkeypatch):
+    """lopsided4 scaled past 2^52 (inexact as doubles, or infinite) certifies
+    its facets with every minor exact, and the all-points oracle's tight
+    sets, in order."""
+    vertices = [tuple(x * scale for x in v) for v in zoo.fixture("lopsided4").polytope.vertices]
+    coords = exactgeom._affine_coordinates(exactgeom._integer_points(vertices))
+    proposal = exactgeom._propose_simplices(coords)
+    real = exactgeom._cofactor
+    exact = []
+    with monkeypatch.context() as patch:
+        patch.setattr(exactgeom, "_cofactor", lambda rows, j: exact.append(j) or real(rows, j))
+        tights = exactgeom._certify_facets(coords, proposal)
+    assert len(exact) == len(proposal)
+    assert tights is not None
+    assert tights == _all_points_certificate(coords, [s for s, _, _ in proposal])
+
+
 def test_backend_agreement_on_integer_fixtures():
     """Rounding to doubles is exact on integer coordinates and on p10-sphere's,
     so the rounded polytope keeps the edge graph, and the per-pair LP test
