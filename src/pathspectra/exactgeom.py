@@ -23,12 +23,10 @@ exactly two simplices with opposite orientations.  Those simplices then form
 a cycle that covers the boundary with the same positive degree everywhere,
 so the certified facets are all the facets.  A pair spans an edge iff the
 facets containing both meet in those two points alone, and a point is a
-vertex iff the facets containing it meet in that point alone.  When a check
-fails, the polytope falls back to one question per point and per pair: do
-its difference rows have a strict interior?  That is decided like a path's
-coherence, on the one max-least-slack LP (`_has_interior`).  A
-`DirectedGraph` checks at construction that its source and sink are the
-only ones.
+vertex iff the facets containing it meet in that point alone.  The proposal
+is the program's own, so a failed check raises RuntimeError: it reports a
+bug, not a property of the input.  A `DirectedGraph` checks at construction
+that its source and sink are the only ones.
 """
 from __future__ import annotations
 
@@ -435,34 +433,9 @@ def _strict_interior(rows, table):
                                   (0,) * d + (1,))
 
 
-def _has_interior(rows):
-    """Whether some y has row . y > 0 for every row, decided exactly.
-
-    No rows: yes.  Otherwise `_strict_interior`'s exactly checked strict y
-    says yes and its Gordan witness says no; when it certifies neither,
-    `lp_maximize` solves the same LP exactly, uncapped in t, and its optimum
-    t > 0 says yes.
-    """
-    if not rows:
-        return True
-    y, lam = _strict_interior(rows, _lp_rows(rows))
-    if y is not None or lam is not None:
-        return y is not None
-    return lp_maximize(rows)[1] > 0
-
-
 # ---------------------------------------------------------------------------
 # Polytopes
 # ---------------------------------------------------------------------------
-
-def _primitive_int_vector(vec: Sequence[Fraction]):
-    """Clear denominators and divide by the gcd; returns a tuple of ints."""
-    ints, _ = _over_common_denominator(vec)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
 
 def _plain(v) -> str:
     """A vector for messages, each coordinate by `str`: (1/3, 0), not reprs."""
@@ -651,7 +624,8 @@ def _certify_facets(coords, planes):
     at least one: the simplices cover the boundary, and a facet missing from
     the list would contain a generic point that no certified facet holds.
     The facets come in the order of their first simplex.  None means the
-    proposal failed a check, not that the hull is special.
+    proposal failed a check, not that the hull is special; on the placing's
+    own proposal `_facet_incidence` raises on it.
 
     Every point meets every facet in `_tight_sets`, which reads each sign of
     h = a . x - b off one float product of the planes (a, -b) against the
@@ -835,21 +809,26 @@ def _float(x):
 
 
 def _facet_incidence(ints):
-    """Certified tight sets (bitmasks over the integer points `ints`) of every
-    facet of their hull.
+    """Certified tight sets (bitmasks over the distinct integer points
+    `ints`) of every facet of their hull.
 
-    `_propose_simplices` triangulates the boundary in affine-hull coordinates
-    and `_certify_facets` decides the proposal.  None when the certificate
-    does not hold: the caller then uses the LP tests.
+    A lone point is one tight set, and a segment's facets are its two ends.
+    Otherwise `_propose_simplices` triangulates the boundary in affine-hull
+    coordinates and `_certify_facets` decides the proposal; RuntimeError
+    when the certificate does not hold.
     """
     coords = _affine_coordinates(ints)
     r = len(coords[0])
     if r == 0:
-        return None
+        return [1]
     if r == 1:
         xs = [q[0] for q in coords]
         return [sum(1 << k for k, x in enumerate(xs) if x == end) for end in (min(xs), max(xs))]
-    return _certify_facets(coords, _propose_simplices(coords))
+    facets = _certify_facets(coords, _propose_simplices(coords))
+    if facets is None:
+        raise RuntimeError(f"the facet certificate failed on the placing of {len(ints)} "
+                           f"points in dimension {r}")
+    return facets
 
 
 def _vertex_flags(facets, n):
@@ -896,8 +875,7 @@ class Polytope:
     Every construction checks that no two vertices coincide and that every
     listed point really is a vertex of the convex hull; offending points are
     rejected or stripped according to `on_nonvertex`.  That check computes
-    the one certified facet incidence the edge graph then reads, with
-    per-point and per-pair LPs as the fallback.
+    the one certified facet incidence the edge graph then reads.
     """
 
     def __init__(self, points, label="", on_nonvertex="reject"):
@@ -911,8 +889,6 @@ class Polytope:
             raise InputError("all points must share one ambient dimension >= 1")
         self.dim = d
         self.label = label
-        self._facets = None  # certified facet tight sets over the vertices, if known
-        self._ints = None  # the vertices times one positive integer, as integer tuples
         self.vertices = tuple(self._validated(pts, on_nonvertex))
         self._edges = None
 
@@ -925,22 +901,18 @@ class Polytope:
         kept = list(kept)
         ints = _integer_points(kept)
         facets = _facet_incidence(ints)
-        if facets is None:
-            flags = (_is_vertex_lp(kept, i) for i in range(len(kept)))
-        else:
-            flags = _vertex_flags(facets, len(kept))
         vertices, index = [], []
-        for k, (p, is_vertex) in enumerate(zip(kept, flags)):
+        for k, (p, is_vertex) in enumerate(zip(kept, _vertex_flags(facets, len(kept)))):
             if is_vertex:
                 vertices.append(p)
                 index.append(k)
             elif on_nonvertex == "reject":
                 raise InputError(f"point {_plain(p)} is not a vertex of the hull")
-        if facets is not None and len(index) < len(kept):
+        if len(index) < len(kept):
             facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
                       for tight in facets]
-        self._facets = facets
-        self._ints = tuple(ints[k] for k in index)
+        self._facets = facets  # certified facet tight sets over the vertices
+        self._ints = tuple(ints[k] for k in index)  # the vertices times one positive integer
         return vertices
 
     def __repr__(self):
@@ -971,34 +943,11 @@ class Polytope:
     # -- edge graph
 
     def edges(self):
-        """Sorted list of index pairs (i, j), i < j, that span edges of the polytope.
-
-        Read from the certified facet incidence; an LP per pair
-        (`_is_edge_pair`) when there is none.
-        """
+        """Sorted list of index pairs (i, j), i < j, that span edges of the
+        polytope, read from the certified facet incidence."""
         if self._edges is None:
-            n = len(self.vertices)
-            if self._facets is not None:
-                self._edges = tuple(_facet_edges(self._facets, n))
-            else:
-                self._edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                                    if self._is_edge_pair(i, j))
+            self._edges = tuple(_facet_edges(self._facets, len(self.vertices)))
         return list(self._edges)
-
-    def _is_edge_pair(self, i, j):
-        """LP edge test: some c orthogonal to e = v_j - v_i has c . v_i > c . w
-        for every other vertex w.  Its rows are the r = v_i - w projected
-        orthogonally to e and scaled by e . e: (e . e) r - (r . e) e."""
-        u, v = self.vertices[i], self.vertices[j]
-        e = [b - a for a, b in zip(u, v)]
-        ee = dot(e, e)
-        rows = []
-        for k, w in enumerate(self.vertices):
-            if k != i and k != j:
-                r = [a - b for a, b in zip(u, w)]
-                re = dot(r, e)
-                rows.append(tuple(ee * x - re * y for x, y in zip(r, e)))
-        return _has_interior(rows)
 
     def neighbors(self, i):
         adj = []
@@ -1008,15 +957,6 @@ class Polytope:
             elif b == i:
                 adj.append(a)
         return adj
-
-
-def _is_vertex_lp(points, i):
-    """LP vertex test: some c has c . points[i] > c . q for every other point
-    q.  A Gordan witness on the rows points[i] - q writes points[i] as a
-    convex combination of the others."""
-    p = points[i]
-    return _has_interior([tuple(a - b for a, b in zip(p, q))
-                          for k, q in enumerate(points) if k != i])
 
 
 # ---------------------------------------------------------------------------

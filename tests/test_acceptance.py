@@ -6,10 +6,11 @@ criterion in addition to the pytest verdicts.  Statistical criteria use the
 fixed seed below.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pathspectra import (Polytope, coherent_paths, coherent_spectrum,
                          count_paths_by_length, enumerate_paths, is_coherent,
@@ -347,19 +348,26 @@ def _exact_mean_f0(d, n):
 
     where C is the density constant, s = cap_measure(beta, p) and
     K(beta) = int int_[-1,1]^2 (1 - u^2)^beta (1 - v^2)^beta |u - v| du dv.
+
+    The line integral runs in q = 1 - p, with 1 - p^2 = q (2 - q) and
+    s = I_{q (2 - q)}(beta + 3/2, 1/2) / 2, which is `cap_measure`'s
+    (1 - I_{p^2}(1/2, beta + 3/2)) / 2 by the symmetry of the incomplete beta
+    function.  p is never formed, so no node rounds to p = 1, though the
+    integrand lives at q of order n^(-1 / (beta + 3/2)).
     """
     beta = d / 2 - 2
     c = (beta + 1) / math.pi
     half, _ = integrate.dblquad(lambda v, u: ((1 - u * u) * (1 - v * v)) ** beta * (u - v),
                                 -1, 1, -1, lambda u: u, epsabs=0, epsrel=1e-9)
 
-    def line(p):
-        s = cap_measure(beta, p)
-        return (1 - p * p) ** ((4 * beta + 3) / 2) * (
+    def line(q):
+        w = q * (2 - q)
+        s = 0.5 * float(special.betainc(beta + 1.5, 0.5, w))
+        return w ** ((4 * beta + 3) / 2) * (
             math.exp((n - 2) * math.log(s)) + math.exp((n - 2) * math.log1p(-s)))
 
     # the far side's mass s is about 1/n where the integrand lives
-    rims = [floating_radius(beta, x / n) for x in (0.1, 1, 10, 100) if x / n < 0.5]
+    rims = [1 - floating_radius(beta, x / n) for x in (0.1, 1, 10, 100) if x / n < 0.5]
     value, _ = integrate.quad(line, 0, 1, points=rims, limit=200, epsabs=0, epsrel=1e-10)
     return math.comb(n, 2) * 2 * math.pi * c * c * 2 * half * value
 
@@ -368,6 +376,17 @@ def test_exact_mean_of_three_points_is_three():
     means = {d: _exact_mean_f0(d, 3) for d in (3, 4, 5, 8)}
     ok = all(abs(m - 3) < 1e-8 for m in means.values())
     report("exact mean vertex count of three points is 3 for d in {3, 4, 5, 8}", ok, str(means))
+
+
+def test_exact_mean_grows_as_the_square_root_of_n_in_d3():
+    """E f0 grows as n^(1/(d - 1)); at d = 3, doubling n from 5 10^8 to
+    10^9 multiplies it by sqrt 2, with no quadrature warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        half, full = _exact_mean_f0(3, 5 * 10 ** 8), _exact_mean_f0(3, 10 ** 9)
+    ok = math.isfinite(full) and abs(full / half - math.sqrt(2)) <= 1e-4
+    report("exact E f0 at d=3 grows by sqrt 2 from n=5e8 to n=1e9", ok,
+           f"{half:.3f} -> {full:.3f}, ratio {full / half:.6f}")
 
 
 @pytest.mark.parametrize("d, n", [(5, 10 ** 6), (8, 10 ** 7)])

@@ -23,6 +23,14 @@ from test_betasim import _rng
 from test_exactgeom import _point_sets
 
 
+def _primitive_int_vector(vec):
+    """The rational vector with denominators cleared and divided by the gcd,
+    as a tuple of ints."""
+    ints, _ = exactgeom._over_common_denominator(vec)
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
 def test_both_polygon_paths_are_coherent():
     pentagon = Polytope([(0, 0), (2, -1), (4, 0), (3, 2), (1, 2)])
     c = (1, Fraction(1, 7))
@@ -390,7 +398,7 @@ def _fraction_arc_table(P, G):
     c, _ = exactgeom._over_common_denominator(G.c)
     table = {}
     for u, heads in enumerate(G.arcs):
-        steps = [exactgeom._primitive_int_vector([a - b for a, b in zip(P.vertices[v], P.vertices[u])])
+        steps = [_primitive_int_vector([a - b for a, b in zip(P.vertices[v], P.vertices[u])])
                  for v in heads]
         table[u] = [(v, step, dot(c, step)) for v, step in zip(heads, steps)]
     return table
@@ -591,12 +599,12 @@ def test_bulk_draw_is_randint(dim):
 
 def _primitive_arc_rows(table):
     """`coherence._arc_rows` with each row put through
-    `exactgeom._primitive_int_vector`, as it was built before: its oracle."""
+    `_primitive_int_vector`, as it was built before: its oracle."""
     blocks = {}
     for u, arcs in table.items():
         for v, step, run in arcs:
             blocks[u, v] = tuple(
-                exactgeom._primitive_int_vector([c_rival * a - run * b for a, b in zip(step, rival)])
+                _primitive_int_vector([c_rival * a - run * b for a, b in zip(step, rival)])
                 for w, rival, c_rival in arcs if w != v)
     return blocks
 
@@ -948,7 +956,7 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
     rows plant opposite pairs and vanishing triples a, b, -(a + b)."""
     d = data.draw(st.integers(2, 4))
     vector = st.tuples(*[st.integers(-3, 3)] * d).filter(any).map(
-        exactgeom._primitive_int_vector)
+        _primitive_int_vector)
     pool = data.draw(st.lists(vector, min_size=2, max_size=8, unique=True))
     pool += [tuple(-x for x in row)
              for row in data.draw(st.lists(st.sampled_from(pool), max_size=3))]
@@ -958,7 +966,7 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
         total = [-(x + y) for x, y in zip(a, b)]
         if a == b or not any(total):
             continue
-        c = exactgeom._primitive_int_vector(total)
+        c = _primitive_int_vector(total)
         g = Fraction(gcd(*total))
         planted.append({a: 1 / (2 + g), b: 1 / (2 + g), c: g / (2 + g)})
         pool.append(c)
@@ -1064,7 +1072,7 @@ def test_integer_certificate_matches_the_fraction_normal_form(data):
         row = [dot(cn, cn) * x - dot(a, cn) * y for x, y in zip(a, cn)]
         side = dot(row, omega)
         if side:
-            rows.append(exactgeom._primitive_int_vector([x * side for x in row]))
+            rows.append(_primitive_int_vector([x * side for x in row]))
     assume(rows)
     route = data.draw(st.sampled_from(["handed in", "HiGHS strict omega", "exact simplex"]))
     with pytest.MonkeyPatch.context() as mp:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
-                         count_paths_by_length, orient, project2d, upper_path)
-from pathspectra import exactgeom, zoo
+                         coherent_spectrum, count_paths_by_length, orient, project2d,
+                         upper_path)
+from pathspectra import coherence, exactgeom, zoo
 from pathspectra.betasim import sample_sphere
 
 from conftest import record_highs
@@ -21,6 +22,52 @@ from conftest import record_highs
 # on its float coordinates, with ties up to 1e-9)
 RECORDED_EDGES = json.loads(
     (Path(__file__).parent / "data" / "fixture_edges.json").read_text())
+
+
+# The vertex and edge oracle: one LP question per point and per pair, as
+# `Polytope` once asked them when a facet certificate failed.  Each goes
+# through `exactgeom`'s own LP chain, looked up on the module at call time, so
+# a test that patches `exactgeom.lp_maximize` or the HiGHS handle sees it.
+
+def _has_interior(rows):
+    """Whether some y has row . y > 0 for every row, decided exactly.
+
+    No rows: yes.  Otherwise `_strict_interior`'s exactly checked strict y
+    says yes and its Gordan witness says no; when it certifies neither,
+    `lp_maximize` solves the same LP exactly, uncapped in t, and its optimum
+    t > 0 says yes.
+    """
+    if not rows:
+        return True
+    y, lam = exactgeom._strict_interior(rows, exactgeom._lp_rows(rows))
+    if y is not None or lam is not None:
+        return y is not None
+    return exactgeom.lp_maximize(rows)[1] > 0
+
+
+def _is_vertex_lp(points, i):
+    """LP vertex test: some c has c . points[i] > c . q for every other point
+    q.  A Gordan witness on the rows points[i] - q writes points[i] as a
+    convex combination of the others."""
+    p = points[i]
+    return _has_interior([tuple(a - b for a, b in zip(p, q))
+                          for k, q in enumerate(points) if k != i])
+
+
+def _is_edge_pair(P, i, j):
+    """LP edge test: some c orthogonal to e = v_j - v_i has c . v_i > c . w
+    for every other vertex w of P.  Its rows are the r = v_i - w projected
+    orthogonally to e and scaled by e . e: (e . e) r - (r . e) e."""
+    u, v = P.vertices[i], P.vertices[j]
+    e = [b - a for a, b in zip(u, v)]
+    ee = exactgeom.dot(e, e)
+    rows = []
+    for k, w in enumerate(P.vertices):
+        if k != i and k != j:
+            r = [a - b for a, b in zip(u, w)]
+            re = exactgeom.dot(r, e)
+            rows.append(tuple(ee * x - re * y for x, y in zip(r, e)))
+    return _has_interior(rows)
 
 
 def test_nonvertex_point_rejected_or_stripped():
@@ -102,7 +149,7 @@ def test_edge_test_agrees_with_supporting_hyperplane_margin(builder):
     P = builder()
     edges = P.edges()
     for i, j in combinations(range(len(P.vertices)), 2):
-        assert ((i, j) in edges) == P._is_edge_pair(i, j)
+        assert ((i, j) in edges) == _is_edge_pair(P, i, j)
 
 
 _COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -136,12 +183,11 @@ def test_facet_incidence_matches_lp_oracle(points):
 
 def _assert_facet_incidence_matches_lp_oracle(points):
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
-    assert len(kept) == 1 or exactgeom._facet_incidence(exactgeom._integer_points(kept)) is not None
     P = Polytope(points, on_nonvertex="strip")
-    lp_vertices = [p for i, p in enumerate(kept) if exactgeom._is_vertex_lp(kept, i)]
+    lp_vertices = [p for i, p in enumerate(kept) if _is_vertex_lp(kept, i)]
     assert list(P.vertices) == lp_vertices
     n = len(P.vertices)
-    lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
+    lp_edges = [(i, j) for i, j in combinations(range(n), 2) if _is_edge_pair(P, i, j)]
     assert P.edges() == lp_edges
     assert Polytope(P.vertices).edges() == lp_edges
 
@@ -169,9 +215,6 @@ def _assert_facets_and_edges(P, kept):
     as `Polytope` renumbered them on every construction, and its facet edges
     are the all-pairs oracle's, over the vertices and over `kept`."""
     facets = exactgeom._facet_incidence(exactgeom._integer_points(kept))
-    if facets is None:
-        assert P._facets is None
-        return
     assert exactgeom._facet_edges(facets, len(kept)) == _all_pairs_facet_edges(facets, len(kept))
     index = [kept.index(v) for v in P.vertices]
     assert P._facets == [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
@@ -183,7 +226,6 @@ def _assert_facets_and_edges(P, kept):
 @pytest.mark.parametrize("name", zoo.fixture_names(include_slow=True))
 def test_fixture_facets_and_edges_match_the_all_pairs_oracle(name):
     P = zoo.fixture(name).polytope
-    assert P._facets is not None
     _assert_facets_and_edges(P, list(P.vertices))
 
 
@@ -205,10 +247,31 @@ def test_facets_and_edges_match_the_all_pairs_oracle_on_point_sets(points):
     _assert_facets_and_edges(Polytope(points, on_nonvertex="strip"), kept)
 
 
+def _forbid_lps(mp):
+    """Make every exact-simplex call of `exactgeom` fail the test; returns
+    the log of HiGHS calls, which a build with no LP leaves empty."""
+    mp.setattr(exactgeom, "lp_maximize", lambda rows: pytest.fail("exact LP used"))
+    return record_highs(mp)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_a_lone_point_is_one_vertex_without_lp(d, monkeypatch):
+    """A point, alone or repeated and stripped, is its own one facet: one
+    vertex, no edge, and one path of length 0, all without an LP."""
+    p = tuple(range(1, d + 1))
+    highs = _forbid_lps(monkeypatch)
+    monkeypatch.setattr(coherence, "lp_maximize", lambda rows: pytest.fail("exact LP used"))
+    for P in (Polytope([p]), Polytope([p, p], on_nonvertex="strip")):
+        assert P.vertices == (p,) and P._facets == [1]
+        assert P.edges() == []
+        c = (1,) * d
+        assert count_paths_by_length(orient(P, c)).counts == {0: 1}
+        assert coherent_spectrum(P, c).counts == {0: 1}
+    assert highs == []
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED_EDGES))
 def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
-    def no_lp(*args):
-        raise AssertionError("LP fallback used")
     built, incidences = [], []
     real_init, real_incidence = Polytope.__init__, exactgeom._facet_incidence
 
@@ -219,7 +282,7 @@ def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
     def incidence(points):
         incidences.append(points)
         return real_incidence(points)
-    monkeypatch.setattr(exactgeom, "_has_interior", no_lp)
+    highs = _forbid_lps(monkeypatch)
     monkeypatch.setattr(Polytope, "__init__", init)
     monkeypatch.setattr(exactgeom, "_facet_incidence", incidence)
     P = zoo.fixture(name).polytope
@@ -228,6 +291,7 @@ def test_fixture_edge_graph_certifies_without_lp(name, monkeypatch):
     assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
     # ... and the edge graph reads it instead of computing another
     assert len(incidences) == len(built)
+    assert highs == []
 
 
 @pytest.mark.parametrize("name", ["cube3", "ass5"])
@@ -235,9 +299,10 @@ def test_coordinates_beyond_doubles_keep_the_facet_route(name, monkeypatch):
     """Coordinates past the largest double are integers like any other to
     the exact proposal, so the edge graph is still certified without any LP."""
     vertices = [tuple(x * 10 ** 400 for x in v) for v in zoo.fixture(name).polytope.vertices]
-    monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
+    highs = _forbid_lps(monkeypatch)
     P = Polytope(vertices)
     assert [list(e) for e in P.edges()] == RECORDED_EDGES[name]
+    assert highs == []
     coords = exactgeom._affine_coordinates(exactgeom._integer_points(vertices))
     assert _assert_certificate_matches_the_oracle(
         coords, exactgeom._propose_simplices(coords)) is not None
@@ -262,26 +327,31 @@ def _assert_simplex_graph(P, points, c):
 def test_flat_initial_simplex_keeps_the_facet_route(points, c, monkeypatch):
     """A simplex with one apex 10^-30 off the opposite face, flat in floats,
     is certified from its exact facets without any LP."""
-    assert exactgeom._facet_incidence(exactgeom._integer_points(points)) is not None
-    monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: pytest.fail("LP fallback used"))
+    highs = _forbid_lps(monkeypatch)
     _assert_simplex_graph(Polytope(points), points, c)
+    assert highs == []
 
 
 @_FLAT_SIMPLICES
 def test_flat_initial_simplex_takes_the_lp_route(points, c, monkeypatch):
-    """With its proposal short of one simplex, the same flat simplex has
-    every vertex and edge decided by the LP tests, one per question."""
+    """With its proposal short of one simplex, the same flat simplex fails
+    its certificate and its build raises RuntimeError; the LP oracle still
+    decides every vertex and edge of it, one HiGHS LP per question."""
+    questions = _route_questions(points)
     real_proposal = exactgeom._propose_simplices
     monkeypatch.setattr(exactgeom, "_propose_simplices", lambda coords: real_proposal(coords)[1:])
-    assert exactgeom._facet_incidence(exactgeom._integer_points(points)) is None
-    lps = []
-    real = exactgeom._has_interior
-    monkeypatch.setattr(exactgeom, "_has_interior", lambda rows: lps.append(rows) or real(rows))
-    P = Polytope(points)
-    pairs = [(i, j) for i, j in combinations(range(len(points)), 2) if P._is_edge_pair(i, j)]
-    _assert_simplex_graph(P, points, c)
-    assert P.edges() == pairs
-    assert len(lps) == len(points) + 2 * len(pairs)
+    ints = exactgeom._integer_points(points)
+    coords = exactgeom._affine_coordinates(ints)
+    assert exactgeom._certify_facets(coords, exactgeom._propose_simplices(coords)) is None
+    with pytest.raises(RuntimeError, match="facet certificate"):
+        exactgeom._facet_incidence(ints)
+    with pytest.raises(RuntimeError, match="facet certificate"):
+        Polytope(points)
+    n = len(points)
+    answers = _asked(questions, monkeypatch)
+    assert len(answers) == n + n * (n - 1) // 2
+    assert all((verdict, expected, highs) == (True, True, 1)
+               for verdict, expected, _, highs, _ in answers)
 
 
 def _qhull_simplices(coords):
@@ -505,19 +575,21 @@ def _flip(s):
     lambda honest: honest + _INTERIOR_SLIVER,
 ], ids=["dropped", "reoriented", "square-twice", "inner-tetrahedron", "interior-sliver"])
 def test_tampered_proposal_is_rejected_and_falls_back(tamper, monkeypatch):
+    """A tampered proposal fails the certificate, and a build handed it
+    raises RuntimeError: a failed check is a bug, not a property of the
+    pyramid.  The LP oracle still reads the pyramid's vertices and edges."""
     honest = [s for s, _, _ in exactgeom._propose_simplices(_PYRAMID)]
     tampered = _with_planes(_PYRAMID, tamper(honest))
     assert exactgeom._certify_facets(_PYRAMID, _with_planes(_PYRAMID, honest)) is not None
     assert exactgeom._certify_facets(_PYRAMID, tampered) is None
     assert _all_points_certificate(_PYRAMID, tamper(honest)) is None
-    expected = Polytope(_PYRAMID, on_nonvertex="strip").edges()
-    # the stripped vertex list that edges() certifies gets an empty proposal
-    monkeypatch.setattr(exactgeom, "_propose_simplices",
-                        lambda coords: tampered if len(coords) == len(_PYRAMID) else [])
     P = Polytope(_PYRAMID, on_nonvertex="strip")
-    assert P._facets is None
+    monkeypatch.setattr(exactgeom, "_propose_simplices", lambda coords: tampered)
+    with pytest.raises(RuntimeError, match="facet certificate"):
+        Polytope(_PYRAMID, on_nonvertex="strip")
+    assert [p for i, p in enumerate(_PYRAMID) if _is_vertex_lp(_PYRAMID, i)] == list(P.vertices)
     assert len(P.vertices) == 5
-    assert P.edges() == expected
+    assert [(i, j) for i, j in combinations(range(5), 2) if _is_edge_pair(P, i, j)] == P.edges()
 
 
 def test_square_covered_twice_fails_only_the_orientation_check():
@@ -734,7 +806,7 @@ def test_backend_agreement_on_integer_fixtures():
         n = len(rounded.vertices)
         assert rounded.edges() == exact.edges()
         assert rounded.edges() == [(i, j) for i, j in combinations(range(n), 2)
-                                       if rounded._is_edge_pair(i, j)]
+                                       if _is_edge_pair(rounded, i, j)]
 
 
 def test_orient_rejects_level_edges_on_cube():
@@ -920,8 +992,8 @@ def test_collinear_points_are_not_chain_vertices():
 def test_exact_simplex_alone_decides_vertices_and_edges(highs_fails):
     P = zoo.lopsided_cube(3)
     n = len(P.vertices)
-    assert all(exactgeom._is_vertex_lp(P.vertices, i) for i in range(n))
-    lp_edges = [(i, j) for i, j in combinations(range(n), 2) if P._is_edge_pair(i, j)]
+    assert all(_is_vertex_lp(P.vertices, i) for i in range(n))
+    lp_edges = [(i, j) for i, j in combinations(range(n), 2) if _is_edge_pair(P, i, j)]
     assert highs_fails
     assert lp_edges == P.edges()
 
@@ -939,9 +1011,9 @@ def _route_questions(points):
     kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
     edges = set(P.edges())
     n = len(P.vertices)
-    return ([(partial(exactgeom._is_vertex_lp, kept, i), p in P.vertices, len(kept) > 1)
+    return ([(partial(_is_vertex_lp, kept, i), p in P.vertices, len(kept) > 1)
              for i, p in enumerate(kept)]
-            + [(partial(P._is_edge_pair, i, j), (i, j) in edges, n > 2)
+            + [(partial(_is_edge_pair, P, i, j), (i, j) in edges, n > 2)
                for i, j in combinations(range(n), 2)])
 
 

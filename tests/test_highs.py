@@ -20,7 +20,7 @@ from pathspectra import (LengthSpectrum, Polytope, cli, coherence, coherent_path
                          coherent_spectrum, exactgeom, zoo)
 
 from conftest import record_highs
-from test_exactgeom import _point_sets
+from test_exactgeom import _is_edge_pair, _is_vertex_lp, _point_sets
 
 _DIRECT = "HiGHS route: direct scipy.optimize._highspy._core._Highs"
 _FALLBACK = "HiGHS route: scipy.optimize.linprog fallback"
@@ -96,9 +96,9 @@ def test_cone_escape_lps_match_linprog(points):
     with pytest.MonkeyPatch.context() as mp:
         calls = record_highs(mp)
         for i in range(len(kept)):
-            exactgeom._is_vertex_lp(kept, i)
+            _is_vertex_lp(kept, i)
         for i, j in combinations(range(len(P.vertices)), 2):
-            P._is_edge_pair(i, j)
+            _is_edge_pair(P, i, j)
     for args, model, _res in calls:
         _assert_cone_lp(args, model)
     if len(kept) > 1:
@@ -341,7 +341,7 @@ def _record_every_lp(mp):
     """The HiGHS calls of building every recorded fixture and of
     `coherent_paths` on those with a coherent spectrum (a superset of the
     LPs `verify_fixture` pays), of the coherent paths of the four inputs the
-    benchmark certifies, and of the fallback vertex and edge tests on a few
+    benchmark certifies, and of the LP vertex and edge oracle on a few
     fixtures."""
     calls = record_highs(mp)
     for name in zoo.fixture_names(include_slow=True):
@@ -357,9 +357,9 @@ def _record_every_lp(mp):
     for name in ("cube3", "lopsided3", "p10-sphere"):
         P = zoo.fixture(name).polytope
         for i in range(len(P.vertices)):
-            exactgeom._is_vertex_lp(list(P.vertices), i)
+            _is_vertex_lp(list(P.vertices), i)
         for i, j in combinations(range(len(P.vertices)), 2):
-            P._is_edge_pair(i, j)
+            _is_edge_pair(P, i, j)
     return calls
 
 
