@@ -51,7 +51,6 @@ class SimConfig:
 
 @dataclass
 class SimReport:
-    config: SimConfig
     f0: list
     f1_up: list
     f1_low: list
@@ -137,28 +136,6 @@ def project_to_disk(points: np.ndarray) -> np.ndarray:
     """Orthogonal projection to the first two coordinates (the plane is fixed to
     the first two axes by rotational symmetry)."""
     return np.asarray(points)[:, :2]
-
-
-def beta_density(beta: float, x) -> float:
-    """Density C (1 - |x|^2)^beta on the unit disk, C = Gamma(beta+2) / (pi Gamma(beta+1))."""
-    if beta <= -1:
-        raise InputError("beta must exceed -1")
-    r2 = float(x[0]) ** 2 + float(x[1]) ** 2
-    if r2 > 1.0:
-        return 0.0
-    c = _density_constant(beta)
-    if r2 == 1.0:
-        return 0.0 if beta > 0 else (c if beta == 0 else math.inf)
-    return c * (1.0 - r2) ** beta
-
-
-def radial_cdf(beta: float, r: float) -> float:
-    """P(|X| <= r) for the planar beta law: 1 - (1 - r^2)^(beta + 1)."""
-    if r <= 0:
-        return 0.0
-    if r >= 1:
-        return 1.0
-    return 1.0 - (1.0 - r * r) ** (beta + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +258,7 @@ def simulate_Qn(config: SimConfig) -> SimReport:
         ups.append(up)
         lows.append(low)
         retries += r
-    return SimReport(config=config, f0=f0s, f1_up=ups, f1_low=lows,
-                     degenerate_retries=retries)
+    return SimReport(f0=f0s, f1_up=ups, f1_low=lows, degenerate_retries=retries)
 
 
 # ---------------------------------------------------------------------------
@@ -325,37 +301,14 @@ def estimate_growth_exponent(d: int, n_grid, trials: int, seed: int) -> GrowthFi
 # Caps and the floating body
 # ---------------------------------------------------------------------------
 
-def _density_constant(beta: float) -> float:
-    return math.gamma(beta + 2) / (math.pi * math.gamma(beta + 1))
-
-
-def cap_measure(beta: float, R: float) -> float:
-    """Mass of the cap {x : x . u > R} under the planar beta law.
+def floating_radius(beta: float, eps: float) -> float:
+    """Radius R_eps whose cap {x : x . u > R_eps}, u a unit vector, has mass
+    eps under the planar beta law, for 0 < eps < 1/2.
 
     A coordinate's marginal density is proportional to (1 - x^2)^(beta + 1/2),
-    so with u = x^2 the mass is half the complement of a regularized
-    incomplete beta function: (1 - I_{R^2}(1/2, beta + 3/2)) / 2, computed
-    without forming 1 - R^2, so that it stays exact near R = 0.
+    so the cap of radius R has mass I_{1 - R^2}(beta + 3/2, 1/2) / 2, with I
+    the regularized incomplete beta function; R_eps inverts it.
     """
-    if beta <= -1:
-        raise InputError("beta must exceed -1")
-    if not 0 < R < 1:
-        raise InputError("cap radius must be strictly between 0 and 1")
-    from scipy import special
-    return 0.5 * float(special.betaincc(0.5, beta + 1.5, R * R))
-
-
-def cap_measure_asymptotic(beta: float, R: float) -> float:
-    """Leading term of `cap_measure` as R -> 1:
-    2^(beta + 5/2) C / (2 beta + 3) * B(1/2, beta + 1) / 2 * (1 - R)^(beta + 3/2)."""
-    from scipy import special
-    c = _density_constant(beta) * special.beta(0.5, beta + 1) / 2
-    return 2.0 ** (beta + 2.5) * c / (2 * beta + 3) * (1 - R) ** (beta + 1.5)
-
-
-def floating_radius(beta: float, eps: float) -> float:
-    """Radius R_eps with cap_measure(beta, R_eps) = eps, for 0 < eps < 1/2,
-    by inverting the incomplete beta function."""
     if beta <= -1:
         raise InputError("beta must exceed -1")
     if not 0 < eps < 0.5:
@@ -365,25 +318,11 @@ def floating_radius(beta: float, eps: float) -> float:
     return math.sqrt(1 - float(special.betaincinv(beta + 1.5, 0.5, 2 * eps)))
 
 
-def outside_measure(beta: float, eps: float) -> float:
-    """Measure of the annulus outside the floating body: pi C / (beta+1) * (1 - R^2)^(beta+1)."""
-    r = floating_radius(beta, eps)
-    c = _density_constant(beta)
-    return math.pi * c / (beta + 1) * (1 - r * r) ** (beta + 1)
-
-
-def max_independent_caps(beta: float, eps: float) -> int:
-    """floor(pi / arccos(R_eps)): how many disjoint eps-caps fit around the disk."""
-    r = floating_radius(beta, eps)
-    return int(math.pi / math.acos(r))
-
-
 @dataclass(frozen=True)
 class ContainmentReport:
     rate: float
     eps: float
     radius: float
-    trials: int
     contained: tuple
 
 
@@ -399,8 +338,7 @@ def floating_containment_rate(config: SimConfig, c0: float) -> ContainmentReport
         chains = _rim_chains(_shells(config.d, config.n, _rng(config.seed, trial)))
         flags.append(_disk_in_hull(chains, radius))
     return ContainmentReport(rate=flags.count(False) / config.trials, eps=eps,
-                             radius=radius, trials=config.trials,
-                             contained=tuple(flags))
+                             radius=radius, contained=tuple(flags))
 
 
 def _disk_in_hull(chains, radius: float) -> bool:
@@ -431,7 +369,6 @@ class DiffMomentReport:
     var_f0: float
     mean_f0: float
     zero_rate: float
-    config: SimConfig
 
 
 def first_diff_moment(config: SimConfig, p: int) -> DiffMomentReport:
@@ -462,7 +399,6 @@ def first_diff_moment(config: SimConfig, p: int) -> DiffMomentReport:
         var_f0=float(f0s.var(ddof=1)),
         mean_f0=float(f0s.mean()),
         zero_rate=float((diffs == 0).mean()),
-        config=config,
     )
 
 
@@ -486,7 +422,6 @@ class CLTResult:
     mean: float
     std: float
     reliable: bool
-    config: SimConfig
 
 
 def kolmogorov_distance(sample) -> float:
@@ -524,22 +459,4 @@ def clt_check(config: SimConfig) -> CLTResult:
     smoothed = ups + jitter
     ks_smoothed = kolmogorov_distance((smoothed - smoothed.mean()) / smoothed.std(ddof=1))
     return CLTResult(ks=ks, ks_smoothed=ks_smoothed, mean=mean, std=std,
-                     reliable=config.trials >= 1000, config=config)
-
-
-def projection_chi_square(d: int, n: int, seed: int):
-    """Chi-square statistic and p-value of projected sphere samples against the
-    radial law of the beta density, on 24 equiprobable radial bins."""
-    if n < 1:
-        raise InputError("need at least one point")
-    beta, bins = d / 2 - 2, 24
-    rng = _rng(seed, 0)
-    xy = project_to_disk(sample_sphere(d, n, rng))
-    radii = np.hypot(xy[:, 0], xy[:, 1])
-    qs = np.arange(1, bins) / bins
-    edges = np.sqrt(1.0 - (1.0 - qs) ** (1.0 / (beta + 1.0)))
-    counts, _ = np.histogram(radii, bins=np.concatenate(([0.0], edges, [1.0])))
-    expected = n / bins
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    from scipy import special
-    return stat, float(special.chdtrc(bins - 1, stat))
+                     reliable=config.trials >= 1000)

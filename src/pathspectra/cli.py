@@ -48,13 +48,12 @@ def _manifest(args, inputs=()):
             "versions": versions, "timestamp": stamp, "input_digests": digests}
 
 
-def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
+def _emit(args, manifest, rows, header, summary, extra_comments=()):
     """Write CSV (rows + comment manifest/summary) or a single JSON document."""
     if args.format == "json":
         doc = {"manifest": manifest,
-               "rows": [dict(zip(header, r)) for r in rows]}
-        if summary is not None:
-            doc["summary"] = summary
+               "rows": [dict(zip(header, r)) for r in rows],
+               "summary": summary}
         text = json.dumps(doc, indent=2, default=str) + "\n"
     else:
         import csv
@@ -66,8 +65,7 @@ def _emit(args, manifest, rows, header, summary=None, extra_comments=()):
         lines = [f"# manifest: {json.dumps(manifest)}"]
         lines.append(buf.getvalue().rstrip("\n"))
         lines += list(extra_comments)
-        if summary is not None:
-            lines.append(f"# summary: {json.dumps(summary, default=str)}")
+        lines.append(f"# summary: {json.dumps(summary, default=str)}")
         text = "\n".join(lines) + "\n"
     _write(args, text)
 
@@ -414,7 +412,3 @@ def main(argv=None) -> int:
     except VerificationMismatch as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,9 +16,8 @@ certified.  Every other path with rows costs one HiGHS LP (the
 max-least-slack LP), which proposes either certificate: its solution a
 strictly interior omega, its duals the vanishing combination.  Both are
 checked in exact arithmetic, and what they leave open is decided by the
-exact simplex on the same LP (`exactgeom.lp_maximize`), the LP behind every
-vertex and edge verdict too.  So every coherent path's certificate comes
-from its own LP.  That LP is built from one table per enumeration, each
+exact simplex on the same LP (`exactgeom.lp_maximize`).  So every coherent
+path's certificate comes from its own LP.  That LP is built from one table per enumeration, each
 distinct row's HiGHS entries (`exactgeom._lp_rows`), made at the
 enumeration's first LP, so a path's model is its rows' entries
 concatenated.  A float coordinate is taken at its exact

@@ -1,5 +1,5 @@
-"""Polytope families, canonical directions, closed-form spectra, and the
-reproduction fixtures with their recorded expectations.  `FAMILIES` lists the
+"""Polytope families, closed-form spectra, and the reproduction fixtures with
+their recorded directions and expectations.  `FAMILIES` lists the
 families the command line builds, each with the options it takes.
 
 Closed forms act as independent oracles for the counting pipeline: whatever a
@@ -254,26 +254,6 @@ def product_of_simplices(vertex_counts) -> Polytope:
     verts = [sum(choice, ()) for choice in product(*factors)]
     slug = "x".join(map(str, counts))
     return Polytope(verts, label=f"prod-{slug}")
-
-
-def c_lex(n: int):
-    """Lexicographic orientation vector (2^1, ..., 2^n) for 0/1 polytopes."""
-    return tuple(2 ** i for i in range(1, n + 1))
-
-
-def canonical_direction(P: Polytope):
-    """Default direction of a zoo polytope, recovered from its label."""
-    kind = P.label.split("-")[0]
-    d = P.dim
-    if kind in ("cube", "shyp") or P.label.startswith(("lopsided", "modified", "truncated")):
-        return (1,) * d
-    if kind == "hyp2":
-        return tuple(2 ** i for i in range(d))
-    if kind == "cyclic" or P.label.startswith("p10"):
-        return (1,) + (0,) * (d - 1)
-    if kind in ("complex", "zeroone"):
-        return c_lex(d)
-    return tuple(range(1, d + 1))  # simplices, cross-polytopes, associahedra, products
 
 
 # The families `zoo emit` builds: name -> (constructor, the options it takes

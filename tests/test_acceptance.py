@@ -17,11 +17,11 @@ from pathspectra import (Polytope, coherent_paths, coherent_spectrum,
                          is_log_concave, is_ultra_log_concave, is_unimodal,
                          orient, prism_spectrum, sample_coherent, shadow_path)
 from pathspectra import zoo
-from pathspectra.betasim import (SimConfig, cap_measure, cap_measure_asymptotic,
-                                 clt_check, estimate_growth_exponent,
-                                 first_diff_moment, floating_radius,
-                                 max_independent_caps, simulate_Qn)
+from pathspectra.betasim import (SimConfig, clt_check, estimate_growth_exponent,
+                                 first_diff_moment, floating_radius, simulate_Qn)
 from pathspectra.pathcount import LengthSpectrum
+from test_betasim import cap_measure, cap_measure_asymptotic, max_independent_caps
+from test_zoo import c_lex, canonical_direction
 
 SEED = 20260808
 
@@ -101,14 +101,14 @@ def test_ass6_tables(ass6_pack):
 
 def test_complex_330_table():
     P = zoo.zero_one_from_complex(5, [(1, 4), (1, 2, 3, 5), (2, 3, 4, 5)])
-    spec = dp(P, zoo.c_lex(5))
+    spec = dp(P, c_lex(5))
     ok = spec.values() == [2, 36, 96, 76, 84, 36] and spec.total == 330
     report("0/1 complex {14,1235,2345}: (2,36,96,76,84,36) total 330", ok)
 
 
 def test_pure_complex_table():
     P = zoo.zero_one_from_complex(5, [(1, 2, 3), (1, 3, 4), (2, 4, 5), (3, 4, 5)])
-    spec = dp(P, zoo.c_lex(5))
+    spec = dp(P, c_lex(5))
     ok = (spec.values() == [8, 40, 67, 62, 22, 8]
           and is_unimodal(spec) and not is_log_concave(spec))
     report("pure complex {123,134,245,345}: (8,40,67,62,22,8), unimodal, not log-concave", ok)
@@ -182,7 +182,7 @@ def test_oracle_second_hypersimplex_up_to_6():
     totals = {}
     for n in (4, 5, 6):
         P = zoo.second_hypersimplex(n)
-        c = zoo.canonical_direction(P)
+        c = canonical_direction(P)
         brute = coherent_spectrum(P, c)
         rec = zoo.second_hypersimplex_coherent(n)
         # the recursion's z-power counts path vertices, one above the edge count
@@ -197,9 +197,9 @@ def test_oracle_products_of_simplices_up_to_5_5():
     for n in range(2, 6):
         for m in range(2, 6):
             P = zoo.product_of_simplices((n, m))
-            assert dp(P, zoo.canonical_direction(P)) == zoo.product_simplices_spectrum(n, m), (n, m)
+            assert dp(P, canonical_direction(P)) == zoo.product_simplices_spectrum(n, m), (n, m)
     P = zoo.product_of_simplices((4, 3))
-    c = zoo.canonical_direction(P)
+    c = canonical_direction(P)
     assert coherent_spectrum(P, c) == count_paths_by_length(orient(P, c))
     report("products of simplices match the double-binomial formula up to (5,5) vertices", True)
 

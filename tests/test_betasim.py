@@ -10,19 +10,98 @@ from scipy import integrate, special
 from scipy.spatial import ConvexHull
 
 from pathspectra import Polytope, shadow_path
-from pathspectra.betasim import (CLTResult, SimConfig, beta_density,
-                                 cap_measure, cap_measure_asymptotic,
-                                 chain_counts, clt_check, estimate_growth_exponent,
-                                 first_diff_moment, floating_containment_rate,
-                                 floating_radius, kolmogorov_distance,
-                                 max_independent_caps, outside_measure,
-                                 project_to_disk, projection_chi_square,
-                                 radial_cdf, sample_sphere, simulate_Qn)
+from pathspectra.betasim import (CLTResult, SimConfig, chain_counts, clt_check,
+                                 estimate_growth_exponent, first_diff_moment,
+                                 floating_containment_rate, floating_radius,
+                                 kolmogorov_distance, project_to_disk,
+                                 sample_sphere, simulate_Qn)
 from pathspectra.betasim import (_disk_in_hull, _f0_with_and_without_first_row,
                                  _held, _rim_chains, _rng, _sectors, _shells,
                                  _trial_counts)
 from pathspectra.errors import InputError
 from pathspectra.exactgeom import _monotone_chains
+
+
+# ---------------------------------------------------------------------------
+# The planar beta law and its caps: analytic oracles for the simulation
+# ---------------------------------------------------------------------------
+
+def _density_constant(beta: float) -> float:
+    return math.gamma(beta + 2) / (math.pi * math.gamma(beta + 1))
+
+
+def beta_density(beta: float, x) -> float:
+    """Density C (1 - |x|^2)^beta on the unit disk, C = Gamma(beta+2) / (pi Gamma(beta+1))."""
+    if beta <= -1:
+        raise InputError("beta must exceed -1")
+    r2 = float(x[0]) ** 2 + float(x[1]) ** 2
+    if r2 > 1.0:
+        return 0.0
+    c = _density_constant(beta)
+    if r2 == 1.0:
+        return 0.0 if beta > 0 else (c if beta == 0 else math.inf)
+    return c * (1.0 - r2) ** beta
+
+
+def radial_cdf(beta: float, r: float) -> float:
+    """P(|X| <= r) for the planar beta law: 1 - (1 - r^2)^(beta + 1)."""
+    if r <= 0:
+        return 0.0
+    if r >= 1:
+        return 1.0
+    return 1.0 - (1.0 - r * r) ** (beta + 1.0)
+
+
+def cap_measure(beta: float, R: float) -> float:
+    """Mass of the cap {x : x . u > R} under the planar beta law.
+
+    A coordinate's marginal density is proportional to (1 - x^2)^(beta + 1/2),
+    so with u = x^2 the mass is half the complement of a regularized
+    incomplete beta function: (1 - I_{R^2}(1/2, beta + 3/2)) / 2, computed
+    without forming 1 - R^2, so that it stays exact near R = 0.
+    """
+    if beta <= -1:
+        raise InputError("beta must exceed -1")
+    if not 0 < R < 1:
+        raise InputError("cap radius must be strictly between 0 and 1")
+    return 0.5 * float(special.betaincc(0.5, beta + 1.5, R * R))
+
+
+def cap_measure_asymptotic(beta: float, R: float) -> float:
+    """Leading term of `cap_measure` as R -> 1:
+    2^(beta + 5/2) C / (2 beta + 3) * B(1/2, beta + 1) / 2 * (1 - R)^(beta + 3/2)."""
+    c = _density_constant(beta) * special.beta(0.5, beta + 1) / 2
+    return 2.0 ** (beta + 2.5) * c / (2 * beta + 3) * (1 - R) ** (beta + 1.5)
+
+
+def outside_measure(beta: float, eps: float) -> float:
+    """Measure of the annulus outside the floating body: pi C / (beta+1) * (1 - R^2)^(beta+1)."""
+    r = floating_radius(beta, eps)
+    c = _density_constant(beta)
+    return math.pi * c / (beta + 1) * (1 - r * r) ** (beta + 1)
+
+
+def max_independent_caps(beta: float, eps: float) -> int:
+    """floor(pi / arccos(R_eps)): how many disjoint eps-caps fit around the disk."""
+    r = floating_radius(beta, eps)
+    return int(math.pi / math.acos(r))
+
+
+def projection_chi_square(d: int, n: int, seed: int):
+    """Chi-square statistic and p-value of projected sphere samples against the
+    radial law of the beta density, on 24 equiprobable radial bins."""
+    if n < 1:
+        raise InputError("need at least one point")
+    beta, bins = d / 2 - 2, 24
+    rng = _rng(seed, 0)
+    xy = project_to_disk(sample_sphere(d, n, rng))
+    radii = np.hypot(xy[:, 0], xy[:, 1])
+    qs = np.arange(1, bins) / bins
+    edges = np.sqrt(1.0 - (1.0 - qs) ** (1.0 / (beta + 1.0)))
+    counts, _ = np.histogram(radii, bins=np.concatenate(([0.0], edges, [1.0])))
+    expected = n / bins
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return stat, float(special.chdtrc(bins - 1, stat))
 
 
 def test_density_values():

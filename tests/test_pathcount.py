@@ -12,6 +12,7 @@ from pathspectra import (GenericityError, InputError, LengthSpectrum,
                          orient, prism_spectrum)
 from pathspectra import zoo
 from pathspectra.exactgeom import DirectedGraph
+from test_zoo import canonical_direction
 
 
 def spectrum_of(P, c, **kw):
@@ -137,7 +138,7 @@ def test_prism_spectrum_matches_dynamic_program_on_triangular_prism():
     assert base.counts == {1: 1, 2: 1}
     lifted = prism_spectrum(base, 1)
     prism = zoo.product_of_simplices((3, 2))
-    assert spectrum_of(prism, zoo.canonical_direction(prism)) == lifted
+    assert spectrum_of(prism, canonical_direction(prism)) == lifted
     assert lifted.counts == {2: 2, 3: 3}
 
 
