@@ -34,18 +34,13 @@ from .pathcount import (LengthSpectrum, count_paths_by_length, is_log_concave,
 from . import zoo
 
 
-def _manifest(args, inputs=()):
+def _manifest(args, digests=None):
+    """The run manifest; digests maps each input path to its SHA-256."""
     versions = {"pathspectra": __version__, "numpy": numpy.__version__,
                 "scipy": scipy.__version__}
-    digests = {}
-    for path in inputs:
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            h.update(fh.read())
-        digests[path] = h.hexdigest()
     stamp = datetime.now(timezone.utc).isoformat() if args.stamp_time else "unset"
     return {"command": list(args.argv), "seed": args.seed, "backend": args.backend,
-            "versions": versions, "timestamp": stamp, "input_digests": digests}
+            "versions": versions, "timestamp": stamp, "input_digests": digests or {}}
 
 
 def _emit(args, manifest, rows, header, summary, extra_comments=()):
@@ -114,13 +109,18 @@ class _DoublePolytope(Polytope):
 
 
 def _load_polytope(args):
+    """The polytope in args.polytope and the input digests of its manifest.
+
+    The file is read once: the digest is of the bytes that are parsed, which
+    are decoded as text mode reads them (UTF-8, universal newlines)."""
     try:
-        with open(args.polytope, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.polytope, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.polytope}: {exc}") from exc
     cls = _DoublePolytope if args.backend == "float" else Polytope
-    return cls.from_json(text)
+    return cls.from_json(text), {args.polytope: hashlib.sha256(data).hexdigest()}
 
 
 def _spectrum_analytics(spec: LengthSpectrum):
@@ -135,11 +135,11 @@ def _spectrum_analytics(spec: LengthSpectrum):
 
 
 def cmd_count(args):
-    P = _load_polytope(args)
+    P, digests = _load_polytope(args)
     direction = _parse_direction(args.direction, P.dim)
     G = orient(P, direction, drop_level_ties=args.allow_level_ties)
     spec = count_paths_by_length(G)
-    manifest = _manifest(args, inputs=[args.polytope])
+    manifest = _manifest(args, digests)
     analytics = _spectrum_analytics(spec)
     _emit(args, manifest, spec.to_csv_rows(), ("length", "count"),
           summary=analytics,
@@ -150,7 +150,7 @@ def cmd_count(args):
 def cmd_coherent(args):
     if args.sample < 0:
         raise InputError("--sample must be nonnegative")
-    P = _load_polytope(args)
+    P, digests = _load_polytope(args)
     direction = _parse_direction(args.direction, P.dim)
     G = orient(P, direction, drop_level_ties=args.allow_level_ties)
     counts = {}
@@ -163,7 +163,7 @@ def cmd_coherent(args):
             "margin": str(cert.margin),
         })
     spec = LengthSpectrum(counts)
-    manifest = _manifest(args, inputs=[args.polytope])
+    manifest = _manifest(args, digests)
     summary = _spectrum_analytics(spec)
     if args.sample:
         draw = sample_coherent(P, G, args.sample, args.seed)
@@ -316,7 +316,14 @@ def _add_global_options(parser, suppress):
                         help="embed a wall-clock timestamp in the manifest")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built by the first call and shared after it.
+
+    `main(argv)` may be called any number of times in one process; each call
+    parses into a fresh namespace with this one parser, so nothing carries
+    from one command to the next.  Callers must not mutate the parser.
+    Importing this module builds none."""
     # no abbreviations: a prefix such as zoo emit's --s would otherwise be
     # matched against --seed and --stamp-time before the subcommand sees it
     p = argparse.ArgumentParser(prog="pathspectra", allow_abbrev=False,

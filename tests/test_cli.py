@@ -1,5 +1,8 @@
+import argparse
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -108,6 +111,41 @@ def test_polytope_file_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["count", "coherent"])
+def test_polytope_file_is_read_once_and_its_digest_is_of_those_bytes(command, tmp_path,
+                                                                     capsys, monkeypatch):
+    path = write_poly(tmp_path, zoo.cross_polytope(3))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, out, _ = run(capsys, command, path, "--direction", "1,2,3")
+    assert code == 0
+    assert opened.count(path) == 1
+    manifest = json.loads(parse_csv(out)[1][0].split(": ", 1)[1])
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert manifest["input_digests"] == {path: digest}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_polytope_file_line_endings_read_as_in_text_mode(newline, tmp_path, capsys):
+    """Any line ending reads as "\\n", as text mode reads it: the table, and
+    the position that a JSON error names, are those of the "\\n" file."""
+    path = tmp_path / "poly.json"
+    text = json.dumps(json.loads(zoo.cube(3).to_json()), indent=1) + "\n"
+    for body, code in ((text, 0), ('{"dim": 1,\n "vertices": [[0], [1]\n', 1)):
+        outputs = []
+        for ending in ("\n", newline):
+            path.write_bytes(body.replace("\n", ending).encode())
+            got, out, err = run(capsys, "count", str(path), "--direction", "1,2,3")
+            outputs.append((got, parse_csv(out)[0], err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == code
+
+
 def test_unwritable_out_exits_1(tmp_path, capsys):
     path = write_poly(tmp_path, zoo.simplex(3))
     target = str(tmp_path / "missing" / "x.csv")
@@ -173,6 +211,26 @@ def test_cold_start_loads_only_the_scipy_a_command_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           stdout=subprocess.PIPE, text=True, check=True)
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_cli_import_builds_no_parser():
+    """The parser is built by the first command, not at import, so a cold
+    start that runs no command pays nothing for it."""
+    src = str(Path(exactgeom.__file__).parents[1])
+    probe = ("import argparse\n"
+             "built = []\n"
+             "real = argparse.ArgumentParser.__init__\n"
+             "def counting_init(self, *args, **kwargs):\n"
+             "    built.append(1)\n"
+             "    real(self, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counting_init\n"
+             "from pathspectra import cli\n"
+             "print(len(built), cli.build_parser.cache_info().currsize)\n"
+             "cli.build_parser()\n"
+             "print(len(built) > 0, cli.build_parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert proc.stdout == "0 0\nTrue 1\n"
 
 
 def test_float_backend_reads_fraction_strings(tmp_path, capsys):
@@ -560,6 +618,95 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     first = sim.read_bytes()
     assert main(flags) == 0
     assert sim.read_bytes() == first
+
+
+# Runs each command of argv[1] (a JSON list) with pathspectra freshly
+# imported, and prints one JSON list of [exit code, stdout, stderr, the text
+# written to argv[2] or null] per command.
+_ALONE_PROBE = """\
+import contextlib, io, json, sys
+from pathlib import Path
+commands, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+results = []
+for argv in commands:
+    for name in [m for m in sys.modules if m.split(".")[0] == "pathspectra"]:
+        del sys.modules[name]
+    from pathspectra import cli
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, stdout.getvalue(), stderr.getvalue(),
+                    out.read_text() if out.exists() else None])
+print(json.dumps(results))
+"""
+
+
+def test_back_to_back_commands_are_independent(tmp_path, capsys, monkeypatch):
+    """Commands run one after another in one process share one parser, and
+    each prints what it prints alone, in a fresh import: no global option,
+    given before or after the subcommand, and no argparse error carries to
+    the next call."""
+    poly = write_poly(tmp_path, zoo.cross_polytope(3))
+    out = tmp_path / "out.json"
+    commands = [
+        ["--out", str(out), "--format", "json", "--stamp-time", "--seed", "5",
+         "--backend", "float", "count", poly, "--direction", "1,2,3"],
+        ["count", poly, "--direction", "1,2,3"],
+        ["coherent", poly, "--direction", "1,2,3", "--seed", "5", "--backend", "float",
+         "--format", "json", "--sample", "20"],
+        ["coherent", poly, "--direction", "1,2,3", "--sample", "20"],
+        ["verify", "cube3"],
+        ["verify"],
+        ["simulate", "--d", "3", "--n", "50", "--nosuch", "1"],
+        ["simulate", "--d", "3", "--n", "50", "--trials", "2", "--seed", "9", "--stamp-time"],
+        ["simulate", "--d", "3", "--n", "50", "--trials", "2"],
+        ["zoo", "emit", "cube3", "--out", str(out)],
+        ["zoo", "emit", "cube3"],
+    ]
+    stamp = re.compile(r'"timestamp": "(?!unset")[^"]*"')
+
+    def unstamped(results):
+        return [[code] + [None if t is None else stamp.sub('"timestamp": "<t>"', t)
+                          for t in texts] for code, *texts in results]
+
+    # argparse wraps its usage line to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(exactgeom.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _ALONE_PROBE, json.dumps(commands), str(out)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    alone = unstamped(json.loads(proc.stdout))
+    assert [a[0] for a in alone] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    together = []
+    for argv in commands:
+        out.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        together.append([code, captured.out, captured.err,
+                         out.read_text() if out.exists() else None])
+    assert unstamped(together) == alone
+    # the 11 commands built as many parsers as one build_parser() does
+    commands_built = len(built)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    assert len(built) == 2 * commands_built > 0
 
 
 def test_simulate_csv_shape(capsys):
