@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: count, coherent, zoo, verify, simulate, growth, diffmoment,
-cltcheck, floatbody.  Exit codes: 0 success, 1 input error, 2 genericity or
-degeneracy, 3 verification mismatch.
+cltcheck, floatbody.  Exit codes: 0 success (and --help), 1 input error, 2
+genericity or degeneracy, or a usage error, 3 verification mismatch.
+`main(argv)` returns the code; it raises no SystemExit, a usage error included.
 
 Every output embeds a run manifest (command line, seed, backend, versions,
 input digests).  Timestamps are left unset unless --stamp-time is given, so a
@@ -406,7 +407,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)

@@ -23,10 +23,18 @@ enumeration's first LP, so a path's model is its rows' entries
 concatenated.  A float coordinate is taken at its exact
 binary value, so every verdict is exact.
 
-A spectrum needs no certificate, so `coherent_spectrum` walks a fixed batch
-of omegas first: a path that one of them reached is coherent, with no LP,
-once that omega is strictly positive on every row of the path, and only
-the other paths take the route above.
+A spectrum needs no certificate.  For a full-dimensional polytope in R^3
+whose graph keeps every edge, `coherent_spectrum` enumerates no path: the
+coherent paths are the arcs that the facets' events cut from the circle of
+directions omega in c-perp (Billera and Sturmfels, *Fiber polytopes*), and
+one exact angular sort of the facet normals gives each arc's length
+(`_sweep_arcs`), with one DEBUG line per call: the paths, the events and
+the events merged at a shared angle.  Every other input, a flat polygon in
+R^3, a graph with level ties dropped or any other dimension, is enumerated:
+the walk-first spectrum walks a fixed batch of omegas first, a path that
+one of them reached is coherent, with no LP, once that omega is strictly
+positive on every row of the path, and only the other paths take the
+route above.
 
 Certificates and the shadow walk run on integers: omega is projected off c
 on numerators over one denominator, and each arc's step is a primitive
@@ -43,7 +51,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple, Optional
@@ -51,8 +59,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient,
-                        _lp_rows, _over_common_denominator, _rational, _strict_interior)
+from .exactgeom import (DirectedGraph, Polytope, dot, lp_maximize, orient, _bits,
+                        _lp_rows, _monotone_chains, _over_common_denominator, _rational,
+                        _strict_interior)
 from .pathcount import LengthSpectrum, MonotonePath, enumerate_paths
 
 _log = logging.getLogger(__name__)
@@ -384,13 +393,26 @@ def _decide_rows(rows, witnesses, table, normal):
 def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpectrum:
     """Exact coherent counts per length; pointwise at most the monotone counts.
 
+    A full-dimensional P in R^3 whose graph keeps every edge (no
+    `drop_level_ties` graph) takes the angular sweep, `_sweep_arcs`, which
+    enumerates no path; every other input the walk-first enumeration,
+    `_walk_first_spectrum`.
+    """
+    G = graph if graph is not None else orient(P, c)
+    if P.dim == 3 and P._facets[0].bit_count() > 2 and sum(map(len, G.arcs)) == len(P.edges()):
+        return LengthSpectrum(Counter(length for _event, length in _sweep_arcs(P, G)))
+    return _walk_first_spectrum(P, G)
+
+
+def _walk_first_spectrum(P: Polytope, G: DirectedGraph) -> LengthSpectrum:
+    """The coherent spectrum of P along the graph `G`, by enumeration.
+
     A count needs no certificate, so the enumeration walks first: _PROBES
     omegas of `_draw_omegas` under seed 0 go up the graph through `_walk`,
     and a path one of them reached counts as coherent, with no LP, once that
     omega rechecks strictly on the path's rows.  Only the other paths go to
     `_decide_rows`, as in `coherent_paths`.
     """
-    G = graph if graph is not None else orient(P, c)
     table = _arc_table(P, G)
     forks, norm = _slope_table(table)
     omegas = _draw_omegas(random.Random(0), _PROBES, P.dim)
@@ -398,6 +420,104 @@ def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpec
     captures = {path: omegas[w].tolist() for path, w in reached.items()}
     return LengthSpectrum(Counter(
         path.length for path, _cert in _coherent(G, table, captures, "coherent_spectrum")))
+
+
+def _sweep_arcs(P: Polytope, G: DirectedGraph):
+    """[(event, length)], one per coherent path of P along `G`, which keeps
+    every edge of P, in angular order: the path is the shadow path on the
+    arc from `event` counterclockwise to the next entry's event, and
+    `length` is its length.
+
+    The shadow path at omega in c-perp changes only where a facet F projects
+    to a segment on the upper side, at omega along F's outward normal n
+    projected off c.  With u = `_sweep_plane(c)`[0] and v = c x u, omega is
+    read as (omega . u, omega . v), so F's event is (n . u, n . v), and W
+    maps back to omega = W_0 |v|^2 u + W_1 |u|^2 v.  The events, sorted by
+    exact angle, cut that circle into arcs, one per coherent path; events at
+    one angle are one cut, and their changes add.  Crossing F's event
+    counterclockwise swaps F's chain B for its chain A, two chains from its
+    c-lowest vertex lo to its c-highest hi, A not the edge lo-hi, when
+    event x (w . u, w . v) > 0 for w = (c . (hi - lo))(m - lo) -
+    (c . (m - lo))(hi - lo), m the vertex after lo on A, and A for B
+    otherwise.  The length on the arc from the last cut to the first is read
+    off the exact upper chain of the integer shadow at the sum of those two
+    events, which lies inside that arc: every gap is below pi, since the
+    normals positively span R^3.  RuntimeError when the lengths do not
+    close up after a full turn.
+    """
+    c, _ = _over_common_denominator(G.c)
+    u, v = _sweep_plane(c)
+    ints = P._ints
+    level = [dot(x, c) for x in ints]
+    near = [[] for _ in ints]
+    for i, j in P.edges():
+        near[i].append(j)
+        near[j].append(i)
+    inner = [sum(col) for col in zip(*ints)]  # len(ints) times the centroid
+    events = []
+    for tight in P._facets:
+        face = list(_bits(tight))
+        lo, hi = min(face, key=level.__getitem__), max(face, key=level.__getitem__)
+        m = next(k for k in near[lo] if tight >> k & 1 and k != hi)
+        size, back, k = 1, lo, m  # size: the edges of A
+        while k != hi:
+            back, k = k, next(j for j in near[k] if tight >> j & 1 and j != back)
+            size += 1
+        a, b, d = (ints[k] for k in face[:3])
+        normal = _cross([x - y for x, y in zip(b, a)], [x - y for x, y in zip(d, a)])
+        if dot(normal, [t - len(ints) * x for t, x in zip(inner, a)]) > 0:
+            normal = [-x for x in normal]
+        event = (dot(normal, u), dot(normal, v))
+        rise, up = level[hi] - level[lo], level[m] - level[lo]
+        w = [rise * (x - y) - up * (z - y) for x, y, z in zip(ints[m], ints[lo], ints[hi])]
+        change = 2 * size - len(face)  # |A| - |B|
+        events.append((event, change if event[0] * dot(w, v) > event[1] * dot(w, u) else -change))
+    events.sort(key=lambda e: _ANGLE(e[0]))
+    cuts = []  # [event, change, events at its angle]
+    for event, change in events:
+        if cuts and _by_angle(cuts[-1][0], event) == 0:
+            cuts[-1][1] += change
+            cuts[-1][2] += 1
+        else:
+            cuts.append([event, change, 1])
+    (e, _, _), (f, _, _) = cuts[-1], cuts[0]
+    s, t = (e[0] + f[0]) * dot(v, v), (e[1] + f[1]) * dot(u, u)
+    omega = [s * x + t * y for x, y in zip(u, v)]
+    _, upper = _monotone_chains(sorted((lv, dot(x, omega), k)
+                                       for k, (x, lv) in enumerate(zip(ints, level))))
+    length = start = len(upper) - 1
+    arcs = []
+    for event, change, _ in cuts:
+        length += change
+        arcs.append((event, length))
+    _log.debug("angular sweep: %d paths, %d events, %d merged events", len(cuts), len(events),
+               sum(k for _, _, k in cuts if k > 1))
+    if length != start:
+        raise RuntimeError(f"the angular sweep ends at length {length}, not at {start}")
+    return arcs
+
+
+def _sweep_plane(c):
+    """u = c x e, e the first unit vector off the integer vector c, and
+    v = c x u: two orthogonal integer vectors spanning c-perp."""
+    u = next(w for w in (_cross(c, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))) if any(w))
+    return u, _cross(c, u)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _by_angle(e, f):
+    """Compare two nonzero integer vectors of the plane by their angle in
+    [0, 2 pi): the half-plane first, then the cross product."""
+    upper_e, upper_f = e[1] > 0 or (e[1] == 0 and e[0] > 0), f[1] > 0 or (f[1] == 0 and f[0] > 0)
+    if upper_e != upper_f:
+        return -1 if upper_e else 1
+    return e[1] * f[0] - e[0] * f[1]
+
+
+_ANGLE = cmp_to_key(_by_angle)
 
 
 # omega's coordinates are drawn uniformly from [-_OMEGA_MAX, _OMEGA_MAX];

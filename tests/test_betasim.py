@@ -15,7 +15,7 @@ from pathspectra.betasim import (CLTResult, SimConfig, chain_counts, clt_check,
                                  floating_containment_rate, floating_radius,
                                  kolmogorov_distance, project_to_disk,
                                  sample_sphere, simulate_Qn)
-from pathspectra.betasim import (_disk_in_hull, _f0_with_and_without_first_row,
+from pathspectra.betasim import (_chain_lengths, _disk_in_hull, _f0_with_and_without_first_row,
                                  _held, _rim_chains, _rng, _sectors, _shells,
                                  _trial_counts)
 from pathspectra.errors import InputError
@@ -265,6 +265,32 @@ def test_rim_chains_match_the_unfiltered_loop(d, n):
     for seed, trial in ((1, 0), (1, 1), (29, 0), (29, 3), (7, 5)):
         assert (_rim_chains(_shells(d, n, _rng(seed, trial)))
                 == _plain_rim_chains(_shells(d, n, _rng(seed, trial))))
+
+
+def _dyadic_chain_counts(xy):
+    """(f0, f1_up, f1_low) of the hull of the float points `xy`, each
+    coordinate taken at its exact dyadic value: integers over one common
+    power of two, through the exact monotone chain."""
+    ratios = [x.as_integer_ratio() for x in xy.ravel().tolist()]
+    den = max(q for _, q in ratios)
+    ints = [p * (den // q) for p, q in ratios]
+    points = set(zip(ints[0::2], ints[1::2]))
+    return _chain_lengths(*_monotone_chains(sorted(points)))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_rim_chains_match_an_exact_chain_at_a_million_points(d):
+    """At n = 10^6 the float rim hull's (f0, f1_up, f1_low) equals that of
+    the exact chain on every point of the shells `_rim_chains` reads."""
+    for seed, trial in ((20251020, 0), (20251020, 1), (7, 3)):
+        read = []
+
+        def reading(shells):
+            for shell in shells:
+                read.append(shell[0][:, :2])
+                yield shell
+        chains = _rim_chains(reading(_shells(d, 10 ** 6, _rng(seed, trial))))
+        assert _chain_lengths(*chains) == _dyadic_chain_counts(np.concatenate(read))
 
 
 def _diamond():

@@ -635,10 +635,7 @@ for argv in commands:
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
     results.append([code, stdout.getvalue(), stderr.getvalue(),
                     out.read_text() if out.exists() else None])
 print(json.dumps(results))
@@ -694,10 +691,7 @@ def test_back_to_back_commands_are_independent(tmp_path, capsys, monkeypatch):
     together = []
     for argv in commands:
         out.unlink(missing_ok=True)
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         together.append([code, captured.out, captured.err,
                          out.read_text() if out.exists() else None])
@@ -707,6 +701,26 @@ def test_back_to_back_commands_are_independent(tmp_path, capsys, monkeypatch):
     cli.build_parser.cache_clear()
     cli.build_parser()
     assert len(built) == 2 * commands_built > 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--d", "3", "--n", "50", "--nosuch", "1"], 2),
+    (["nosuch"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["coherent", "--help"], 0),
+], ids=["unknown-option", "unknown-command", "no-command", "help", "subcommand-help"])
+def test_usage_errors_and_help_return_their_exit_code(argv, code, capsys):
+    """`main` returns argparse's status instead of raising SystemExit, and
+    `python -m pathspectra` exits with it."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert ("usage: pathspectra" in captured.err) == (code == 2)
+    assert ("usage: pathspectra" in captured.out) == (code == 0)
+    src = str(Path(exactgeom.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "pathspectra", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == code
 
 
 def test_simulate_csv_shape(capsys):

@@ -262,11 +262,14 @@ def _coherent_indices(P, c, G):
 
 def _assert_coherent_paths_match_the_oracle(P, c, G):
     """`coherent_paths` names the monotone path polytope's vertex paths, and
-    the walk-first `coherent_spectrum` counts them by length."""
+    `coherent_spectrum` counts them by length; so does the walk-first
+    spectrum in R^3, where `coherent_spectrum` may take the angular sweep."""
     vertices = _monotone_path_polytope_vertices(P, c, G)
     assert vertices == _coherent_indices(P, c, G)
-    lengths = Counter(len(seq) - 1 for seq in vertices)
-    assert coherent_spectrum(P, c, graph=G) == LengthSpectrum(lengths)
+    lengths = LengthSpectrum(Counter(len(seq) - 1 for seq in vertices))
+    assert coherent_spectrum(P, c, graph=G) == lengths
+    if P.dim == 3:
+        assert coherence._walk_first_spectrum(P, G) == lengths
 
 
 @pytest.mark.parametrize("name", zoo.fixture_names(include_slow=False))
@@ -760,6 +763,138 @@ def test_walk_first_spectrum_on_ass6(ass6_pack):
     spectrum is counted over `coherent_paths`."""
     P, c, G = ass6_pack["P"], ass6_pack["c"], ass6_pack["G"]
     assert coherent_spectrum(P, c, graph=G) == ass6_pack["coherent"]
+
+
+# the angular sweep in d = 3
+
+def _arc_omegas(G, arcs):
+    """An omega strictly inside each arc of `_sweep_arcs`: the point of
+    c-perp whose coordinates (omega . u, omega . v) are the sum of the arc's
+    two events, as a vector of Fractions."""
+    u, v = coherence._sweep_plane(coherence._over_common_denominator(G.c)[0])
+    uu, vv = dot(u, u), dot(v, v)
+    events = [event for event, _ in arcs]
+    return [[Fraction(e[0] + f[0], uu) * x + Fraction(e[1] + f[1], vv) * y for x, y in zip(u, v)]
+            for e, f in zip(events, events[1:] + events[:1])]
+
+
+def _assert_sweep_matches_coherent_paths(P, c, G):
+    """Each arc's omega captures a path of the arc's length (`shadow_path`
+    meets no tie), those paths are the coherent paths of `coherent_paths`,
+    one per arc, and `coherent_spectrum` counts them; returns the arcs."""
+    arcs = coherence._sweep_arcs(P, G)
+    walked = [shadow_path(P, c, omega, graph=G) for omega in _arc_omegas(G, arcs)]
+    assert [p.length for p in walked] == [length for _, length in arcs]
+    assert sorted(p.vertex_indices for p in walked) == _coherent_indices(P, c, G)
+    assert coherent_spectrum(P, c, graph=G) == LengthSpectrum(Counter(p.length for p in walked))
+    return arcs
+
+
+_FIXTURES_3D = ["cross3", "cube3", "lopsided3", "modified-lopsided3", "p10", "p10-sphere"]
+
+
+@pytest.mark.parametrize("name", _FIXTURES_3D)
+def test_sweep_matches_coherent_paths_on_fixtures(name):
+    F = zoo.fixture(name)
+    arcs = _assert_sweep_matches_coherent_paths(F.polytope, F.direction,
+                                                orient(F.polytope, F.direction))
+    if F.expected_coherent is not None:
+        assert LengthSpectrum(Counter(length for _, length in arcs)) == F.expected_coherent
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=4, max_size=10), st.data())
+def test_sweep_matches_coherent_paths_on_rational_3_polytopes(points, data):
+    P = Polytope(points, on_nonvertex="strip")
+    assume(P._facets[0].bit_count() > 2)  # full-dimensional
+    c = data.draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    try:
+        G = orient(P, c)
+    except (GenericityError, InputError):
+        assume(False)
+    _assert_sweep_matches_coherent_paths(P, c, G)
+
+
+def test_sweep_merges_events_at_one_angle(caplog):
+    """A bipyramid whose two facets project their normals to one direction
+    of c-perp: 6 events, 5 arcs and so 5 coherent paths, every one found by
+    the monotone path polytope oracle too."""
+    P = Polytope([(-2, -2, 0), (-2, 0, 0), (-2, 2, 2), (-1, 2, 1), (2, 2, 0)])
+    c = (1, 1, 0)
+    G = orient(P, c)
+    with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
+        arcs = _assert_sweep_matches_coherent_paths(P, c, G)
+    assert len(P._facets) == 6 and len(arcs) == 5
+    assert coherent_spectrum(P, c, graph=G).counts == {1: 1, 2: 2, 3: 1, 4: 1}
+    assert len(_monotone_path_polytope_vertices(P, c, G)) == 5
+    assert [r.getMessage() for r in caplog.records if r.name == "pathspectra.coherence"
+            and r.getMessage().startswith("angular sweep")] == [
+        "angular sweep: 5 paths, 6 events, 2 merged events"] * 2
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_sweep_on_sphere_polytopes(n):
+    """Simplicial, so one coherent path per facet: 2n - 4."""
+    P, c = _sphere_dyadic(3, n)
+    assert len(_assert_sweep_matches_coherent_paths(P, c, orient(P, c))) == 2 * n - 4
+
+
+def test_sweep_reaches_the_paper_scale():
+    """At n = 100 the spectrum has 2n - 4 = 196 paths.  At n = 1000 the
+    sweep finds 1996 paths, and each of 40 sampled arcs' omegas walks a path
+    of the arc's length."""
+    P, c = _sphere_dyadic(3, 100)
+    assert coherent_spectrum(P, c, graph=orient(P, c)).total == 196
+    P, c = _sphere_dyadic(3, 1000)
+    G = orient(P, c)
+    arcs = coherence._sweep_arcs(P, G)
+    assert len(arcs) == 1996
+    for omega, (_, length) in random.Random(5).sample(list(zip(_arc_omegas(G, arcs), arcs)), 40):
+        assert shadow_path(P, c, omega, graph=G).length == length
+
+
+def _forbid(monkeypatch, name):
+    monkeypatch.setattr(coherence, name, lambda *args: pytest.fail(f"{name} was called"))
+
+
+@pytest.mark.parametrize("name", _FIXTURES_3D)
+def test_graphs_from_orient_in_r3_take_the_sweep(name, monkeypatch):
+    """No path is enumerated, walked or sent to HiGHS."""
+    F = zoo.fixture(name)
+    want = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(F.polytope, F.direction)))
+    for forbidden in ("enumerate_paths", "_walk"):
+        _forbid(monkeypatch, forbidden)
+    calls = record_highs(monkeypatch)
+    assert coherent_spectrum(F.polytope, F.direction) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("P, c, level_ties", [
+    pytest.param(zoo.cross_polytope(3), (1, 0, 0), True, id="level-ties-r3"),
+    pytest.param(Polytope([(0, 0, 1), (2, -1, 1), (4, 0, 1), (3, 2, 1), (1, 2, 1)]),
+                 (1, Fraction(1, 7), 2), False, id="flat-pentagon-r3"),
+    pytest.param(Polytope([(0, 0, 0), (1, 2, 3)]), (1, 1, 1), False, id="segment-r3"),
+    pytest.param(Polytope([(0, 0), (2, -1), (4, 0), (3, 2), (1, 2)]), (1, Fraction(1, 7)),
+                 False, id="pentagon-r2"),
+    pytest.param(zoo.cross_polytope(4), (1, 2, 3, 4), False, id="cross4"),
+    pytest.param(zoo.simplex(1), (1,), False, id="simplex1"),
+])
+def test_other_inputs_keep_the_enumeration(P, c, level_ties, monkeypatch):
+    G = orient(P, c, drop_level_ties=level_ties)
+    want = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(P, c, graph=G)))
+    _forbid(monkeypatch, "_sweep_arcs")
+    enumerations = _log_calls(monkeypatch, coherence, "enumerate_paths")
+    assert coherent_spectrum(P, c, graph=G) == want
+    assert len(enumerations) == 1
+
+
+def test_a_sweep_that_does_not_close_up_raises(monkeypatch):
+    """With one triangle's event missing, the changes no longer sum to 0."""
+    P, c = zoo.cross_polytope(3), (1, 2, 3)
+    G = orient(P, c)
+    monkeypatch.setattr(P, "_facets", P._facets[1:])
+    with pytest.raises(RuntimeError, match="angular sweep ends at length"):
+        coherence._sweep_arcs(P, G)
 
 
 _DUAL_CASES = [

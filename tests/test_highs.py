@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from pathspectra import (LengthSpectrum, Polytope, cli, coherence, coherent_paths,
-                         coherent_spectrum, exactgeom, zoo)
+                         exactgeom, orient, zoo)
 
 from conftest import record_highs
 from test_exactgeom import _is_edge_pair, _is_vertex_lp, _point_sets
@@ -328,12 +328,13 @@ def test_enumeration_builds_one_row_table_over_the_graph_rows(P, c, monkeypatch)
 @pytest.mark.parametrize("name", ["cube3", "cross4"])
 def test_spectrum_builds_no_row_table_when_no_path_needs_an_lp(name, monkeypatch):
     """On these fixtures the walk captures every coherent path and the
-    seeded witness store decides every other one, so `coherent_spectrum`
-    runs no LP and builds no row table."""
+    seeded witness store decides every other one, so the walk-first
+    spectrum runs no LP and builds no row table."""
     F = zoo.fixture(name)
+    G = orient(F.polytope, F.direction)
     monkeypatch.setattr(coherence, "_lp_rows", lambda rows: pytest.fail("row table built"))
     calls = record_highs(monkeypatch)
-    assert coherent_spectrum(F.polytope, F.direction) == F.expected_coherent
+    assert coherence._walk_first_spectrum(F.polytope, G) == F.expected_coherent
     assert calls == []
 
 
