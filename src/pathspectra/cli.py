@@ -156,7 +156,7 @@ def cmd_coherent(args):
     G = orient(P, direction, drop_level_ties=args.allow_level_ties)
     counts = {}
     certs = []
-    for path, cert in coherent_paths(P, direction, graph=G):
+    for path, cert in coherent_paths(P, G):
         counts[path.length] = counts.get(path.length, 0) + 1
         certs.append({
             "path": list(path.vertex_indices),

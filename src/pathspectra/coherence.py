@@ -6,7 +6,8 @@ homogeneous cone in omega: at every step the taken arc must beat every other
 improving neighbor on slope.  The path is coherent iff that cone is
 full-dimensional, i.e. iff some omega satisfies every row strictly; by Gordan's
 alternative this fails exactly when a nonzero nonnegative combination of the
-rows vanishes.
+rows vanishes.  Every entry point but `slope_cone` takes P and its oriented
+graph G = `orient(P, c)`, as in `coherent_paths(P, G)`, and reads c as G.c.
 
 A witness already in hand decides a path incoherent before any LP, when the
 path's rows hold all of its support.  One store keeps them: seeded with
@@ -152,9 +153,8 @@ def slope_cone(P: Polytope, c, path: MonotonePath, graph: DirectedGraph = None) 
     return SlopeCone(rows=tuple(_path_rows(blocks, seq)))
 
 
-def is_coherent(P: Polytope, c, path: MonotonePath,
-                graph: DirectedGraph = None) -> Optional[CoherenceCertificate]:
-    """Certificate iff the slope cone is full-dimensional, decided exactly.
+def is_coherent(P: Polytope, G: DirectedGraph, path: MonotonePath) -> Optional[CoherenceCertificate]:
+    """Certificate iff the slope cone of `path` in G is full-dimensional, decided exactly.
 
     A row next to its negation proves the path incoherent outright.
     Otherwise one HiGHS max-least-slack LP proposes either a strictly
@@ -163,20 +163,18 @@ def is_coherent(P: Polytope, c, path: MonotonePath,
     the proposal is certified in exact arithmetic, and the exact simplex on
     the same LP settles the rare leftovers.
     """
-    G = graph if graph is not None else orient(P, c)
-    rows = list(slope_cone(P, c, path, graph=G).rows)
+    rows = list(slope_cone(P, G.c, path, graph=G).rows)
     return _decide_rows(rows, *_lp_context(G.c, rows))[1]
 
 
-def shadow_path(P: Polytope, c, omega, graph: DirectedGraph = None) -> MonotonePath:
-    """Path picked by the steepest-shadow walk: from the source, repeatedly move
-    to the improving neighbor maximizing <omega, v - u> / <c, v - u>.
+def shadow_path(P: Polytope, G: DirectedGraph, omega) -> MonotonePath:
+    """Path picked by the steepest-shadow walk up G: from the source, repeatedly
+    move to the improving neighbor maximizing <omega, v - u> / <G.c, v - u>.
 
     One walker of `_walk`, on Python ints, with the forks of the vertices it
     visits only; a slope tie means omega is not generic for this walk:
-    DegeneracyError.  `graph`, when given, is `orient(P, c)`.
+    DegeneracyError.
     """
-    G = graph if graph is not None else orient(P, c)
     om = [_rational(x) for x in omega]
     if len(om) != P.dim:
         raise InputError("omega has wrong dimension")
@@ -266,14 +264,13 @@ def _walk(G: DirectedGraph, fork, omegas):
              for col, w in reached.items()}, ties)
 
 
-def coherent_paths(P: Polytope, c, graph: DirectedGraph = None):
-    """Yield (path, certificate) for every coherent monotone path, in path order.
+def coherent_paths(P: Polytope, G: DirectedGraph):
+    """Yield (path, certificate) for every coherent monotone path of G, in path order.
 
     Everything a path's LP needs but its rows, `_lp_context` over the
     graph's rows, is built once for the whole enumeration.  The verdict
     count per route is logged at DEBUG when the enumeration ends.
     """
-    G = graph if graph is not None else orient(P, c)
     yield from _coherent(G, _arc_table(P, G), {}, "coherent_paths")
 
 
@@ -308,7 +305,7 @@ def _coherent(G: DirectedGraph, table, captures, caller):
 
 
 # how each path's verdict was reached: "shadow walk" is the walk-first
-# capture of `coherent_spectrum`, the others are `_decide_rows`'s
+# capture of `_walk_first_spectrum`, the others are `_decide_rows`'s
 _ROUTES = ("no rows", "shadow walk", "opposite rows", "shared witness",
            "HiGHS strict omega", "HiGHS witness", "exact simplex")
 _HALF = Fraction(1, 2)
@@ -390,15 +387,14 @@ def _decide_rows(rows, witnesses, table, normal):
                                        margin=margin)
 
 
-def coherent_spectrum(P: Polytope, c, graph: DirectedGraph = None) -> LengthSpectrum:
-    """Exact coherent counts per length; pointwise at most the monotone counts.
+def coherent_spectrum(P: Polytope, G: DirectedGraph) -> LengthSpectrum:
+    """Exact coherent counts per length along G; pointwise at most the monotone counts.
 
     A full-dimensional P in R^3 whose graph keeps every edge (no
     `drop_level_ties` graph) takes the angular sweep, `_sweep_arcs`, which
     enumerates no path; every other input the walk-first enumeration,
     `_walk_first_spectrum`.
     """
-    G = graph if graph is not None else orient(P, c)
     if P.dim == 3 and P._facets[0].bit_count() > 2 and sum(map(len, G.arcs)) == len(P.edges()):
         return LengthSpectrum(Counter(length for _event, length in _sweep_arcs(P, G)))
     return _walk_first_spectrum(P, G)

@@ -76,9 +76,6 @@ class LengthSpectrum:
     def to_csv_rows(self):
         return [(length, str(count)) for length, count in self.counts.items()]
 
-    def to_json_dict(self):
-        return {str(k): str(v) for k, v in self.counts.items()}
-
     @classmethod
     def from_json_dict(cls, data) -> "LengthSpectrum":
         return cls({int(k): int(v) for k, v in data.items()})

@@ -121,8 +121,9 @@ def lopsided_cube(d: int, prism_first: bool = False) -> Polytope:
     return Polytope(verts, label=f"lopsided-{d}")
 
 
-def truncate_vertex(P: Polytope, normal, bound) -> Polytope:
-    """Intersect P with <x, normal> <= bound; exactly one vertex may violate it.
+def truncate_vertex(P: Polytope, normal, bound, label) -> Polytope:
+    """Intersect P with <x, normal> <= bound, labelled `label`; exactly one
+    vertex may violate it.
 
     The cut vertex is replaced by the intersection points of its edges with the
     hyperplane.
@@ -142,15 +143,13 @@ def truncate_vertex(P: Polytope, normal, bound) -> Polytope:
         w = P.vertices[j]
         t = (b - vals[i]) / (vals[j] - vals[i])
         verts.append(tuple(u[k] + t * (w[k] - u[k]) for k in range(P.dim)))
-    return Polytope(verts, label=P.label + "-trunc")
+    return Polytope(verts, label=label)
 
 
 def truncated_lopsided_4() -> Polytope:
     """Lopsided 4-cube (prism coordinate first) cut just below its top vertex."""
     P = lopsided_cube(4, prism_first=True)
-    Q = truncate_vertex(P, (2, 4, 3, 3), Fraction(41, 2))
-    Q.label = "truncated-lopsided-4"
-    return Q
+    return truncate_vertex(P, (2, 4, 3, 3), Fraction(41, 2), "truncated-lopsided-4")
 
 
 def modified_lopsided_3() -> Polytope:
@@ -167,9 +166,7 @@ def modified_lopsided_3() -> Polytope:
     a = (-3, 1, 4)
     vals = sorted(sum(x * y for x, y in zip(v, a)) for v in P.vertices)
     bound = vals[-1] - Fraction(1, 2) * (vals[-1] - vals[-2])
-    Q = truncate_vertex(P, a, bound)
-    Q.label = "modified-lopsided-3"
-    return Q
+    return truncate_vertex(P, a, bound, "modified-lopsided-3")
 
 
 _P10 = ((0, 0, 0), (1, -5, -5), (2, 0, -5), (3, -5, 0), (4, -6, 0),
@@ -488,7 +485,7 @@ def verify_fixture(F: Fixture) -> FixtureReport:
     if F.expected_monotone is not None and mono != F.expected_monotone:
         diffs.append(f"monotone: expected {F.expected_monotone.counts}, got {mono.counts}")
     if F.expected_coherent is not None:
-        coh = coherent_spectrum(F.polytope, F.direction, graph=G)
+        coh = coherent_spectrum(F.polytope, G)
         if coh != F.expected_coherent:
             diffs.append(f"coherent: expected {F.expected_coherent.counts}, got {coh.counts}")
     return FixtureReport(name=F.name, passed=not diffs, diffs=diffs,

@@ -15,7 +15,7 @@ def ass5_pack():
     c = (1, 2, 3, 4, 5)
     G = orient(P, c)
     mono = count_paths_by_length(G)
-    pairs = list(coherent_paths(P, c, graph=G))
+    pairs = list(coherent_paths(P, G))
     counts = {}
     for path, _ in pairs:
         counts[path.length] = counts.get(path.length, 0) + 1
@@ -29,7 +29,7 @@ def ass6_pack():
     c = (1, 2, 3, 4, 5, 6)
     G = orient(P, c)
     mono = count_paths_by_length(G)
-    pairs = list(coherent_paths(P, c, graph=G))
+    pairs = list(coherent_paths(P, G))
     counts = {}
     for path, _ in pairs:
         counts[path.length] = counts.get(path.length, 0) + 1

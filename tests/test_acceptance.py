@@ -61,7 +61,7 @@ def test_p10_spherical_on_float_backend():
 def test_lopsided_3_table_and_coherence():
     P = zoo.lopsided_cube(3)
     spec = dp(P, (1, 1, 1))
-    coh = coherent_spectrum(P, (1, 1, 1))
+    coh = coherent_spectrum(P, orient(P, (1, 1, 1)))
     ok = spec.counts == {2: 2, 4: 4} and coh.counts == {2: 2, 4: 4}
     report("lopsided 3-cube {2:2, 4:4} with all 6 paths coherent", ok)
 
@@ -116,7 +116,7 @@ def test_pure_complex_table():
 
 def test_complex_x4_coherent_values():
     F = zoo.fixture("complex-x4")
-    coh = coherent_spectrum(F.polytope, F.direction)
+    coh = coherent_spectrum(F.polytope, orient(F.polytope, F.direction))
     ok = coh.values() == [1, 4, 4, 5, 2] and not is_log_concave(coh)
     report("0/1 polytope X in dim 4: coherent values (1,4,4,5,2), not log-concave", ok,
            str(coh.counts))
@@ -150,8 +150,8 @@ def test_oracle_cross_polytopes_monotone_up_to_6():
 
 def test_oracle_cross_polytopes_coherent_up_to_5():
     for d in range(2, 6):
-        c = tuple(range(1, d + 1))
-        coh = coherent_spectrum(zoo.cross_polytope(d), c)
+        P = zoo.cross_polytope(d)
+        coh = coherent_spectrum(P, orient(P, tuple(range(1, d + 1))))
         assert coh == zoo.crosspoly_coherent(d), d
         assert coh.total == 3 ** (d - 1) - 1, d
     report("cross-polytope coherent counts equal C(d-1,l-1) 2^(l-1) with total 3^(d-1)-1 for d <= 5", True)
@@ -160,7 +160,7 @@ def test_oracle_cross_polytopes_coherent_up_to_5():
 def test_oracle_cyclic_coherent_d4():
     for n in range(5, 9):
         P = zoo.cyclic(4, range(1, n + 1))
-        assert coherent_spectrum(P, (1, 0, 0, 0)) == zoo.cyclic_coherent(n, 4), n
+        assert coherent_spectrum(P, orient(P, (1, 0, 0, 0))) == zoo.cyclic_coherent(n, 4), n
     report("cyclic d=4 coherent counts equal the plateau formula for n <= 8", True)
 
 
@@ -173,7 +173,7 @@ def test_oracle_s_hypersimplices_up_to_7():
         mono = count_paths_by_length(G)
         assert mono == zoo.s_hypersimplex_total(d, S), (d, S)
         assert len(mono.counts) == 1 and mono.min_len == len(S), (d, S)
-        coh = coherent_spectrum(P, (1,) * d, graph=G)
+        coh = coherent_spectrum(P, G)
         assert coh == mono, (d, S)
     report("S-hypersimplices d <= 7: single length |S|, multinomial total, all paths coherent", True)
 
@@ -183,7 +183,7 @@ def test_oracle_second_hypersimplex_up_to_6():
     for n in (4, 5, 6):
         P = zoo.second_hypersimplex(n)
         c = canonical_direction(P)
-        brute = coherent_spectrum(P, c)
+        brute = coherent_spectrum(P, orient(P, c))
         rec = zoo.second_hypersimplex_coherent(n)
         # the recursion's z-power counts path vertices, one above the edge count
         assert {l - 1: v for l, v in rec.counts.items()} == brute.counts, n
@@ -200,7 +200,8 @@ def test_oracle_products_of_simplices_up_to_5_5():
             assert dp(P, canonical_direction(P)) == zoo.product_simplices_spectrum(n, m), (n, m)
     P = zoo.product_of_simplices((4, 3))
     c = canonical_direction(P)
-    assert coherent_spectrum(P, c) == count_paths_by_length(orient(P, c))
+    G = orient(P, c)
+    assert coherent_spectrum(P, G) == count_paths_by_length(G)
     report("products of simplices match the double-binomial formula up to (5,5) vertices", True)
 
 
@@ -220,7 +221,7 @@ def spectra_collection(ass5_pack):
                 (zoo.loday_associahedron(4), (1, 2, 3, 4))]
     for P, c in fixtures:
         G = orient(P, c)
-        out.append((P, c, count_paths_by_length(G), coherent_spectrum(P, c, graph=G)))
+        out.append((P, c, count_paths_by_length(G), coherent_spectrum(P, G)))
     out.append((ass5_pack["P"], ass5_pack["c"], ass5_pack["monotone"], ass5_pack["coherent"]))
     return out
 
@@ -236,11 +237,8 @@ def test_pointwise_domination(spectra_collection):
 def test_sampler_contained_in_exact_coherent_set(ass5_pack):
     cases = [(zoo.cube(3), (1, 1, 1)), (zoo.cross_polytope(3), (1, 2, 3)),
              (ass5_pack["P"], ass5_pack["c"])]
-    exact_sets = [
-        {p for p, _ in coherent_paths(*cases[0])},
-        {p for p, _ in coherent_paths(*cases[1])},
-        {p for p, _ in ass5_pack["pairs"]},
-    ]
+    exact_sets = [{p for p, _ in coherent_paths(P, orient(P, c))} for P, c in cases[:2]]
+    exact_sets.append({p for p, _ in ass5_pack["pairs"]})
     for (P, c), exact in zip(cases, exact_sets):
         draw = sample_coherent(P, orient(P, c), 10_000, seed=SEED)
         assert draw.paths <= exact, P.label
@@ -251,12 +249,11 @@ def test_certificate_round_trips(ass5_pack, spectra_collection):
     checked = 0
     for P, c, _mono, _coh in spectra_collection[:6]:
         G = orient(P, c)
-        for path, cert in coherent_paths(P, c, graph=G):
-            assert shadow_path(P, c, cert.omega, graph=G) == path, (P.label, path)
+        for path, cert in coherent_paths(P, G):
+            assert shadow_path(P, G, cert.omega) == path, (P.label, path)
             checked += 1
     for path, cert in ass5_pack["pairs"]:
-        assert shadow_path(ass5_pack["P"], ass5_pack["c"], cert.omega,
-                           graph=ass5_pack["G"]) == path
+        assert shadow_path(ass5_pack["P"], ass5_pack["G"], cert.omega) == path
         checked += 1
     report("certificate round trip shadow_path(omega) == certified path", True,
            f"{checked} certificates")
@@ -281,12 +278,12 @@ def test_translation_and_scaling_invariance():
              (zoo.p10(), (1, 0, 0), (-3, 4, 11), 5)]
     for P, c, shift, scale in cases:
         mono = dp(P, c)
-        coh = coherent_spectrum(P, c)
+        coh = coherent_spectrum(P, orient(P, c))
         moved = Polytope([tuple(x + s for x, s in zip(v, shift)) for v in P.vertices])
         scaled = Polytope([tuple(scale * x for x in v) for v in P.vertices])
         for Q in (moved, scaled):
             assert dp(Q, c) == mono, P.label
-            assert coherent_spectrum(Q, c) == coh, P.label
+            assert coherent_spectrum(Q, orient(Q, c)) == coh, P.label
     report("spectra and coherence verdicts survive translation and positive scaling", True)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.spatial import ConvexHull
 
-from pathspectra import Polytope, shadow_path
+from pathspectra import Polytope, orient, shadow_path
 from pathspectra.betasim import (CLTResult, SimConfig, chain_counts, clt_check,
                                  estimate_growth_exponent, first_diff_moment,
                                  floating_containment_rate, floating_radius,
@@ -463,7 +463,7 @@ def test_exact_shadow_path_matches_upper_chain_count(d, n):
     for trial in range(4):
         pts = sample_sphere(d, n, _rng(11, trial))
         P = Polytope([[Fraction(x) for x in p] for p in pts])
-        assert shadow_path(P, e1, e2).length == chain_counts(pts[:, :2])[1]
+        assert shadow_path(P, orient(P, e1), e2).length == chain_counts(pts[:, :2])[1]
 
 
 def test_chain_identity_on_random_samples():

@@ -36,10 +36,10 @@ def test_both_polygon_paths_are_coherent():
     c = (1, Fraction(1, 7))
     G = orient(pentagon, c)
     for path in enumerate_paths(G):
-        cert = is_coherent(pentagon, c, path, graph=G)
+        cert = is_coherent(pentagon, G, path)
         assert cert is not None
         assert cert.margin > 0
-    assert coherent_spectrum(pentagon, c).total == 2
+    assert coherent_spectrum(pentagon, G).total == 2
 
 
 def test_every_cube_path_is_coherent_with_full_cone():
@@ -51,18 +51,20 @@ def test_every_cube_path_is_coherent_with_full_cone():
     for path in paths:
         cone = slope_cone(P, c, path, graph=G)
         assert cone.rows  # competing neighbors exist at intermediate steps
-        assert is_coherent(P, c, path, graph=G) is not None
-    assert coherent_spectrum(P, c, graph=G).counts == {3: 6}
+        assert is_coherent(P, G, path) is not None
+    assert coherent_spectrum(P, G).counts == {3: 6}
 
 
 def test_simplex_paths_all_coherent():
     P = zoo.simplex(4)
     c = (1, 2, 3, 4)
-    assert coherent_spectrum(P, c) == count_paths_by_length(orient(P, c))
+    G = orient(P, c)
+    assert coherent_spectrum(P, G) == count_paths_by_length(G)
 
 
 def test_cross_polytope_coherent_spectrum():
-    spec = coherent_spectrum(zoo.cross_polytope(3), (1, 2, 3))
+    P = zoo.cross_polytope(3)
+    spec = coherent_spectrum(P, orient(P, (1, 2, 3)))
     assert spec.counts == {2: 4, 3: 4}
     assert spec.total == 3 ** 2 - 1
 
@@ -71,7 +73,7 @@ def test_incoherent_paths_exist_on_cross_polytope():
     P = zoo.cross_polytope(3)
     c = (1, 2, 3)
     G = orient(P, c)
-    incoherent = [p for p in enumerate_paths(G) if is_coherent(P, c, p, graph=G) is None]
+    incoherent = [p for p in enumerate_paths(G) if is_coherent(P, G, p) is None]
     assert len(incoherent) == 2
     assert all(p.length == 4 for p in incoherent)
 
@@ -96,10 +98,11 @@ def test_slope_cone_validates_paths():
 
 def test_single_vertex_path_has_no_rows_and_is_coherent():
     P, c = Polytope([(0, 1)]), (0, 1)
-    (path,) = enumerate_paths(orient(P, c))
+    G = orient(P, c)
+    (path,) = enumerate_paths(G)
     assert path == MonotonePath((0,))
     assert slope_cone(P, c, path).rows == ()
-    assert is_coherent(P, c, path) == next(coherent_paths(P, c))[1]
+    assert is_coherent(P, G, path) == next(coherent_paths(P, G))[1]
 
 
 def test_certificate_round_trip():
@@ -109,18 +112,19 @@ def test_certificate_round_trip():
              (zoo.loday_associahedron(4), (1, 2, 3, 4))]
     for P, c in cases:
         G = orient(P, c)
-        for path, cert in coherent_paths(P, c, graph=G):
+        for path, cert in coherent_paths(P, G):
             assert cert.margin > 0
             assert dot(cert.omega, c) == 0  # certificate reported without its c-component
-            assert shadow_path(P, c, cert.omega, graph=G) == path
+            assert shadow_path(P, G, cert.omega) == path
 
 
 def test_opposite_capture_vectors_give_internally_disjoint_paths():
     P = zoo.cross_polytope(3)
     c = (1, 2, 3)
     omega = (Fraction(5), Fraction(-3), Fraction(1))
-    a = shadow_path(P, c, omega)
-    b = shadow_path(P, c, tuple(-x for x in omega))
+    G = orient(P, c)
+    a = shadow_path(P, G, omega)
+    b = shadow_path(P, G, tuple(-x for x in omega))
     assert a.vertex_indices[0] == b.vertex_indices[0]
     assert a.vertex_indices[-1] == b.vertex_indices[-1]
     assert set(a.vertex_indices[1:-1]) & set(b.vertex_indices[1:-1]) == set()
@@ -131,7 +135,7 @@ def test_shadow_walk_matches_projected_upper_chain():
     P = zoo.cross_polytope(3)
     c = (1, 2, 3)
     omega = (Fraction(5), Fraction(-3), Fraction(1))
-    walked = shadow_path(P, c, omega)
+    walked = shadow_path(P, orient(P, c), omega)
     chain = upper_path(project2d(P, c, omega))
     assert list(walked.vertex_indices) == chain
 
@@ -140,7 +144,7 @@ def test_shadow_path_slope_tie_is_degenerate():
     from pathspectra import DegeneracyError
     P = zoo.cube(3)
     with pytest.raises(DegeneracyError):
-        shadow_path(P, (1, 1, 1), (0, 0, 0))
+        shadow_path(P, orient(P, (1, 1, 1)), (0, 0, 0))
 
 
 def test_sampling_lopsided_cube_recovers_all_six_paths():
@@ -158,7 +162,7 @@ def test_sampling_is_deterministic_and_contained():
     again = sample_coherent(P, G, 200, seed=3)
     twice = sample_coherent(P, G, 200, seed=3)
     assert again.paths == twice.paths
-    exact = {p for p, _ in coherent_paths(P, c)}
+    exact = {p for p, _ in coherent_paths(P, G)}
     assert again.paths <= exact
     with pytest.raises(InputError):
         sample_coherent(P, G, 0, seed=1)
@@ -169,7 +173,7 @@ def test_coherent_totals_dominated_pointwise():
                  (zoo.lopsided_cube(4), (1, 1, 1, 1))):
         G = orient(P, c)
         mono = count_paths_by_length(G)
-        coh = coherent_spectrum(P, c, graph=G)
+        coh = coherent_spectrum(P, G)
         assert all(coh[l] <= mono[l] for l in range(mono.min_len, mono.max_len + 1))
         assert coh.total >= 2
 
@@ -177,12 +181,12 @@ def test_coherent_totals_dominated_pointwise():
 def test_translation_and_scaling_invariance():
     base = zoo.cross_polytope(3)
     c = (1, 2, 3)
-    reference = coherent_spectrum(base, c)
+    reference = coherent_spectrum(base, orient(base, c))
     shifted = Polytope([tuple(x + s for x, s in zip(v, (7, -2, 5)))
                         for v in base.vertices])
     scaled = Polytope([tuple(3 * x for x in v) for v in base.vertices])
-    assert coherent_spectrum(shifted, c) == reference
-    assert coherent_spectrum(scaled, c) == reference
+    assert coherent_spectrum(shifted, orient(shifted, c)) == reference
+    assert coherent_spectrum(scaled, orient(scaled, c)) == reference
     assert count_paths_by_length(orient(shifted, c)) == count_paths_by_length(orient(base, c))
 
 
@@ -190,9 +194,9 @@ def test_certificate_scale_invariance():
     P = zoo.cross_polytope(3)
     c = (1, 2, 3)
     G = orient(P, c)
-    for path, cert in coherent_paths(P, c, graph=G):
+    for path, cert in coherent_paths(P, G):
         doubled = tuple(2 * x for x in cert.omega)
-        assert shadow_path(P, c, doubled, graph=G) == path
+        assert shadow_path(P, G, doubled) == path
 
 
 def test_double_rounded_degenerate_cones_decide_incoherent():
@@ -202,7 +206,7 @@ def test_double_rounded_degenerate_cones_decide_incoherent():
     G = orient(P, c)
     long_paths = [p for p in enumerate_paths(G) if p.length == 4]
     assert long_paths
-    assert all(is_coherent(P, c, p, graph=G) is None for p in long_paths)
+    assert all(is_coherent(P, G, p) is None for p in long_paths)
 
 
 def test_double_rounded_clear_cones_certify_exactly():
@@ -211,7 +215,7 @@ def test_double_rounded_clear_cones_certify_exactly():
     c = (1, 1, 1)
     G = orient(P, c)
     for p in enumerate_paths(G):
-        cert = is_coherent(P, c, p, graph=G)
+        cert = is_coherent(P, G, p)
         assert cert is not None
         assert isinstance(cert.margin, Fraction) and cert.margin > 0
 
@@ -222,9 +226,10 @@ def test_double_rounded_clear_cones_certify_exactly():
     (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
 ], ids=["cross4", "lopsided3", "cyclic4-8"])
 def test_exact_simplex_alone_decides_like_the_steered_chain(P, c, request):
-    steered = coherent_spectrum(P, c)
+    G = orient(P, c)
+    steered = coherent_spectrum(P, G)
     calls = request.getfixturevalue("highs_fails")
-    pairs = list(coherent_paths(P, c))
+    pairs = list(coherent_paths(P, G))
     assert calls
     counts = {}
     for path, cert in pairs:
@@ -256,8 +261,8 @@ def _monotone_path_polytope_vertices(P, c, G):
     return sorted(phis[phi][0] for phi in hull.vertices)
 
 
-def _coherent_indices(P, c, G):
-    return sorted(p.vertex_indices for p, _ in coherent_paths(P, c, graph=G))
+def _coherent_indices(P, G):
+    return sorted(p.vertex_indices for p, _ in coherent_paths(P, G))
 
 
 def _assert_coherent_paths_match_the_oracle(P, c, G):
@@ -265,9 +270,9 @@ def _assert_coherent_paths_match_the_oracle(P, c, G):
     `coherent_spectrum` counts them by length; so does the walk-first
     spectrum in R^3, where `coherent_spectrum` may take the angular sweep."""
     vertices = _monotone_path_polytope_vertices(P, c, G)
-    assert vertices == _coherent_indices(P, c, G)
+    assert vertices == _coherent_indices(P, G)
     lengths = LengthSpectrum(Counter(len(seq) - 1 for seq in vertices))
-    assert coherent_spectrum(P, c, graph=G) == lengths
+    assert coherent_spectrum(P, G) == lengths
     if P.dim == 3:
         assert coherence._walk_first_spectrum(P, G) == lengths
 
@@ -314,7 +319,7 @@ def test_exact_checks_alone_find_the_monotone_path_polytope_vertices(P, c, subst
     vertices = _monotone_path_polytope_vertices(P, c, G)
     with pytest.MonkeyPatch.context() as mp:
         calls = record_highs(mp, substitute)
-        assert _coherent_indices(P, c, G) == vertices
+        assert _coherent_indices(P, G) == vertices
     assert calls
 
 
@@ -467,7 +472,7 @@ def test_integer_walk_matches_fraction_walk(data):
         omega = tuple(x - k * r for x, r in zip(omega, row))
         assert dot(omega, row) == 0
     want = _walk_outcome(_fraction_walk, P, G, omega)
-    assert _walk_outcome(shadow_path, P, c, omega) == want
+    assert _walk_outcome(shadow_path, P, G, omega) == want
     # the sampler's route: an integer omega (a positive multiple), walked by
     # the scalar oracle and by the batched walk on both of its dtypes
     scale = 7 * lcm(*(x.denominator for x in omega))
@@ -536,7 +541,7 @@ def test_sampling_a_point_and_a_segment():
         G = orient(P, c)
         for samples in (1, 5):
             assert sample_coherent(P, G, samples, seed=3) == (frozenset({MonotonePath(path)}), 0)
-        assert shadow_path(P, c, (0, 0)) == MonotonePath(path)
+        assert shadow_path(P, G, (0, 0)) == MonotonePath(path)
 
 
 def test_one_sample_walks_one_omega():
@@ -546,7 +551,7 @@ def test_one_sample_walks_one_omega():
         rng = random.Random(seed)
         omega = [rng.randint(-999983, 999983) for _ in range(4)]
         draw = sample_coherent(P, G, 1, seed)
-        assert draw == (frozenset({shadow_path(P, (1, 2, 3, 4), omega)}), 0)
+        assert draw == (frozenset({shadow_path(P, G, omega)}), 0)
 
 
 def test_zero_omega_ties_at_a_forking_source(monkeypatch):
@@ -554,7 +559,7 @@ def test_zero_omega_ties_at_a_forking_source(monkeypatch):
     G = orient(P, c)
     assert len(G.arcs[G.source]) > 1
     with pytest.raises(DegeneracyError, match=f"slope tie at vertex {G.source};"):
-        shadow_path(P, c, (0, 0, 0))
+        shadow_path(P, G, (0, 0, 0))
     monkeypatch.setattr(coherence, "_draw_omegas",
                         lambda rng, count, dim: np.zeros((count, dim), dtype=np.int64))
     assert sample_coherent(P, G, 50, seed=1) == (frozenset(), 50)
@@ -680,13 +685,13 @@ def _logged_routes(caplog, caller):
     return paths, routes
 
 
-def _spectra_and_routes(P, c, G, caplog):
+def _spectra_and_routes(P, G, caplog):
     """The walk-first spectrum and the one counted over `coherent_paths`,
     each with its logged (paths, routes)."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
-        walked = coherent_spectrum(P, c, graph=G)
-        counted = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(P, c, graph=G)))
+        walked = coherent_spectrum(P, G)
+        counted = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(P, G)))
     return ((walked, _logged_routes(caplog, "coherent_spectrum")),
             (counted, _logged_routes(caplog, "coherent_paths")))
 
@@ -702,7 +707,7 @@ def test_paths_without_rows_keep_their_route(P, c, spectrum, caplog):
     """A point, a 1-simplex and a segment: their one path has no rows, and
     both enumerations count it on the "no rows" route."""
     G = orient(P, c)
-    walked, counted = _spectra_and_routes(P, c, G, caplog)
+    walked, counted = _spectra_and_routes(P, G, caplog)
     assert walked[0] == counted[0] == LengthSpectrum(spectrum)
     assert walked[1] == counted[1] == (1, {**dict.fromkeys(coherence._ROUTES, 0), "no rows": 1})
 
@@ -715,7 +720,7 @@ def test_tied_draws_leave_every_path_to_decide_rows(tied, caplog, monkeypatch):
     G = orient(P, c)
     _draw_tied(monkeypatch, G, tied)
     walks = _log_calls(monkeypatch, coherence, "_walk")
-    walked, counted = _spectra_and_routes(P, c, G, caplog)
+    walked, counted = _spectra_and_routes(P, G, caplog)
     ((_args, (reached, ties)),) = walks
     assert reached == {} and len(ties) == coherence._PROBES
     assert walked == counted
@@ -731,7 +736,7 @@ def test_captures_are_rechecked_on_the_path_rows(tied, caplog, monkeypatch):
     _draw_tied(monkeypatch, G, tied)
     monkeypatch.setattr(coherence, "_walk",
                         lambda G, fork, omegas: (dict.fromkeys(enumerate_paths(G), 0), []))
-    walked, counted = _spectra_and_routes(P, c, G, caplog)
+    walked, counted = _spectra_and_routes(P, G, caplog)
     assert walked == counted
     assert walked[1][1]["shadow walk"] == 0
 
@@ -758,11 +763,35 @@ def test_walk_first_spectrum_on_s_hypersimplices(d, S):
     _assert_coherent_paths_match_the_oracle(P, c, orient(P, c, drop_level_ties=True))
 
 
+@pytest.mark.parametrize("P, c, coherent", [
+    (zoo.cross_polytope(3), (1, 0, 0), 4),
+    (zoo.cross_polytope(4), (1, 0, 0, 0), 6),
+    (zoo.s_hypersimplex(4, [2, 4]), (1, 1, 1, 1), 6),
+], ids=["cross3", "cross4", "s-hyp4-24"])
+def test_level_tie_graphs_through_every_entry_point(P, c, coherent):
+    """On a graph with its level ties dropped, `is_coherent` certifies
+    exactly the paths that `coherent_paths` yields, with the same
+    certificates; seeded `shadow_path` walks and `sample_coherent` land only
+    on those paths, and `coherent_spectrum` counts them."""
+    G = orient(P, c, drop_level_ties=True)
+    pairs = dict(coherent_paths(P, G))
+    assert len(pairs) == coherent
+    assert {p: cert for p in enumerate_paths(G)
+            if (cert := is_coherent(P, G, p)) is not None} == pairs
+    rng = random.Random(2)
+    walks = [_walk_outcome(shadow_path, P, G, [rng.randint(-999983, 999983) for _ in c])
+             for _ in range(100)]
+    walked = {w for w in walks if isinstance(w, MonotonePath)}
+    assert walked and walked <= pairs.keys()
+    assert sample_coherent(P, G, 500, seed=2).paths <= pairs.keys()
+    assert coherent_spectrum(P, G) == LengthSpectrum(Counter(p.length for p in pairs))
+
+
 def test_walk_first_spectrum_on_ass6(ass6_pack):
     """ass6 is too large for the monotone path polytope oracle; the pack's
     spectrum is counted over `coherent_paths`."""
     P, c, G = ass6_pack["P"], ass6_pack["c"], ass6_pack["G"]
-    assert coherent_spectrum(P, c, graph=G) == ass6_pack["coherent"]
+    assert coherent_spectrum(P, G) == ass6_pack["coherent"]
 
 
 # the angular sweep in d = 3
@@ -778,15 +807,15 @@ def _arc_omegas(G, arcs):
             for e, f in zip(events, events[1:] + events[:1])]
 
 
-def _assert_sweep_matches_coherent_paths(P, c, G):
+def _assert_sweep_matches_coherent_paths(P, G):
     """Each arc's omega captures a path of the arc's length (`shadow_path`
     meets no tie), those paths are the coherent paths of `coherent_paths`,
     one per arc, and `coherent_spectrum` counts them; returns the arcs."""
     arcs = coherence._sweep_arcs(P, G)
-    walked = [shadow_path(P, c, omega, graph=G) for omega in _arc_omegas(G, arcs)]
+    walked = [shadow_path(P, G, omega) for omega in _arc_omegas(G, arcs)]
     assert [p.length for p in walked] == [length for _, length in arcs]
-    assert sorted(p.vertex_indices for p in walked) == _coherent_indices(P, c, G)
-    assert coherent_spectrum(P, c, graph=G) == LengthSpectrum(Counter(p.length for p in walked))
+    assert sorted(p.vertex_indices for p in walked) == _coherent_indices(P, G)
+    assert coherent_spectrum(P, G) == LengthSpectrum(Counter(p.length for p in walked))
     return arcs
 
 
@@ -796,8 +825,7 @@ _FIXTURES_3D = ["cross3", "cube3", "lopsided3", "modified-lopsided3", "p10", "p1
 @pytest.mark.parametrize("name", _FIXTURES_3D)
 def test_sweep_matches_coherent_paths_on_fixtures(name):
     F = zoo.fixture(name)
-    arcs = _assert_sweep_matches_coherent_paths(F.polytope, F.direction,
-                                                orient(F.polytope, F.direction))
+    arcs = _assert_sweep_matches_coherent_paths(F.polytope, orient(F.polytope, F.direction))
     if F.expected_coherent is not None:
         assert LengthSpectrum(Counter(length for _, length in arcs)) == F.expected_coherent
 
@@ -812,7 +840,7 @@ def test_sweep_matches_coherent_paths_on_rational_3_polytopes(points, data):
         G = orient(P, c)
     except (GenericityError, InputError):
         assume(False)
-    _assert_sweep_matches_coherent_paths(P, c, G)
+    _assert_sweep_matches_coherent_paths(P, G)
 
 
 def test_sweep_merges_events_at_one_angle(caplog):
@@ -823,9 +851,9 @@ def test_sweep_merges_events_at_one_angle(caplog):
     c = (1, 1, 0)
     G = orient(P, c)
     with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
-        arcs = _assert_sweep_matches_coherent_paths(P, c, G)
+        arcs = _assert_sweep_matches_coherent_paths(P, G)
     assert len(P._facets) == 6 and len(arcs) == 5
-    assert coherent_spectrum(P, c, graph=G).counts == {1: 1, 2: 2, 3: 1, 4: 1}
+    assert coherent_spectrum(P, G).counts == {1: 1, 2: 2, 3: 1, 4: 1}
     assert len(_monotone_path_polytope_vertices(P, c, G)) == 5
     assert [r.getMessage() for r in caplog.records if r.name == "pathspectra.coherence"
             and r.getMessage().startswith("angular sweep")] == [
@@ -836,7 +864,7 @@ def test_sweep_merges_events_at_one_angle(caplog):
 def test_sweep_on_sphere_polytopes(n):
     """Simplicial, so one coherent path per facet: 2n - 4."""
     P, c = _sphere_dyadic(3, n)
-    assert len(_assert_sweep_matches_coherent_paths(P, c, orient(P, c))) == 2 * n - 4
+    assert len(_assert_sweep_matches_coherent_paths(P, orient(P, c))) == 2 * n - 4
 
 
 def test_sweep_reaches_the_paper_scale():
@@ -844,13 +872,13 @@ def test_sweep_reaches_the_paper_scale():
     sweep finds 1996 paths, and each of 40 sampled arcs' omegas walks a path
     of the arc's length."""
     P, c = _sphere_dyadic(3, 100)
-    assert coherent_spectrum(P, c, graph=orient(P, c)).total == 196
+    assert coherent_spectrum(P, orient(P, c)).total == 196
     P, c = _sphere_dyadic(3, 1000)
     G = orient(P, c)
     arcs = coherence._sweep_arcs(P, G)
     assert len(arcs) == 1996
     for omega, (_, length) in random.Random(5).sample(list(zip(_arc_omegas(G, arcs), arcs)), 40):
-        assert shadow_path(P, c, omega, graph=G).length == length
+        assert shadow_path(P, G, omega).length == length
 
 
 def _forbid(monkeypatch, name):
@@ -861,11 +889,12 @@ def _forbid(monkeypatch, name):
 def test_graphs_from_orient_in_r3_take_the_sweep(name, monkeypatch):
     """No path is enumerated, walked or sent to HiGHS."""
     F = zoo.fixture(name)
-    want = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(F.polytope, F.direction)))
+    G = orient(F.polytope, F.direction)
+    want = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(F.polytope, G)))
     for forbidden in ("enumerate_paths", "_walk"):
         _forbid(monkeypatch, forbidden)
     calls = record_highs(monkeypatch)
-    assert coherent_spectrum(F.polytope, F.direction) == want
+    assert coherent_spectrum(F.polytope, G) == want
     assert calls == []
 
 
@@ -881,10 +910,10 @@ def test_graphs_from_orient_in_r3_take_the_sweep(name, monkeypatch):
 ])
 def test_other_inputs_keep_the_enumeration(P, c, level_ties, monkeypatch):
     G = orient(P, c, drop_level_ties=level_ties)
-    want = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(P, c, graph=G)))
+    want = LengthSpectrum(Counter(p.length for p, _ in coherent_paths(P, G)))
     _forbid(monkeypatch, "_sweep_arcs")
     enumerations = _log_calls(monkeypatch, coherence, "enumerate_paths")
-    assert coherent_spectrum(P, c, graph=G) == want
+    assert coherent_spectrum(P, G) == want
     assert len(enumerations) == 1
 
 
@@ -936,7 +965,7 @@ def test_one_highs_lp_per_path(P, c, monkeypatch):
     calls = record_highs(monkeypatch)
     known = _log_calls(monkeypatch, coherence, "_known_witness")
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
-    list(coherent_paths(P, c, graph=G))
+    list(coherent_paths(P, G))
     decided = sum(1 for _args, found in known if found is not None)
     assert len(known) == with_rows
     assert len(calls) == with_rows - decided
@@ -950,7 +979,7 @@ def test_dual_witnesses_recheck_in_fractions(P, c, monkeypatch):
     G = orient(P, c)
     known = _log_calls(monkeypatch, coherence, "_known_witness")
     proposals = _log_calls(monkeypatch, coherence, "_strict_interior")
-    coherent = {p for p, _ in coherent_paths(P, c, graph=G)}
+    coherent = {p for p, _ in coherent_paths(P, G)}
     witnesses = [(rows, dict(zip(rows, lam))) for (rows, _table), (_y, lam) in proposals
                  if lam is not None]
     witnesses += [(args[0], found[1]) for args, found in known if found is not None]
@@ -970,11 +999,11 @@ def test_without_duals_the_exact_simplex_decides_the_same(P, c, exact_runs, requ
     goes to the exact simplex: on cross4 every one has them, on cyclic4-8
     none does."""
     G = orient(P, c)
-    expected = list(coherent_paths(P, c, graph=G))
+    expected = list(coherent_paths(P, G))
     request.getfixturevalue("highs_without_duals")
     known = _log_calls(monkeypatch, coherence, "_known_witness")
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
-    assert list(coherent_paths(P, c, graph=G)) == expected
+    assert list(coherent_paths(P, G)) == expected
     decided = [found[0] for _args, found in known if found is not None]
     assert set(decided) <= {"opposite rows"}
     incoherent = sum(1 for _ in enumerate_paths(G)) - len(expected)
@@ -990,21 +1019,21 @@ def test_coherent_only_inputs_ask_one_highs_lp_per_path(P, c, monkeypatch):
     G = orient(P, c)
     paths = sum(1 for _ in enumerate_paths(G))
     calls = record_highs(monkeypatch)
-    assert len(list(coherent_paths(P, c, graph=G))) == paths
+    assert len(list(coherent_paths(P, G))) == paths
     assert len(calls) == paths
 
 
-def _per_path_route(P, c, G):
+def _per_path_route(P, G):
     """(path, certificate) of every monotone path, each decided alone by
     `is_coherent`, with a witness store seeded from its own rows only."""
-    return [(p, is_coherent(P, c, p, graph=G)) for p in enumerate_paths(G)]
+    return [(p, is_coherent(P, G, p)) for p in enumerate_paths(G)]
 
 
 def _assert_matches_per_path_route(P, c, monkeypatch):
     G = orient(P, c)
-    reference = _per_path_route(P, c, G)
+    reference = _per_path_route(P, G)
     known = _log_calls(monkeypatch, coherence, "_known_witness")
-    pairs = list(coherent_paths(P, c, graph=G))
+    pairs = list(coherent_paths(P, G))
     assert pairs == [(p, cert) for p, cert in reference if cert is not None]
     found = {p for p, _ in pairs}
     assert ({p for p in enumerate_paths(G) if p not in found}
@@ -1014,7 +1043,7 @@ def _assert_matches_per_path_route(P, c, monkeypatch):
             _assert_gordan(rows, witness[1])
     # with no witness in hand, every path with rows asks HiGHS
     monkeypatch.setattr(coherence, "_known_witness", lambda rows, witnesses=None: None)
-    assert _per_path_route(P, c, G) == reference
+    assert _per_path_route(P, G) == reference
     return [witness[0] for _args, witness in known if witness is not None]
 
 
@@ -1137,10 +1166,11 @@ def test_one_witness_store_decides_as_the_two_rule_store(data):
 
 
 def test_route_counts_are_logged_once_per_enumeration(caplog):
-    P, c = zoo.cross_polytope(4), (1, 2, 3, 4)
+    P = zoo.cross_polytope(4)
+    G = orient(P, (1, 2, 3, 4))
     with caplog.at_level(logging.DEBUG, logger="pathspectra.coherence"):
-        list(coherent_paths(P, c))
-        coherent_spectrum(P, c)
+        list(coherent_paths(P, G))
+        coherent_spectrum(P, G)
     assert [r.getMessage() for r in caplog.records if r.name == "pathspectra.coherence"] == [
         "coherent_paths: 42 paths; no rows 0, shadow walk 0, opposite rows 16, "
         "shared witness 0, HiGHS strict omega 26, HiGHS witness 0, exact simplex 0",
@@ -1160,10 +1190,10 @@ def test_scaled_rows_keep_high_bit_paths_on_highs(p10_dyadic, c, request, monkey
     P = p10_dyadic
     G = orient(P, c)
     exact = _log_calls(monkeypatch, coherence, "lp_maximize")
-    fast = list(coherent_paths(P, c, graph=G))
+    fast = list(coherent_paths(P, G))
     assert exact == []
     request.getfixturevalue("highs_fails")
-    slow = list(coherent_paths(P, c, graph=G))
+    slow = list(coherent_paths(P, G))
     assert exact
     assert [p for p, _ in fast] == [p for p, _ in slow]
     # the two routes certify with different omegas; each is rechecked on the

@@ -266,7 +266,7 @@ def test_a_lone_point_is_one_vertex_without_lp(d, monkeypatch):
         assert P.edges() == []
         c = (1,) * d
         assert count_paths_by_length(orient(P, c)).counts == {0: 1}
-        assert coherent_spectrum(P, c).counts == {0: 1}
+        assert coherent_spectrum(P, orient(P, c)).counts == {0: 1}
     assert highs == []
 
 

@@ -82,7 +82,7 @@ def _assert_cone_lp(args, model):
 def test_coherence_lps_match_linprog(P, c, monkeypatch):
     direct = exactgeom._highs()[0]
     calls = record_highs(monkeypatch)
-    list(coherent_paths(P, c))
+    list(coherent_paths(P, orient(P, c)))
     _assert_matches_linprog(direct, calls)
 
 
@@ -229,7 +229,7 @@ def _cone_rows(P, c):
         return real(r, table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coherence, "_strict_interior", logged)
-        list(coherent_paths(P, c))
+        list(coherent_paths(P, orient(P, c)))
     return rows
 
 
@@ -348,13 +348,14 @@ def _record_every_lp(mp):
     for name in zoo.fixture_names(include_slow=True):
         F = zoo.fixture(name)
         if F.expected_coherent is not None:
-            lengths = Counter(p.length for p, _ in coherent_paths(F.polytope, F.direction))
+            G = orient(F.polytope, F.direction)
+            lengths = Counter(p.length for p, _ in coherent_paths(F.polytope, G))
             assert LengthSpectrum(lengths) == F.expected_coherent
     for P, c in [(zoo.cross_polytope(5), (1, 2, 3, 4, 5)),
                  (zoo.second_hypersimplex(5), (1, 2, 4, 8, 16)),
                  (zoo.cyclic(4, range(1, 9)), (1, 0, 0, 0)),
                  (zoo.product_of_simplices((3, 4)), (1, 2, 3, 4, 5))]:
-        list(coherent_paths(P, c))
+        list(coherent_paths(P, orient(P, c)))
     for name in ("cube3", "lopsided3", "p10-sphere"):
         P = zoo.fixture(name).polytope
         for i in range(len(P.vertices)):

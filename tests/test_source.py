@@ -1,11 +1,20 @@
 """Checks on the package source itself."""
 import ast
+import inspect
 from pathlib import Path
 
 import pathspectra
+from pathspectra import DirectedGraph, coherence
 
 SOURCE = Path(pathspectra.__file__).parent
 BENCH = Path(__file__).parent.parent / "bench"
+
+# Every coherence entry point takes (P, G, ...), G the oriented graph of P that
+# it reads the direction from.  `slope_cone(P, c, path, graph=None)` is the one
+# exemption: the benchmark's certificate audit calls it with both.
+COHERENCE_ENTRY_POINTS = (coherence.coherent_paths, coherence.coherent_spectrum,
+                          coherence.is_coherent, coherence.shadow_path,
+                          coherence.sample_coherent)
 
 # Closed-form spectra of zoo families that no command or bench script reads;
 # they stay in `zoo`, next to the families they describe, as the tests' oracles.
@@ -104,3 +113,13 @@ def test_the_reader_check_sees_a_name_only_tests_read(tmp_path):
     (bench / "run.py").write_text("from package import a\n\na.benched()\n")
     assert _public_names_without_a_reader(package, bench, {"exempt"}) == [
         ("a.py", "recursive", 9)]
+
+
+def test_coherence_entry_points_take_the_oriented_graph():
+    """The graph is the second parameter and nothing has a default, so no
+    direction argument can disagree with the graph, and no caller can leave
+    the graph out."""
+    for fn in COHERENCE_ENTRY_POINTS:
+        params = list(inspect.signature(fn, eval_str=True).parameters.values())
+        assert (params[1].name, params[1].annotation) == ("G", DirectedGraph), fn.__name__
+        assert [p.name for p in params if p.default is not p.empty] == [], fn.__name__

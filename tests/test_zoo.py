@@ -101,7 +101,7 @@ def test_second_hypersimplex_brute_force_matches_recursion_shifted():
     for n in (4, 5):
         P = zoo.second_hypersimplex(n)
         c = canonical_direction(P)
-        brute = coherent_spectrum(P, c)
+        brute = coherent_spectrum(P, orient(P, c))
         rec = zoo.second_hypersimplex_coherent(n)
         assert {l - 1: v for l, v in rec.counts.items()} == brute.counts
 
@@ -126,7 +126,7 @@ def test_cyclic_coherent_formula_matches_brute_force():
     n = 6
     P = zoo.cyclic(4, range(1, n + 1))
     c = canonical_direction(P)
-    assert coherent_spectrum(P, c) == zoo.cyclic_coherent(n, 4)
+    assert coherent_spectrum(P, orient(P, c)) == zoo.cyclic_coherent(n, 4)
     with pytest.raises(InputError):
         zoo.cyclic_coherent(6, 3)
 
@@ -140,10 +140,10 @@ def test_product_simplices_formula_examples():
 def test_truncate_vertex_must_cut_exactly_one():
     P = zoo.cube(3)
     with pytest.raises(InputError):
-        zoo.truncate_vertex(P, (1, 1, 1), Fraction(7, 2))  # cuts nothing
+        zoo.truncate_vertex(P, (1, 1, 1), Fraction(7, 2), "cube-3-trunc")  # cuts nothing
     with pytest.raises(InputError):
-        zoo.truncate_vertex(P, (1, 1, 1), Fraction(3, 2))  # cuts four vertices
-    Q = zoo.truncate_vertex(P, (1, 1, 1), Fraction(5, 2))  # cuts only the top
+        zoo.truncate_vertex(P, (1, 1, 1), Fraction(3, 2), "cube-3-trunc")  # cuts four vertices
+    Q = zoo.truncate_vertex(P, (1, 1, 1), Fraction(5, 2), "cube-3-trunc")  # cuts only the top
     assert len(Q.vertices) == 10
 
 
