@@ -13,8 +13,10 @@ certified in exact arithmetic.
 Every polytope is validated when it is built, which computes the one facet
 incidence from which its vertices and its edges are read.  The points are
 scaled to integers over one common denominator, which the polytope keeps for
-`orient`, and projected, exactly, onto integer coordinates of their affine
-hull; an exact placing (beneath-beyond) triangulation in lexicographic order
+`orient` and on which it finds repeated points, and projected, exactly, onto
+integer coordinates of their affine hull; an exact placing (beneath-beyond)
+triangulation in lexicographic order, from a start simplex found in one
+fraction-free elimination with all its planes read off one adjugate,
 proposes a triangulated boundary, each simplex with its outward plane
 (`_propose_simplices`); and `_certify_facets` checks it in integer
 arithmetic: each simplex lies on its plane, the plane supports the hull, the
@@ -39,9 +41,9 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, starmap
 from math import gcd, inf, lcm, nan
-from operator import mul
+from operator import gt, mul
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -490,11 +492,12 @@ def _affine_coordinates(ints):
 
 
 def _ridges(simplex):
-    """(sorted ridge, sign of the orientation the oriented simplex induces on it)."""
-    inversions = sum(a > b for a, b in combinations(simplex, 2))
-    ordered = sorted(simplex)
-    for m in range(len(ordered)):
-        yield tuple(ordered[:m] + ordered[m + 1:]), -1 if (inversions + m) % 2 else 1
+    """(sorted ridge, sign of the orientation the oriented simplex induces on
+    it), one per ridge."""
+    inversions = sum(starmap(gt, combinations(simplex, 2)))
+    ordered = tuple(sorted(simplex))
+    return [(ordered[:m] + ordered[m + 1:], -1 if (inversions + m) % 2 else 1)
+            for m in range(len(ordered))]
 
 
 def _cofactor(rows, j):
@@ -503,10 +506,70 @@ def _cofactor(rows, j):
     return (-1) ** (len(rows) + j) * _det([row[:j] + row[j + 1:] for row in rows])
 
 
-def _cofactor_normal(rows):
-    """The normal a of the oriented simplex with edge rows q2 - q1, ..., qr - q1
-    in R^r: the cofactors of an appended last row, so det[rows, a] = |a|^2."""
-    return [_cofactor(rows, j) for j in range(len(rows) + 1)]
+def _adjugate(rows):
+    """(det, adj) of a nonsingular square integer matrix, by fraction-free
+    Gauss-Jordan elimination of [rows | I] (Bareiss).  After step k every
+    entry is a (k+1)-minor of the row-swapped [rows | I], so each division by
+    the previous pivot is exact, and the last step leaves [d I | A], d and A
+    the determinant and the adjugate times the sign of the row swaps."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            p = next(i for i in range(k + 1, n) if m[i][k])
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        top = m[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(top[k] * a - f * b) // prev for a, b in zip(row, top)]
+        prev = top[k]
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+
+
+def _start_simplex(coords, order):
+    """(start, skipped, facets): the first r + 1 affinely independent points
+    that the iterator `order` yields, of the integer points `coords` spanning
+    R^r, those it yields in between, and the start simplex's r + 1 facets as
+    (s, a, b), each oriented outward with its plane a . x = b, a . x <= b on
+    the simplex.
+
+    Each candidate's difference from the first point is reduced against a
+    fraction-free echelon form of the accepted differences, and joins them
+    when it does not reduce to zero.  With H the matrix of the start points'
+    rows (q, 1), column j of adj H holds the affine function that is det H at
+    q_j and 0 at the other start points, so -sign(det H) times it is the
+    outward plane of the facet opposite q_j.  That facet lists the other
+    start points in order, and its cofactor normal (`_certify_facets`) is
+    then (-1)^j times the column's first r entries; where that points inward,
+    (-1)^j det H > 0, its first two points are swapped.
+    """
+    r = len(coords[0])
+    start, echelon, skipped = [next(order)], [], []  # echelon: (pivot column, row)
+    while len(start) <= r:
+        k = next(order)
+        row = [x - y for x, y in zip(coords[k], coords[start[0]])]
+        for c, top in echelon:
+            if row[c]:
+                row = [top[c] * x - row[c] * y for x, y in zip(row, top)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            skipped.append(k)
+        else:
+            g = gcd(*row)
+            start.append(k)
+            echelon.append((c, [x // g for x in row]))
+    det, adj = _adjugate([coords[k] + (1,) for k in start])
+    facets = []
+    for j in range(r + 1):
+        v = [row[j] if det < 0 else -row[j] for row in adj]
+        s = tuple(start[:j] + start[j + 1:])
+        if (det > 0) == (j % 2 == 0):
+            s = (s[1], s[0]) + s[2:]
+        facets.append((s, v[:r], -v[r]))
+    return start, skipped, facets
 
 
 def _propose_simplices(coords):
@@ -516,8 +579,9 @@ def _propose_simplices(coords):
     the hull.
 
     Points are placed in lexicographic order.  The first r + 1 affinely
-    independent ones form the start simplex; those skipped on the way are
-    placed last, against every plane.  Every other point p is the
+    independent ones form the start simplex, found in one elimination with
+    its facets read off one adjugate (`_start_simplex`); those skipped on the
+    way are placed last, against every plane.  Every other point p is the
     lexicographic maximum so far, so it lies outside the hull, and it sees a
     facet through q, the point placed before it: else p - q, lexicographically
     positive, would be a nonnegative combination of vectors x - q over the
@@ -530,17 +594,8 @@ def _propose_simplices(coords):
     and at p, and is <= 0 on the old hull since h_F(p) > 0 >= h_G(p).
     `_certify_facets` checks the result, planes and all.
     """
-    r = len(coords[0])
     order = iter(sorted(range(len(coords)), key=coords.__getitem__))
-    start, rows, skipped = [next(order)], [], []
-    while len(start) <= r:
-        k = next(order)
-        row = [x - y for x, y in zip(coords[k], coords[start[0]])]
-        if len(_row_reduce(rows + [row], r)) == len(start):
-            start.append(k)
-            rows.append(row)
-        else:
-            skipped.append(k)
+    start, skipped, facets = _start_simplex(coords, order)
     rest = list(order)
     planes = {}  # oriented simplex -> (a, b, its ridge in each slot), a . x <= b on the hull
     sides = {}  # ridge, as a sorted tuple -> the simplices through it
@@ -553,14 +608,7 @@ def _propose_simplices(coords):
         for ridge in ridges:
             sides.setdefault(ridge, []).append(s)
 
-    total = [sum(axis) for axis in zip(*(coords[k] for k in start))]  # (r + 1) x centroid
-    for j in range(r + 1):
-        s = tuple(start[:j] + start[j + 1:])
-        base = coords[s[0]]
-        a = _cofactor_normal([[x - y for x, y in zip(coords[k], base)] for k in s[1:]])
-        b = dot(a, base)
-        if dot(a, total) > (r + 1) * b:
-            s, a, b = (s[1], s[0]) + s[2:], [-x for x in a], -b
+    for s, a, b in facets:
         put(s, a, b)
     latest = [s for s in planes if start[-1] in s]
     for i, k in enumerate(rest + skipped):
@@ -669,18 +717,20 @@ def _certify_facets(coords, planes):
     minor.
     """
     r = len(coords[0])
-    degenerate, ridges, columns = [], {}, []
+    degenerate, columns = [], []
+    induced = {1: set(), -1: set()}  # sign -> the ridges some simplex induces it on
     for s, a, b in planes:
         if len(s) != r or len(set(s)) != r or any(dot(a, coords[k]) != b for k in s):
             return None
         for ridge, sign in _ridges(s):
-            count, total = ridges.get(ridge, (0, 0))
-            ridges[ridge] = (count + 1, total + sign)
+            induced[sign].add(ridge)
         j = next((j for j, x in enumerate(a) if x), None)
         if j is None:
             return None
         columns.append(j)
-    if not planes or any(count != 2 or total for count, total in ridges.values()):
+    # every ridge is induced each sign once: no (ridge, sign) repeats, and the
+    # two sets are one
+    if not planes or induced[1] != induced[-1] or 2 * len(induced[1]) != r * len(planes):
         return None
     points = _floats([q + (1,) for q in coords])
     minors = _minors(coords, points, [s for s, _, _ in planes], columns)
@@ -893,13 +943,13 @@ class Polytope:
         self._edges = None
 
     def _validated(self, pts, on_nonvertex):
-        kept = {}  # insertion-ordered, so indices follow first occurrences
-        for p in pts:
-            if p in kept and on_nonvertex == "reject":
-                raise InputError(f"duplicate vertex {_plain(p)}")
-            kept[p] = None
-        kept = list(kept)
-        ints = _integer_points(kept)
+        # equal points share their denominators, so the one scale over all of
+        # them, duplicates too, is the scale over the distinct ones
+        first = {}  # integer point -> index of its first occurrence, in order
+        for k, q in enumerate(_integer_points(pts)):
+            if first.setdefault(q, k) != k and on_nonvertex == "reject":
+                raise InputError(f"duplicate vertex {_plain(pts[k])}")
+        kept, ints = [pts[k] for k in first.values()], list(first)
         facets = _facet_incidence(ints)
         vertices, index = [], []
         for k, (p, is_vertex) in enumerate(zip(kept, _vertex_flags(facets, len(kept)))):

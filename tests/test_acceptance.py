@@ -13,13 +13,11 @@ import pytest
 from scipy import integrate, special
 
 from pathspectra import (Polytope, coherent_paths, coherent_spectrum,
-                         count_paths_by_length, enumerate_paths, is_coherent,
-                         is_log_concave, is_ultra_log_concave, is_unimodal,
-                         orient, prism_spectrum, sample_coherent, shadow_path)
+                         count_paths_by_length, is_log_concave, is_ultra_log_concave,
+                         is_unimodal, orient, prism_spectrum, sample_coherent, shadow_path)
 from pathspectra import zoo
 from pathspectra.betasim import (SimConfig, clt_check, estimate_growth_exponent,
                                  first_diff_moment, floating_radius, simulate_Qn)
-from pathspectra.pathcount import LengthSpectrum
 from test_betasim import cap_measure, cap_measure_asymptotic, max_independent_caps
 from test_zoo import c_lex, canonical_direction
 

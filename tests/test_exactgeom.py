@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from pathspectra import (DegeneracyError, GenericityError, InputError, Polytope,
                          coherent_spectrum, count_paths_by_length, orient, project2d,
                          upper_path)
 from pathspectra import coherence, exactgeom, zoo
-from pathspectra.betasim import sample_sphere
+from pathspectra.betasim import _rng, sample_sphere
 
 from conftest import record_highs
 
@@ -179,6 +179,72 @@ def _point_sets(draw):
 @given(_point_sets())
 def test_facet_incidence_matches_lp_oracle(points):
     _assert_facet_incidence_matches_lp_oracle(points)
+
+
+def _fraction_keyed_intake(points, on_nonvertex):
+    """(vertices, _ints, _facets) of `Polytope(points, on_nonvertex=...)` by
+    the intake it once had, kept as its oracle: repeats found by keying a
+    dict on Fraction tuples, then the integer frame of the distinct points."""
+    kept = {}
+    for p in (tuple(exactgeom._rational(x) for x in p) for p in points):
+        if p in kept and on_nonvertex == "reject":
+            raise InputError(f"duplicate vertex {exactgeom._plain(p)}")
+        kept[p] = None
+    kept = list(kept)
+    ints = exactgeom._integer_points(kept)
+    facets = exactgeom._facet_incidence(ints)
+    flags = exactgeom._vertex_flags(facets, len(kept))
+    if on_nonvertex == "reject" and not all(flags):
+        raise InputError(f"point {exactgeom._plain(kept[flags.index(False)])} "
+                         f"is not a vertex of the hull")
+    index = list(compress(range(len(kept)), flags))
+    facets = [sum(1 << new for new, old in enumerate(index) if tight >> old & 1)
+              for tight in facets]
+    return tuple(kept[k] for k in index), tuple(ints[k] for k in index), facets
+
+
+def _spellings(x):
+    """The ways to write the rational x that `Polytope` reads: a Fraction, a
+    "p/q" string, and an int or a float where they hold x exactly."""
+    out = [x, f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        out.append(int(x))
+    if Fraction(float(x)) == x:
+        out.append(float(x))
+    return out
+
+
+@st.composite
+def _respelled_point_sets(draw):
+    """`_point_sets` with up to three points repeated at drawn places, every
+    coordinate spelled in one of its `_spellings`, so repeats and their
+    originals are mostly spelled differently."""
+    points = draw(_point_sets())
+    for _ in range(draw(st.integers(0, 3))):
+        repeat = points[draw(st.integers(0, len(points) - 1))]
+        points.insert(draw(st.integers(0, len(points))), repeat)
+    return [[draw(st.sampled_from(_spellings(Fraction(x)))) for x in p] for p in points]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_respelled_point_sets(), st.sampled_from(["reject", "strip"]))
+@example([[0, 0], [1, 0], [0, 1], [1.0, "0/1"]], "reject")
+@example([[0, 0], [2, 0], [0, 2], ["1/2", 0.5], [Fraction(2), 0.0]], "reject")
+@example([[0, 0], [2, 0], [0, 2], ["1/2", 0.5], [Fraction(2), 0.0]], "strip")
+def test_intake_matches_the_fraction_keyed_oracle(points, on_nonvertex):
+    """Repeats found on the integer frame: the same vertices, integer
+    vertices, facets and error texts as keying on Fraction tuples."""
+    def built():
+        P = Polytope(points, on_nonvertex=on_nonvertex)
+        return P.vertices, P._ints, P._facets
+    assert _outcome(built) == _outcome(lambda: _fraction_keyed_intake(points, on_nonvertex))
 
 
 def _assert_facet_incidence_matches_lp_oracle(points):
@@ -399,6 +465,12 @@ def _qhull_simplices(coords):
     return [s if f > 0 else (s[1], s[0]) + s[2:] for s, f in zip(simplices, flip)]
 
 
+def _cofactor_normal(rows):
+    """The normal a of the oriented simplex with edge rows q2 - q1, ..., qr - q1
+    in R^r: the cofactors of an appended last row, so det[rows, a] = |a|^2."""
+    return [exactgeom._cofactor(rows, j) for j in range(len(rows) + 1)]
+
+
 def _all_points_certificate(coords, simplices):
     """Tight sets (bitmasks over coords) of all facets of conv(coords), or
     None: the certificate `_certify_facets` once was, kept as the oracle of
@@ -435,7 +507,7 @@ def _all_points_certificate(coords, simplices):
             if exactgeom._det(rows + [normals[home]]) < 0:
                 return None
             continue
-        normal = exactgeom._cofactor_normal(rows)
+        normal = _cofactor_normal(rows)
         if not any(normal):
             degenerate.append(mask)
             continue
@@ -467,7 +539,7 @@ def _with_planes(coords, simplices):
     out = []
     for s in simplices:
         base = coords[s[0]]
-        a = exactgeom._cofactor_normal([[x - y for x, y in zip(coords[k], base)] for k in s[1:]])
+        a = _cofactor_normal([[x - y for x, y in zip(coords[k], base)] for k in s[1:]])
         out.append((s, a, exactgeom.dot(a, base)))
     return [(s, a, b) if any(a) else
             next(((s, a2, b2) for _, a2, b2 in out
@@ -552,6 +624,88 @@ def test_placing_matches_qhull_on_sphere_polytopes(d, n):
         _assert_placing_matches_qhull(sample_sphere(d, n, np.random.default_rng(seed)).tolist())
 
 
+def _cofactor_start(coords, order):
+    """`_start_simplex` as the placing once found its start, kept as its
+    oracle: a candidate joins when `_row_reduce` of the accepted differences
+    with its own, from scratch, finds one more pivot, and each facet takes
+    its cofactor normal, turned outward against the centroid by swapping its
+    first two points."""
+    r = len(coords[0])
+    start, rows, skipped = [next(order)], [], []
+    while len(start) <= r:
+        k = next(order)
+        row = [x - y for x, y in zip(coords[k], coords[start[0]])]
+        if len(exactgeom._row_reduce(rows + [row], r)) == len(start):
+            start.append(k)
+            rows.append(row)
+        else:
+            skipped.append(k)
+    total = [sum(axis) for axis in zip(*(coords[k] for k in start))]  # (r + 1) x centroid
+    facets = []
+    for j in range(r + 1):
+        s = tuple(start[:j] + start[j + 1:])
+        base = coords[s[0]]
+        a = _cofactor_normal([[x - y for x, y in zip(coords[k], base)] for k in s[1:]])
+        b = exactgeom.dot(a, base)
+        if exactgeom.dot(a, total) > (r + 1) * b:
+            s, a, b = (s[1], s[0]) + s[2:], [-x for x in a], -b
+        facets.append((s, a, b))
+    return start, skipped, facets
+
+
+def _assert_start_matches_the_cofactor_route(points):
+    """The placing of `points` (as given, repeats dropped) proposes the same
+    oriented simplices, planes and order with `_start_simplex` as with its
+    cofactor oracle."""
+    kept = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    coords = exactgeom._affine_coordinates(exactgeom._integer_points(kept))
+    if len(coords[0]) < 2:
+        return
+    proposal = exactgeom._propose_simplices(coords)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactgeom, "_start_simplex", _cofactor_start)
+        assert proposal == exactgeom._propose_simplices(coords)
+
+
+@pytest.mark.parametrize("name", zoo.fixture_names(include_slow=True))
+def test_start_simplex_matches_the_cofactor_route_on_fixtures(name):
+    _assert_start_matches_the_cofactor_route(zoo.fixture(name).polytope.vertices)
+
+
+@_FLAT_SIMPLICES
+def test_start_simplex_matches_the_cofactor_route_on_flat_simplices(points, c):
+    _assert_start_matches_the_cofactor_route(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_first_point_sets())
+def test_start_simplex_matches_the_cofactor_route_with_flat_first_points(points):
+    _assert_start_matches_the_cofactor_route(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_start_simplex_matches_the_cofactor_route_on_point_sets(points):
+    _assert_start_matches_the_cofactor_route(points)
+
+
+@pytest.mark.parametrize("d, n", [(3, 1000), (4, 200), (5, 100)])
+def test_start_simplex_matches_the_cofactor_route_on_sphere_polytopes(d, n):
+    _assert_start_matches_the_cofactor_route(sample_sphere(d, n, _rng(11, 0)).tolist())
+
+
+def test_adjugate_matches_the_cofactors():
+    """`_adjugate` gives det and the transposed cofactor matrix exactly, on
+    matrices whose elimination must swap rows."""
+    for rows in ([[0, 1], [1, 0]], [[2, 0, 1], [0, 0, 3], [1, 5, 0]],
+                 [[0, 0, 1, 2], [0, 3, 0, 1], [4, 0, 0, 0], [1, 1, 1, 10 ** 30]]):
+        n = len(rows)
+        adj = [[(-1) ** (i + j) * exactgeom._det([row[:i] + row[i + 1:]
+                                                  for k, row in enumerate(rows) if k != j])
+                for j in range(n)] for i in range(n)]
+        assert exactgeom._adjugate(rows) == (exactgeom._det(rows), adj)
+
+
 # square base a, b, c, d, apex e, base centre m and interior point o
 _PYRAMID = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 2), (1, 1, 0), (1, 1, 1)]
 # the four triangles abc, abd, acd, bcd cover the base twice; oriented as the
@@ -573,7 +727,9 @@ def _flip(s):
     lambda honest: _SQUARE_TWICE,
     lambda honest: _INNER_TETRAHEDRON,
     lambda honest: honest + _INTERIOR_SLIVER,
-], ids=["dropped", "reoriented", "square-twice", "inner-tetrahedron", "interior-sliver"])
+    lambda honest: honest + honest,
+], ids=["dropped", "reoriented", "square-twice", "inner-tetrahedron", "interior-sliver",
+        "boundary-twice"])
 def test_tampered_proposal_is_rejected_and_falls_back(tamper, monkeypatch):
     """A tampered proposal fails the certificate, and a build handed it
     raises RuntimeError: a failed check is a bug, not a property of the
